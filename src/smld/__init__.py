@@ -2,8 +2,9 @@
 
 Library layout:
 
-* :mod:`smld.special` -- stable scalar kernels (incomplete gamma, scaled
-  Kummer function, log-domain Poisson weights),
+* :mod:`smld.special` -- stable scalar kernels (incomplete gamma, the
+  finite Kummer sum behind the closed-form moments, log-domain Poisson
+  weights),
 * :mod:`smld.operator` -- operator application, kernel, certified k-sum
   truncation and coefficient quadrature,
 * :mod:`smld.moments` -- raw/central moments by four cross-checking routes
@@ -32,13 +33,11 @@ from .operator import (
     validate,
     value_at_zero,
 )
-from .special import AccuracyPolicy
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "AccuracyPolicy",
     "DEFAULT_TRUNCATION",
     "OperatorParams",
     "TestFunction",

@@ -27,6 +27,7 @@ from .operator import (
     kernel_on_x_grid,
     validate,
 )
+from .operator.quadrature import panel_rule
 from .special import reg_lower_gamma
 
 __all__ = [
@@ -320,17 +321,6 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
 # -- L_p errors ----------------------------------------------------------------
 
 
-def _panel_nodes_weights(edges: np.ndarray, nodes: int):
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    a = edges[:-1]
-    b = edges[1:]
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    xs = (half[:, None] * x[None, :] + mid[:, None]).ravel()
-    ws = (half[:, None] * w[None, :]).ravel()
-    return xs, ws
-
-
 def lp_error(
     f: TestFunction,
     params: OperatorParams,
@@ -347,7 +337,7 @@ def lp_error(
         raise ParameterError("norm_interval", f"requires R > 0, got {r_cut}")
     validate(params, f)
     edges = _grid_with_kinks(0.0, r_cut, panels + 1, f.kinks)
-    xs, ws = _panel_nodes_weights(edges, nodes)
+    xs, ws = panel_rule(edges, nodes)
     diff = apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
     return float(np.dot(ws, np.abs(diff) ** p) ** (1.0 / p))
 
@@ -371,7 +361,7 @@ def weighted_lp_error(
         raise ParameterError("norm_p", f"requires p >= 1, got {p}")
     validate(params, f)
     edges = _grid_with_kinks(0.0, r_max, panels + 1, f.kinks)
-    xs, ws = _panel_nodes_weights(edges, nodes)
+    xs, ws = panel_rule(edges, nodes)
     diff = apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
     value = float(np.dot(ws, np.abs(diff) ** p * np.exp(gamma * xs)) ** (1.0 / p))
     return value, gamma <= p * params.beta + 1e-15
@@ -469,7 +459,7 @@ def schur_second_integral(
     decay = params.n - gamma / p
     x_hi = (k_top + 12.0 * math.sqrt(k_top) + 60.0) / decay
     edges = np.linspace(0.0, x_hi, panels + 1)
-    xs, ws = _panel_nodes_weights(edges, nodes)
+    xs, ws = panel_rule(edges, nodes)
     kern = kernel_on_x_grid(xs, t, params, policy)
     direct = math.exp(-gamma * t / p) * float(np.dot(ws, np.exp(gamma * xs / p) * kern))
     return SchurSecondResult(bound=bound, direct=direct, hypothesis_ok=gamma <= p * params.beta + 1e-15)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -27,20 +26,8 @@ from .operator import (
     apply_szasz,
     load_sampled,
 )
-from .special import AccuracyPolicy
 
 __all__ = ["RunConfig", "Table", "parse_config", "run", "emit", "main"]
-
-_COMMANDS = (
-    "moments",
-    "central-moments",
-    "asymptotics",
-    "apply",
-    "converge",
-    "eigen",
-    "schur",
-    "verify-all",
-)
 
 
 @dataclass
@@ -50,7 +37,6 @@ class RunConfig:
     alpha: float = 0.0
     beta: float = 0.0
     policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    accuracy: AccuracyPolicy = field(default_factory=AccuracyPolicy)
     fmt: str = "csv"
     output: str | None = None
     x: float = 1.0
@@ -125,39 +111,36 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
-                        help="output format (default csv)")
-    common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument("--eps-tail", type=float, default=1e-13,
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--format", choices=("csv", "json"), default="csv",
+                     help="output format (default csv)")
+    out.add_argument("--output", default=None, help="output path (default stdout)")
+
+    # numerical policy: only for the commands that sum or integrate
+    policy = argparse.ArgumentParser(add_help=False, parents=[out])
+    policy.add_argument("--eps-tail", type=float, default=1e-13,
                         help="k-sum tail tolerance (default 1e-13)")
-    common.add_argument("--quad-nodes", type=int, default=96,
+    policy.add_argument("--quad-nodes", type=int, default=96,
                         help="quadrature node budget (default 96)")
-    common.add_argument("--eps-quad", type=float, default=1e-12,
+    policy.add_argument("--eps-quad", type=float, default=1e-12,
                         help="target relative quadrature error (default 1e-12)")
-    common.add_argument("--k-max", type=int, default=50_000,
+    policy.add_argument("--k-max", type=int, default=50_000,
                         help="hard cap on the k-sum (default 50000)")
-    common.add_argument("--series-rel-tol", type=float, default=1e-14,
-                        help="series truncation tolerance (default 1e-14)")
-    common.add_argument("--max-terms", type=int, default=512,
-                        help="series length cap (default 512)")
-    common.add_argument("--switchover-z", type=float, default=40.0,
-                        help="series/asymptotic switch base (default 40)")
 
     prm = argparse.ArgumentParser(add_help=False)
     prm.add_argument("--n", type=float, required=True, help="operator index n > beta")
     prm.add_argument("--alpha", type=float, default=0.0, help="Laguerre exponent > -1")
     prm.add_argument("--beta", type=float, default=0.0, help="exponential tilt < n")
 
-    p = sub.add_parser("moments", parents=[common, prm], help="raw moments by every route")
+    p = sub.add_parser("moments", parents=[policy, prm], help="raw moments by every route")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--max-r", type=int, default=4)
 
-    p = sub.add_parser("central-moments", parents=[common, prm], help="central moments")
+    p = sub.add_parser("central-moments", parents=[policy, prm], help="central moments")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--max-r", type=int, default=4)
 
-    p = sub.add_parser("asymptotics", parents=[common], help="central-moment ratio table")
+    p = sub.add_parser("asymptotics", parents=[out], help="central-moment ratio table")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--r", type=int, default=2)
@@ -165,30 +148,30 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_float_list, required=True,
                    help="comma-separated ascending n values")
 
-    p = sub.add_parser("apply", parents=[common, prm], help="apply the operator to f")
+    p = sub.add_parser("apply", parents=[policy, prm], help="apply the operator to f")
     p.add_argument("--f", required=True, help="function spec (monomial:r, poly:..., exp:c, "
                    "abs:c, sqrt, sin:c, file:<path>)")
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 2.0))
     p.add_argument("--operator", choices=("mn", "szasz"), default="mn")
 
-    p = sub.add_parser("converge", parents=[common], help="error sweep in a chosen norm")
+    p = sub.add_parser("converge", parents=[policy], help="error sweep in a chosen norm")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--f", required=True)
     p.add_argument("--norm", required=True, help="sup:a, phi:Xmax, lp:p,R or wlp:p,gamma,Rmax")
     p.add_argument("--n-grid", type=_float_list, required=True)
 
-    p = sub.add_parser("eigen", parents=[common, prm], help="verify both eigenpairs")
+    p = sub.add_parser("eigen", parents=[policy, prm], help="verify both eigenpairs")
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 2.0, 5.0))
     p.add_argument("--k", type=int, default=None, help="matrix truncation (default adaptive)")
 
-    p = sub.add_parser("schur", parents=[common, prm], help="Schur-test quantities")
+    p = sub.add_parser("schur", parents=[policy, prm], help="Schur-test quantities")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 5.0, 20.0))
     p.add_argument("--t-grid", type=_float_list, default=(0.5, 1.0, 2.0, 5.0))
 
-    sub.add_parser("verify-all", parents=[common], help="run the whole verification battery")
+    sub.add_parser("verify-all", parents=[out], help="run the whole verification battery")
     return parser
 
 
@@ -199,15 +182,16 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     cfg = RunConfig(command=ns.command)
     cfg.fmt = ns.format
     cfg.output = ns.output
-    try:
-        cfg.policy = TruncationPolicy(
-            eps_tail=ns.eps_tail, quad_nodes=ns.quad_nodes, eps_quad=ns.eps_quad, k_max=ns.k_max
-        )
-        cfg.accuracy = AccuracyPolicy(
-            series_rel_tol=ns.series_rel_tol, max_terms=ns.max_terms, switchover_z=ns.switchover_z
-        )
-    except SmldError as exc:
-        parser.error(str(exc))
+    if hasattr(ns, "eps_tail"):
+        try:
+            cfg.policy = TruncationPolicy(
+                eps_tail=ns.eps_tail, quad_nodes=ns.quad_nodes, eps_quad=ns.eps_quad,
+                k_max=ns.k_max,
+            )
+        except SmldError as exc:
+            parser.error(str(exc))
+    if getattr(ns, "max_r", 0) < 0:
+        parser.error("--max-r: requires max_r >= 0")
     if hasattr(ns, "alpha"):
         if not ns.alpha > -1.0:
             parser.error("--alpha: requires alpha > -1")
@@ -246,7 +230,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
 def _run_moments(cfg: RunConfig) -> Table:
     rows = []
     for r in range(cfg.max_r + 1):
-        rep = moments.moment_report(r, cfg.x, cfg.params, cfg.policy, cfg.accuracy)
+        rep = moments.moment_report(r, cfg.x, cfg.params, cfg.policy)
         rows.append(
             (r, cfg.x, rep.value_closed, rep.value_recurrence, rep.value_explicit,
              rep.value_quadrature, rep.max_cross_residual)
@@ -260,13 +244,7 @@ def _run_central_moments(cfg: RunConfig) -> Table:
     for r in range(cfg.max_r + 1):
         explicit = moments.central_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
         binom = moments.central_moment_binomial(r, cfg.x, cfg.params)
-        f = TestFunction.from_callable(
-            lambda t, x=cfg.x, r=r: (t - x) ** r,
-            growth_a=1.0,
-            growth_k=2.0**r * (max(1.0, (r / math.e) ** r) + cfg.x**r),
-            label=f"(t-{cfg.x})^{r}",
-        )
-        quad = apply_operator(f, cfg.x, cfg.params, cfg.policy)
+        quad = apply_operator(TestFunction.centered_power(cfg.x, r), cfg.x, cfg.params, cfg.policy)
         present = [v for v in (explicit, binom, quad) if v is not None]
         resid = max(
             abs(a - b) / max(abs(a), abs(b), 1.0) for a in present for b in present
@@ -405,38 +383,33 @@ def emit(table: Table, fmt: str, destination) -> None:
         destination.write(json.dumps(payload, indent=2) + "\n")
 
 
+_HANDLERS = {
+    "moments": _run_moments,
+    "central-moments": _run_central_moments,
+    "asymptotics": _run_asymptotics,
+    "apply": _run_apply,
+    "converge": _run_converge,
+    "eigen": _run_eigen,
+    "schur": _run_schur,
+    "verify-all": _run_verify_all,
+}
+
+
 def run(config: RunConfig) -> int:
     """Dispatch a parsed config; returns the process exit code."""
-    verify_failed = False
     try:
-        if config.command == "moments":
-            table = _run_moments(config)
-        elif config.command == "central-moments":
-            table = _run_central_moments(config)
-        elif config.command == "asymptotics":
-            table = _run_asymptotics(config)
-        elif config.command == "apply":
-            table = _run_apply(config)
-        elif config.command == "converge":
-            table = _run_converge(config)
-        elif config.command == "eigen":
-            table = _run_eigen(config)
-        elif config.command == "schur":
-            table = _run_schur(config)
-        elif config.command == "verify-all":
-            table, all_ok = _run_verify_all(config)
-            verify_failed = not all_ok
-        else:  # pragma: no cover
-            raise SmldError(f"unknown command {config.command!r}")
+        result = _HANDLERS[config.command](config)
     except SmldError as exc:
         print(f"smld: {exc.code}: {exc}", file=sys.stderr)
         return 3
+    # only verify-all reports a pass/fail verdict along with its table
+    table, all_ok = result if isinstance(result, tuple) else (result, True)
     if config.output:
         with open(config.output, "w", encoding="utf-8", newline="") as fh:
             emit(table, config.fmt, fh)
     else:
         emit(table, config.fmt, sys.stdout)
-    return 1 if verify_failed else 0
+    return 0 if all_ok else 1
 
 
 def main(argv: Sequence[str] | None = None) -> int:

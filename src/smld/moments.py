@@ -3,8 +3,8 @@
 Four independent routes are kept alive on purpose so each can check the
 others:
 
-* closed form via the scaled Kummer function (which, for integer order,
-  reduces to an exact finite sum),
+* closed form via the scaled Kummer function, which for these parameters
+  is an exact finite sum,
 * the three-term recurrence
       (n-b)^2 mu_{r+1} = (n-b)(alpha+2r+1+nx) mu_r - r(alpha+r) mu_{r-1},
   derived from the contiguous relation of 1F1 (DLMF 13.3.1); forward
@@ -31,7 +31,7 @@ from .operator import (
     apply_operator,
     validate,
 )
-from .special import AccuracyPolicy, kummer_scaled, pochhammer
+from .special import kummer_scaled, pochhammer
 
 __all__ = [
     "MomentReport",
@@ -51,14 +51,12 @@ __all__ = [
 ]
 
 
-def raw_moment_closed(
-    r: int, x: float, params: OperatorParams, policy: AccuracyPolicy | None = None
-) -> float:
+def raw_moment_closed(r: int, x: float, params: OperatorParams) -> float:
     """mu_r(x) = (alpha+1)_r / (n-beta)^r * e^(-nx) 1F1(alpha+r+1; alpha+1; nx)."""
     _check_order(r)
     validate(params)
     front = pochhammer(params.alpha + 1.0, r) / params.rate ** r
-    return front * kummer_scaled(params.alpha + r + 1.0, params.alpha + 1.0, params.n * x, policy)
+    return front * kummer_scaled(params.alpha + r + 1.0, params.alpha + 1.0, params.n * x)
 
 
 def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list[float]:
@@ -331,10 +329,9 @@ def moment_report(
     x: float,
     params: OperatorParams,
     policy: TruncationPolicy | None = None,
-    accuracy: AccuracyPolicy | None = None,
 ) -> MomentReport:
     """Compute mu_r(x) by every route and report the max pairwise residual."""
-    closed = raw_moment_closed(r, x, params, accuracy)
+    closed = raw_moment_closed(r, x, params)
     recur = raw_moment_recurrence(r, x, params)
     explicit = raw_moment_explicit(r, x, params) if r <= 4 else None
     quad = apply_operator(TestFunction.monomial(r), x, params, policy)

@@ -93,6 +93,24 @@ def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
     )
 
 
+def _poisson_window(lam: float, target: float, policy: TruncationPolicy) -> int:
+    """Smallest K on the growth schedule with P(K + 1, lam) <= target.
+
+    P(K + 1, lam) is the Poisson(lam) mass above K; K starts a few standard
+    deviations above the mean and grows geometrically.  Raises
+    TruncationError before testing any K above k_max.
+    """
+    k = int(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
+    while True:
+        if k > policy.k_max:
+            raise TruncationError(
+                f"certified truncation needs K > k_max = {policy.k_max} (Poisson mean {lam})"
+            )
+        if reg_lower_gamma(k + 1.0, lam) <= target:
+            return k
+        k = int(k * 1.3) + 8
+
+
 def _truncation_k(
     params: OperatorParams, growth_a: float, growth_k: float, x: float, policy: TruncationPolicy
 ) -> int:
@@ -108,17 +126,7 @@ def _truncation_k(
     rho = rate / (rate - growth_a)
     lam = params.n * x * rho
     const = growth_k * rho ** (params.alpha + 1.0) * math.exp(params.n * x * (rho - 1.0))
-    target = policy.eps_tail / const
-    k = int(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
-    while True:
-        if k > policy.k_max:
-            raise TruncationError(
-                f"certified truncation needs K > k_max = {policy.k_max} "
-                f"(n = {params.n}, x = {x}, growth A = {growth_a})"
-            )
-        if reg_lower_gamma(k + 1.0, lam) <= target:
-            return k
-        k = int(k * 1.3) + 8
+    return _poisson_window(lam, policy.eps_tail / const, policy)
 
 
 def apply_operator(
@@ -217,12 +225,7 @@ def kernel(
         return math.exp(math.log(rate) + al * math.log(u) - u - math.lgamma(al + 1.0))
     # gamma densities are bounded by rate for every k >= 1, so a plain
     # Poisson tail certifies the cut
-    target = policy.eps_tail / rate
-    big_k = int(params.n * x + 10.0 * math.sqrt(params.n * x + 1.0) + 20.0)
-    while reg_lower_gamma(big_k + 1.0, params.n * x) > target:
-        big_k = int(big_k * 1.3) + 8
-        if big_k > policy.k_max:
-            raise TruncationError("kernel truncation exceeded k_max")
+    big_k = _poisson_window(params.n * x, policy.eps_tail / rate, policy)
     log_rate = math.log(rate)
     log_u = math.log(u)
     terms = []
@@ -250,14 +253,7 @@ def kernel_on_x_grid(
     n = params.n
     xmax = float(xs.max())
     # x-side Poisson tail cut at the largest x ...
-    big_k = 0
-    if xmax > 0:
-        target = policy.eps_tail / rate
-        big_k = int(n * xmax + 10.0 * math.sqrt(n * xmax + 1.0) + 20.0)
-        while reg_lower_gamma(big_k + 1.0, n * xmax) > target:
-            big_k = int(big_k * 1.3) + 8
-            if big_k > policy.k_max:
-                raise TruncationError("kernel truncation exceeded k_max")
+    big_k = _poisson_window(n * xmax, policy.eps_tail / rate, policy) if xmax > 0 else 0
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
     while True:
@@ -298,12 +294,7 @@ def apply_szasz(
     rho = math.exp(f.growth_a / n)
     lam = n * x * rho
     const = f.growth_k * math.exp(n * x * (rho - 1.0))
-    target = policy.eps_tail / const
-    big_k = int(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
-    while reg_lower_gamma(big_k + 1.0, lam) > target:
-        big_k = int(big_k * 1.3) + 8
-        if big_k > policy.k_max:
-            raise TruncationError("Szasz truncation exceeded k_max")
+    big_k = _poisson_window(lam, policy.eps_tail / const, policy)
     kk = np.arange(big_k + 1)
     vals = np.asarray(f(kk / n), dtype=float)
     terms = [

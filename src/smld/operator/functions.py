@@ -108,6 +108,18 @@ class TestFunction:
         """Wrap an arbitrary vectorized callable (internal / testing use)."""
         return cls("callable", (label, growth_a, growth_k), growth_a, growth_k, label, fn=fn)
 
+    @classmethod
+    def centered_power(cls, x: float, r: int) -> "TestFunction":
+        """(t - x)^r, the integrand of the r-th central moment at x."""
+        # (t-x)^r as a direct power: the expanded polynomial would
+        # evaluate with ~1e-13 cancellation noise near t = x
+        return cls.from_callable(
+            lambda t: (t - x) ** r,
+            growth_a=1.0,
+            growth_k=2.0**r * (max(1.0, (r / math.e) ** r) + x**r),
+            label=f"(t-{x})^{r}",
+        )
+
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, t):

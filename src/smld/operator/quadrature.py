@@ -32,7 +32,7 @@ from scipy.special import roots_jacobi
 from ..errors import QuadratureError
 from ..special import _log_reg_upper_gamma, reg_lower_gamma
 
-__all__ = ["gamma_mean"]
+__all__ = ["gamma_mean", "panel_rule"]
 
 _MAX_ROUNDS = 10
 _MAX_KINK_PANELS = 64
@@ -71,8 +71,8 @@ def _lower_edge(shape: float, tau: float) -> float:
     return w
 
 
-def _panel_values(f, shape: float, edges: np.ndarray, nodes: int) -> tuple[float, float]:
-    """GL panel integrals of f(u) * gamma_pdf(u): (signed value, absolute mass)."""
+def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a ``nodes``-point Gauss-Legendre rule on each panel."""
     x, w = _gl_rule(nodes)
     a = edges[:-1]
     b = edges[1:]
@@ -80,6 +80,12 @@ def _panel_values(f, shape: float, edges: np.ndarray, nodes: int) -> tuple[float
     mid = 0.5 * (a + b)
     u = (half[:, None] * x[None, :] + mid[:, None]).ravel()
     wt = (half[:, None] * w[None, :]).ravel()
+    return u, wt
+
+
+def _panel_values(f, shape: float, edges: np.ndarray, nodes: int) -> tuple[float, float]:
+    """GL panel integrals of f(u) * gamma_pdf(u): (signed value, absolute mass)."""
+    u, wt = panel_rule(edges, nodes)
     dens = np.exp((shape - 1.0) * np.log(u) - u - math.lgamma(shape))
     vals = np.asarray(f(u), dtype=float)
     prod = vals * dens
@@ -153,6 +159,14 @@ def gamma_mean(
     if u_lo == 0.0 and singular:
         jacobi_hi = float(edges[1])
         edges = edges[1:]
+        if len(edges) > 1 and edges[1] - edges[0] > 2.0 * jacobi_hi:
+            # a kink close to u = 0 ends the Jacobi panel early: grade the
+            # next panel geometrically so no panel is wider than its
+            # distance to the u^(shape-1) singularity
+            grade = [2.0 * jacobi_hi]
+            while 2.0 * grade[-1] < edges[1]:
+                grade.append(2.0 * grade[-1])
+            edges = np.concatenate(([jacobi_hi], grade, edges[1:]))
 
     previous = None
     prev_diff = None

@@ -9,7 +9,8 @@ argument >= 0), and the implementations target exactly that range:
 * ``reg_lower_gamma`` -- regularized lower incomplete gamma P(s, z),
   series below z = s + 1 and a Lentz continued fraction for the upper
   tail above it (the classical stable split),
-* ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) without overflow,
+* ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
+  the only case the closed-form raw moments need, as an exact finite sum,
 * ``poisson_weight_log`` / ``poisson_tail`` -- log-domain Poisson weights
   and certified tail masses for truncating the operator's k-sums.
 """
@@ -17,13 +18,10 @@ argument >= 0), and the implementations target exactly that range:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import NonConvergenceError, ParameterError
 
 __all__ = [
-    "AccuracyPolicy",
-    "DEFAULT_ACCURACY",
     "log_gamma",
     "pochhammer",
     "reg_lower_gamma",
@@ -33,40 +31,6 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class AccuracyPolicy:
-    """Tolerances governing series truncation in ``kummer_scaled``.
-
-    ``switchover_z`` is the base threshold between the small-z Taylor
-    series and the large-z asymptotic expansion; the effective threshold
-    is ``switchover_z + |a| + |b|``, which tracks where the asymptotic
-    series starts to pay off for larger parameters.
-    """
-
-    series_rel_tol: float = 1e-14
-    max_terms: int = 512
-    switchover_z: float = 40.0
-
-    def __post_init__(self):
-        if not (0.0 < self.series_rel_tol < 1e-6):
-            raise ParameterError(
-                "series_rel_tol_range",
-                f"series_rel_tol must lie in (0, 1e-6), got {self.series_rel_tol}",
-            )
-        if self.max_terms < 64:
-            raise ParameterError(
-                "max_terms_too_small", f"max_terms must be >= 64, got {self.max_terms}"
-            )
-        if not self.switchover_z > 0:
-            raise ParameterError(
-                "switchover_nonpositive",
-                f"switchover_z must be > 0, got {self.switchover_z}",
-            )
-
-
-DEFAULT_ACCURACY = AccuracyPolicy()
 
 
 def log_gamma(s: float) -> float:
@@ -111,7 +75,12 @@ def reg_lower_gamma(s: float, z: float) -> float:
             if abs(term) < abs(total) * 1e-17:
                 return min(1.0, total * math.exp(log_front))
         raise NonConvergenceError("lower gamma series did not converge")
-    # Lentz's method for the continued fraction of Q(s, z).
+    q = math.exp(log_front) * _upper_gamma_fraction(s, z)
+    return max(0.0, min(1.0, 1.0 - q))
+
+
+def _upper_gamma_fraction(s: float, z: float) -> float:
+    """Lentz's method for the continued fraction of Q(s, z) e^z z^(-s) Gamma(s)."""
     tiny = 1e-300
     b = z + 1.0 - s
     c = 1.0 / tiny
@@ -130,98 +99,37 @@ def reg_lower_gamma(s: float, z: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-17:
-            q = math.exp(log_front) * h
-            return max(0.0, min(1.0, 1.0 - q))
+            return h
     raise NonConvergenceError("upper gamma continued fraction did not converge")
 
 
-def _kummer_finite(m: int, b: float, z: float) -> float:
-    # e^(-z) 1F1(b + m; b; z) = sum_{j=0}^{m} C(m, j) z^j / (b)_j, by the
-    # Kummer transformation; exact finite sum, all terms positive.
-    term = 1.0
-    total = 1.0
-    for j in range(1, m + 1):
-        term *= (m - j + 1) * z / (j * (b + j - 1))
-        total += term
-    return total
-
-
-def kummer_scaled(a: float, b: float, z: float, policy: AccuracyPolicy | None = None) -> float:
+def kummer_scaled(a: float, b: float, z: float) -> float:
     """Exponentially scaled confluent hypergeometric e^(-z) 1F1(a; b; z).
 
-    Three regimes:
-
-    * a - b a nonnegative integer m: the function is e^z times a degree-m
-      polynomial (Kummer transformation, DLMF 13.2.39), evaluated as an
-      exact finite sum -- this covers every raw-moment evaluation;
-    * small z: Taylor series with the e^(-z) factor folded into the first
-      term so no intermediate quantity overflows;
-    * large z: the standard asymptotic expansion
-      Gamma(b)/Gamma(a) z^(a-b) [1 + (b-a)(1-a)/z + ...] (DLMF 13.7.1),
-      truncated at the first non-decreasing term.
+    Defined here only for a - b a nonnegative integer m, where the function
+    is e^z times a degree-m polynomial (Kummer transformation, DLMF
+    13.2.39): e^(-z) 1F1(b + m; b; z) = sum_{j=0}^{m} C(m, j) z^j / (b)_j,
+    an exact finite sum of positive terms.  Every raw moment has this form
+    (a = alpha + r + 1, b = alpha + 1); other shifts raise ParameterError.
     """
-    policy = policy or DEFAULT_ACCURACY
     if not b > 0:
         raise ParameterError("kummer_b_domain", f"requires b > 0, got {b}")
     if z < 0:
         raise ParameterError("kummer_z_domain", f"requires z >= 0, got {z}")
     if z == 0.0:
         return 1.0
-
     diff = a - b
     m = round(diff)
-    if m >= 0 and abs(diff - m) < 1e-9:
-        return _kummer_finite(int(m), b, z)
-
-    if z <= policy.switchover_z + abs(a) + abs(b) or a <= 0:
-        return _kummer_taylor(a, b, z, policy)
-    try:
-        return _kummer_asymptotic(a, b, z, policy)
-    except NonConvergenceError:
-        # just above the switchover with large parameters the asymptotic
-        # series may not have settled yet; the scaled Taylor series still
-        # converges for any z the e^{-z} prefactor can represent
-        return _kummer_taylor(a, b, z, policy)
-
-
-def _kummer_taylor(a: float, b: float, z: float, policy: AccuracyPolicy) -> float:
-    scale = math.exp(-z)
-    if scale == 0.0:
-        raise NonConvergenceError(
-            f"cannot scale Taylor series at z = {z}; argument too large for this regime"
+    if m < 0 or abs(diff - m) >= 1e-9:
+        raise ParameterError(
+            "kummer_shift_domain", f"requires a - b to be a nonnegative integer, got {diff}"
         )
-    tol = policy.series_rel_tol
-    term = scale
-    total = scale
-    for k in range(policy.max_terms):
-        term *= (a + k) * z / ((b + k) * (k + 1.0))
-        total += term
-        if abs(term) <= tol * abs(total) and k + 1.0 >= z:
-            return total
-    raise NonConvergenceError(
-        f"scaled Kummer series did not converge within {policy.max_terms} terms"
-    )
-
-
-def _kummer_asymptotic(a: float, b: float, z: float, policy: AccuracyPolicy) -> float:
-    # terms must decrease, else the expansion is not usable at this (a, b, z)
-    tol = policy.series_rel_tol
     term = 1.0
     total = 1.0
-    for k in range(policy.max_terms):
-        nxt = term * (b - a + k) * (1.0 - a + k) / ((k + 1.0) * z)
-        if abs(nxt) <= tol * abs(total):
-            total += nxt
-            return math.exp(math.lgamma(b) - math.lgamma(a) + (a - b) * math.log(z)) * total
-        if abs(nxt) >= abs(term):
-            raise NonConvergenceError(
-                f"Kummer asymptotic series diverged before reaching tolerance at z = {z}"
-            )
-        term = nxt
+    for j in range(1, m + 1):
+        term *= (m - j + 1) * z / (j * (b + j - 1))
         total += term
-    raise NonConvergenceError(
-        f"Kummer asymptotic series did not converge within {policy.max_terms} terms"
-    )
+    return total
 
 
 def _log_reg_upper_gamma(s: float, z: float) -> float:
@@ -235,26 +143,7 @@ def _log_reg_upper_gamma(s: float, z: float) -> float:
         if p >= 1.0:
             return -745.0  # tail below double resolution in this regime
         return math.log1p(-p)
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 100_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return -z + s * math.log(z) - math.lgamma(s) + math.log(h)
-    raise NonConvergenceError("upper gamma continued fraction did not converge")
+    return -z + s * math.log(z) - math.lgamma(s) + math.log(_upper_gamma_fraction(s, z))
 
 
 # stirlerr(k) = lgamma(k+1) - [k ln k - k + 0.5 ln(2 pi k)]; series for k >= 16

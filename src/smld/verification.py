@@ -182,15 +182,7 @@ def check_05_central_moments() -> list[CheckResult]:
         for x in G_X:
             for r in (1, 2, 3, 4):
                 explicit = central_moment_explicit(r, x, params)
-                # (t-x)^r as a direct power: the expanded polynomial would
-                # evaluate with ~1e-13 cancellation noise near t = x
-                f = TestFunction.from_callable(
-                    lambda t, x=x, r=r: (t - x) ** r,
-                    growth_a=1.0,
-                    growth_k=2.0**r * (max(1.0, (r / math.e) ** r) + x**r),
-                    label=f"(t-{x})^{r}",
-                )
-                quad = apply_operator(f, x, params)
+                quad = apply_operator(TestFunction.centered_power(x, r), x, params)
                 worst_quad = max(worst_quad, abs(explicit - quad) / max(abs(explicit), 1.0))
     return [
         _result("05a_central_explicit_vs_binomial", worst_dd, 1e-10, "relative, r <= 4"),

@@ -29,11 +29,15 @@ def mp_raw_moment(r, n, alpha, beta, x) -> float:
     return float(total / (n - beta) ** r)
 
 
-def mp_gamma_mean(f, shape, rate) -> float:
-    """Mean of f under Gamma(shape, rate) by mpmath quadrature."""
+def mp_gamma_mean(f, shape, rate, breakpoints=()) -> float:
+    """Mean of f under Gamma(shape, rate) by mpmath quadrature.
+
+    ``breakpoints`` (t values where f is not smooth) split the integral.
+    """
     shape, rate = mp.mpf(shape), mp.mpf(rate)
     dens = lambda t: t ** (shape - 1) * mp.e ** (-rate * t)
-    num = mp.quad(lambda t: f(t) * dens(t), [0, 1, 10, mp.inf])
+    points = sorted({0, 1, 10, *breakpoints}) + [mp.inf]
+    num = mp.quad(lambda t: f(t) * dens(t), points)
     return float(num * rate**shape / mp.gamma(shape))
 
 

@@ -57,6 +57,19 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "ascending" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["verify-all"], ["asymptotics", "--n-grid", "10,20"]])
+    def test_policy_flags_rejected_where_unused(self, command):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(command + ["--eps-tail", "1e-10"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["moments", "central-moments"])
+    def test_negative_max_r(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config([command, "--n", "10", "--max-r", "-1"])
+        assert exc.value.code == 2
+        assert "max_r >= 0" in capsys.readouterr().err
+
 
 class TestEmit:
     def test_empty_table_header_only(self):

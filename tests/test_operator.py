@@ -134,6 +134,15 @@ class TestCoefficient:
         # mpmath quadrature of |t-1| against Gamma(3.5, 9), frozen
         assert val == pytest.approx(0.6145283037662624, rel=1e-10)
 
+    @pytest.mark.parametrize("c", [1e-10, 1e-6])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.3])
+    def test_kink_near_origin(self, c, alpha):
+        # kink far inside the first panel, next to the u^(shape-1) singularity
+        params = OperatorParams(50.0, alpha, 0.5)
+        val = coefficient(TestFunction.abs_shift(c), 0, params)
+        oracle = mp_gamma_mean(lambda t: abs(t - c), alpha + 1.0, params.rate, breakpoints=(c,))
+        assert val == pytest.approx(oracle, rel=1e-12)
+
     @pytest.mark.parametrize("k", [0, 4])
     def test_sin_oracle(self, k):
         params = OperatorParams(6.0, -0.25, 0.5)
@@ -197,6 +206,24 @@ class TestApplyOperator:
     def test_negative_x(self):
         with pytest.raises(ParameterError):
             apply_operator(TestFunction.monomial(0), -0.5, OperatorParams(5.0, 0.0, 0.0))
+
+
+class TestTruncationCap:
+    # n x = 300 needs K near 500: every k-sum must refuse, not sum past k_max
+    PARAMS = OperatorParams(100.0, 0.0, 0.0)
+    POLICY = TruncationPolicy(k_max=256)
+
+    def test_kernel(self):
+        with pytest.raises(TruncationError):
+            kernel(3.0, 3.0, self.PARAMS, self.POLICY)
+
+    def test_kernel_on_x_grid(self):
+        with pytest.raises(TruncationError):
+            kernel_on_x_grid(np.array([1.0, 3.0]), 3.0, self.PARAMS, self.POLICY)
+
+    def test_szasz(self):
+        with pytest.raises(TruncationError):
+            apply_szasz(TestFunction.monomial(1), 3.0, 100.0, self.POLICY)
 
 
 class TestValueAtZero:
