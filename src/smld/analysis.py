@@ -406,6 +406,8 @@ def schur_first_integral(params: OperatorParams, gamma: float, p: float, x: floa
     <= 1 for every x >= 0 exactly when gamma <= p beta.
     """
     validate(params)
+    if x < 0:
+        raise ParameterError("x_negative", f"requires x >= 0, got {x}")
     if gamma < 0:
         raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
     if not gamma < params.n * p:

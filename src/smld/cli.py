@@ -23,6 +23,7 @@ from .operator import (
     TestFunction,
     TruncationPolicy,
     apply_operator,
+    apply_operator_grid,
     apply_szasz,
     load_sampled,
 )
@@ -192,6 +193,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             parser.error(str(exc))
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
+    if min((getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))) < 0:
+        parser.error("--x, --x-grid: requires x >= 0")
     if hasattr(ns, "alpha"):
         if not ns.alpha > -1.0:
             parser.error("--alpha: requires alpha > -1")
@@ -206,7 +209,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             cfg.f = _parse_function(ns.f)
         if hasattr(ns, "norm"):
             cfg.norm = _parse_norm(ns.norm)
-    except (ValueError, SmldError) as exc:
+    except (ValueError, OSError, SmldError) as exc:
         parser.error(str(exc))
     for name in ("x", "max_r", "r", "p", "gamma", "operator"):
         if hasattr(ns, name):
@@ -297,8 +300,6 @@ def _run_converge(cfg: RunConfig) -> Table:
             errors.append(val)
         else:  # weighted_phi
             def diff(xs, params=params):
-                from .operator import apply_operator_grid
-
                 return apply_operator_grid(cfg.f, xs, params, cfg.policy) - np.asarray(
                     cfg.f(xs), dtype=float
                 )

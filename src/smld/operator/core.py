@@ -2,13 +2,16 @@
 
 The operator applied to f at x is sum_k c_k(f) psi_{n,k}(x), where c_k(f)
 is the mean of f under a Gamma(k + alpha + 1, n - beta) law and psi are
-Poisson weights.  Everything here reduces to three ingredients:
+Poisson weights.  Every value here is one such k-sum, sum_k v_k psi_{n,k}(x),
+computed by ``_poisson_sum`` on a grid of x: v_k = c_k(f) for the operator
+(a single point is a grid of one), the gamma density at t for the kernel
+and f(k/n) for the Szasz operator.  Its ingredients:
 
 * ``coefficient`` -- one certified gamma-density mean (cached per
   (f, k, params, policy); the cache is write-once and safe to share),
 * a truncation level K such that the neglected tail, bounded through the
   growth envelope of f by a tilted Poisson tail, stays below eps_tail,
-* stable log-domain Poisson weights from :mod:`smld.special`.
+* log-domain Poisson weights on arrays from :mod:`smld.special`.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import ParameterError, TruncationError
-from ..special import poisson_weight_log, reg_lower_gamma
+from ..special import log_poisson_weights, reg_lower_gamma
 from .functions import TestFunction
 from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
 from .quadrature import gamma_mean
@@ -35,6 +38,9 @@ __all__ = [
     "apply_szasz",
     "growth_bound",
 ]
+
+
+_BLOCK = 128  # grid rows per Poisson weight matrix
 
 
 def _panel_nodes(policy: TruncationPolicy) -> int:
@@ -129,117 +135,90 @@ def _truncation_k(
     return _poisson_window(lam, policy.eps_tail / const, policy)
 
 
-def apply_operator(
-    f: TestFunction, x: float, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> float:
-    """Apply the operator to f at a single point x >= 0."""
-    policy = policy or DEFAULT_TRUNCATION
-    validate(params, f)
-    if x < 0:
-        raise ParameterError("x_negative", f"requires x >= 0, got {x}")
-    if x == 0.0:
-        return _coefficient_cached(f, 0, params, policy)
-    big_k = _truncation_k(params, f.growth_a, f.growth_k, x, policy)
-    rate = params.rate
-    log_rho = -math.log1p(-f.growth_a / rate)  # ln(rate/(rate-A))
-    # terms whose envelope-weighted Poisson mass cannot reach eps_tail/(K+1)
-    # are skipped without computing their coefficient
-    skip_below = math.log(policy.eps_tail) - math.log(big_k + 1.0) - math.log(max(f.growth_k, 1.0))
-    terms = []
-    for k in range(big_k + 1):
-        lw = poisson_weight_log(params.n, x, k)
-        if lw + (k + params.alpha + 1.0) * log_rho < skip_below:
-            continue
-        terms.append(_coefficient_cached(f, k, params, policy) * math.exp(lw))
-    return math.fsum(terms)
+def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.ndarray:
+    """sum_j values[j] psi_{n, k_lo + j}(x) for each x in xs: the one k-sum."""
+    kk = np.arange(k_lo, k_lo + len(values), dtype=float)
+    return np.exp(log_poisson_weights(n * xs[:, None], kk)) @ values
 
 
-def apply_operator_grid(
-    f: TestFunction,
-    xs,
-    params: OperatorParams,
-    policy: TruncationPolicy | None = None,
-    chunk: int = 128,
+def _operator_values(
+    f: TestFunction, xs, params: OperatorParams, policy: TruncationPolicy | None
 ) -> np.ndarray:
-    """Vectorized operator evaluation on a grid of x values.
-
-    Shares one coefficient array across the whole grid; the Poisson weight
-    matrix is assembled per chunk in log domain.  Agrees with
-    :func:`apply_operator` to well below every analysis tolerance (the grid
-    path computes log-weights directly, which costs ~1e-12 relative near
-    the largest nx instead of the pointwise path's ~1e-14).
-    """
     policy = policy or DEFAULT_TRUNCATION
     validate(params, f)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
-        raise ParameterError("x_negative", "grid must satisfy x >= 0")
-    out = np.empty_like(xs)
-    xmax = float(xs.max())
-    c0 = _coefficient_cached(f, 0, params, policy)
-    if xmax == 0.0:
-        out[:] = c0
-        return out
-    big_k = _truncation_k(params, f.growth_a, f.growth_k, xmax, policy)
-    coeffs = np.array(
-        [_coefficient_cached(f, k, params, policy) for k in range(big_k + 1)]
-    )
-    kk = np.arange(big_k + 1)
-    lgk = gammaln(kk + 1.0)
+        raise ParameterError("x_negative", f"requires x >= 0, got {xs.min()}")
     n = params.n
-    for lo in range(0, len(xs), chunk):
-        xc = xs[lo : lo + chunk]
-        pos = xc > 0.0
-        if np.any(pos):
-            lam = n * xc[pos]
-            logw = kk[None, :] * np.log(lam)[:, None] - lam[:, None] - lgk[None, :]
-            out_pos = np.exp(logw) @ coeffs
-            block = np.empty(len(xc))
-            block[pos] = out_pos
-            block[~pos] = c0
-            out[lo : lo + chunk] = block
-        else:
-            out[lo : lo + chunk] = c0
-    return out
+    big_k = _truncation_k(params, f.growth_a, f.growth_k, float(xs.max()), policy)
+    kk = np.arange(big_k + 1.0)
+    # terms whose envelope-weighted Poisson mass cannot reach eps_tail/(K+1)
+    # are skipped without computing their coefficient.  psi_k(x) falls with
+    # x for k < nx and rises for k > nx, so a block's smallest and largest x
+    # decide the skip for every row of the block; a k between their nx
+    # peaks inside the block and is kept.
+    log_env = (kk + params.alpha + 1.0) * -math.log1p(-f.growth_a / params.rate)
+    skip_below = math.log(policy.eps_tail) - math.log(big_k + 1.0) - math.log(max(f.growth_k, 1.0))
+    blocks = [xs[lo : lo + _BLOCK] for lo in range(0, len(xs), _BLOCK)]
+    windows = []
+    for block in blocks:
+        ends = n * np.array([block.min(), block.max()])
+        alive = np.any(log_poisson_weights(ends[:, None], kk) + log_env >= skip_below, axis=0)
+        alive |= (kk > ends[0]) & (kk < ends[1])
+        hits = np.flatnonzero(alive)
+        windows.append((hits[0], hits[-1] + 1) if hits.size else (0, 0))
+    needed = np.zeros(big_k + 1, dtype=bool)
+    for a, b in windows:
+        needed[a:b] = True
+    coeffs = np.zeros(big_k + 1)
+    ks = np.flatnonzero(needed).tolist()
+    coeffs[ks] = [_coefficient_cached(f, k, params, policy) for k in ks]
+    return np.concatenate(
+        [_poisson_sum(n, block, coeffs[a:b], a) for block, (a, b) in zip(blocks, windows)]
+    )
+
+
+def apply_operator(
+    f: TestFunction, x: float, params: OperatorParams, policy: TruncationPolicy | None = None
+) -> float:
+    """Apply the operator to f at a single point x >= 0: the grid path at one point."""
+    return float(_operator_values(f, x, params, policy)[0])
+
+
+def apply_operator_grid(
+    f: TestFunction, xs, params: OperatorParams, policy: TruncationPolicy | None = None
+) -> np.ndarray:
+    """Operator values on a grid of x >= 0.
+
+    One coefficient vector serves the whole grid.  Rows are summed in
+    blocks of 128, each over the k window that the envelope skip keeps at
+    the block's smallest and largest x; a one-point grid is
+    :func:`apply_operator`.
+    """
+    return _operator_values(f, xs, params, policy)
 
 
 def kernel(
     x: float, t: float, params: OperatorParams, policy: TruncationPolicy | None = None
 ) -> float:
     """Kernel K_n(x, t): for each x a probability density in t."""
-    policy = policy or DEFAULT_TRUNCATION
     validate(params)
     if x < 0 or t < 0:
         raise ParameterError("kernel_domain", f"requires x, t >= 0, got x = {x}, t = {t}")
-    rate = params.rate
-    al = params.alpha
     if t == 0.0:
         # only the k = 0 term can contribute; t^alpha at t = 0
-        if al > 0:
+        if params.alpha > 0:
             return 0.0
-        if al == 0:
-            return rate * math.exp(-params.n * x)
+        if params.alpha == 0:
+            return params.rate * math.exp(-params.n * x)
         return math.inf
-    u = rate * t
-    if x == 0.0:
-        return math.exp(math.log(rate) + al * math.log(u) - u - math.lgamma(al + 1.0))
-    # gamma densities are bounded by rate for every k >= 1, so a plain
-    # Poisson tail certifies the cut
-    big_k = _poisson_window(params.n * x, policy.eps_tail / rate, policy)
-    log_rate = math.log(rate)
-    log_u = math.log(u)
-    terms = []
-    for k in range(big_k + 1):
-        lw = poisson_weight_log(params.n, x, k)
-        ld = log_rate + (k + al) * log_u - u - math.lgamma(k + al + 1.0)
-        terms.append(math.exp(lw + ld))
-    return math.fsum(terms)
+    return float(kernel_on_x_grid([x], t, params, policy)[0])
 
 
 def kernel_on_x_grid(
     xs, t: float, params: OperatorParams, policy: TruncationPolicy | None = None
 ) -> np.ndarray:
-    """K_n(x, t) on an x grid for fixed t > 0 (vectorized over x and k)."""
+    """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
     policy = policy or DEFAULT_TRUNCATION
     validate(params)
     if not t > 0:
@@ -250,30 +229,20 @@ def kernel_on_x_grid(
     rate = params.rate
     al = params.alpha
     u = rate * t
-    n = params.n
     xmax = float(xs.max())
-    # x-side Poisson tail cut at the largest x ...
-    big_k = _poisson_window(n * xmax, policy.eps_tail / rate, policy) if xmax > 0 else 0
+    # gamma densities are bounded by rate for every k >= 1, so a plain
+    # Poisson tail at the largest x certifies the x-side cut ...
+    big_k = _poisson_window(params.n * xmax, policy.eps_tail / rate, policy) if xmax > 0 else 0
+
+    def log_density(k):
+        return math.log(rate) + (k + al) * math.log(u) - u - gammaln(k + al + 1.0)
+
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
-    while True:
-        log_tail = math.log(rate) + (k_cut + al) * math.log(u) - u - math.lgamma(k_cut + al + 1.0)
-        if math.log(2.0) + log_tail <= math.log(policy.eps_tail):
-            break
+    while k_cut < big_k and math.log(2.0) + log_density(k_cut) > math.log(policy.eps_tail):
         k_cut = int(k_cut * 1.3) + 8
-        if k_cut > policy.k_max:
-            raise TruncationError("kernel truncation exceeded k_max")
-    big_k = min(big_k, k_cut)
-    kk = np.arange(big_k + 1.0)
-    logdens = math.log(rate) + (kk + al) * np.log(u) - u - gammaln(kk + al + 1.0)
-    out = np.empty_like(xs)
-    pos = xs > 0
-    if np.any(pos):
-        lam = n * xs[pos]
-        logw = kk[None, :] * np.log(lam)[:, None] - lam[:, None] - gammaln(kk + 1.0)[None, :]
-        out[pos] = np.exp(logw + logdens[None, :]).sum(axis=1)
-    out[~pos] = math.exp(logdens[0])
-    return out
+    kk = np.arange(min(big_k, k_cut) + 1.0)
+    return _poisson_sum(params.n, xs, np.exp(log_density(kk)), 0)
 
 
 def apply_szasz(
@@ -289,15 +258,8 @@ def apply_szasz(
         )
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
-    if x == 0.0:
-        return float(f(0.0))
     rho = math.exp(f.growth_a / n)
-    lam = n * x * rho
     const = f.growth_k * math.exp(n * x * (rho - 1.0))
-    big_k = _poisson_window(lam, policy.eps_tail / const, policy)
-    kk = np.arange(big_k + 1)
-    vals = np.asarray(f(kk / n), dtype=float)
-    terms = [
-        float(vals[k]) * math.exp(poisson_weight_log(n, x, k)) for k in range(big_k + 1)
-    ]
-    return math.fsum(terms)
+    big_k = _poisson_window(n * x * rho, policy.eps_tail / const, policy)
+    vals = np.asarray(f(np.arange(big_k + 1) / n), dtype=float)
+    return float(_poisson_sum(n, np.array([float(x)]), vals, 0)[0])

@@ -12,12 +12,17 @@ argument >= 0), and the implementations target exactly that range:
 * ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
   the only case the closed-form raw moments need, as an exact finite sum,
 * ``poisson_weight_log`` / ``poisson_tail`` -- log-domain Poisson weights
-  and certified tail masses for truncating the operator's k-sums.
+  and certified tail masses for truncating the operator's k-sums,
+* ``log_poisson_weights`` -- the same log weights on arrays, for the one
+  k-sum that every operator value goes through.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+from scipy.special import gammaln, xlogy
 
 from .errors import NonConvergenceError, ParameterError
 
@@ -27,6 +32,7 @@ __all__ = [
     "reg_lower_gamma",
     "kummer_scaled",
     "poisson_weight_log",
+    "log_poisson_weights",
     "poisson_tail",
 ]
 
@@ -201,6 +207,33 @@ def poisson_weight_log(n: float, x: float, k: int) -> float:
     if k <= 15:
         return k * math.log(lam) - lam - math.lgamma(k + 1.0)
     return -_stirlerr(float(k)) - _bd0(float(k), lam) - 0.5 * math.log(2.0 * math.pi * k)
+
+
+def log_poisson_weights(lam, k) -> np.ndarray:
+    """ln psi_k(lam) = k ln(lam) - lam - ln k! on broadcast arrays lam >= 0, integer k >= 0.
+
+    Computed as (k - lam) - k log1p((k - lam)/lam) - g(k) with g(k) = ln k! -
+    k ln k + k (the Stirling series above k = 15): near the mean its error is
+    a few eps |k - lam|, not the eps lam ln(lam) of three large logarithms.
+    At lam = 0 it is 0 for k = 0 and -inf above.
+    """
+    lam = np.asarray(lam, dtype=float)
+    k = np.asarray(k, dtype=float)
+    if (lam < 0).any() or (k < 0).any() or (k != np.floor(k)).any():
+        raise ParameterError("poisson_domain", "requires lam >= 0 and integer k >= 0")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = k - lam
+        ratio = dev / lam
+        kk = k * k
+        series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
+        g = np.where(k < 16, gammaln(k + 1.0) - xlogy(k, k) + k,
+                     series + 0.5 * np.log(2.0 * math.pi * k))
+    klog = np.zeros(ratio.shape)  # k = 0 stays out of log1p(-1)
+    np.log1p(ratio, out=klog, where=k > 0)
+    klog *= k
+    dev -= klog
+    dev -= g
+    return dev
 
 
 def poisson_tail(n: float, x: float, K: int) -> float:

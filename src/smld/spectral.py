@@ -27,11 +27,11 @@ from .operator import (
     OperatorParams,
     TestFunction,
     TruncationPolicy,
-    DEFAULT_TRUNCATION,
     apply_operator,
     validate,
 )
-from .special import _bd0, _stirlerr, poisson_weight_log
+from .operator.core import _poisson_sum
+from .special import _bd0, _stirlerr
 
 __all__ = [
     "TruncatedP",
@@ -242,9 +242,12 @@ def eigen_operator_check(
     return EigenCheck(which, lam, operator_residual=residual)
 
 
-def lift(v, x: float, n: float, policy: TruncationPolicy | None = None) -> float:
-    """Poisson-basis lift Phi_v(x) = sum_j v_j psi_{n,j}(x) of a finite vector."""
-    policy = policy or DEFAULT_TRUNCATION
+def lift(v, x: float, n: float) -> float:
+    """Poisson-basis lift Phi_v(x) = sum_j v_j psi_{n,j}(x) of a finite vector.
+
+    The operator's own k-sum with the vector entries in place of the
+    coefficients c_k(f); the vector's length is the truncation.
+    """
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ParameterError("unbounded_coefficients", "coefficient vector must be finite")
@@ -252,10 +255,7 @@ def lift(v, x: float, n: float, policy: TruncationPolicy | None = None) -> float
         raise ParameterError("poisson_n", f"requires n > 0, got {n}")
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
-    if x == 0.0:
-        return float(v[0])
-    terms = [float(v[j]) * math.exp(poisson_weight_log(n, x, j)) for j in range(len(v))]
-    return math.fsum(terms)
+    return float(_poisson_sum(n, np.array([float(x)]), v, 0)[0])
 
 
 def iterate_decay(
@@ -263,7 +263,6 @@ def iterate_decay(
     r: int,
     x_grid,
     K: int | None = None,
-    policy: TruncationPolicy | None = None,
     deficit_tol: float = 1e-12,
 ) -> IterateDecayReport:
     """Push the geometric eigenvector through P r times and lift each iterate.
@@ -292,7 +291,7 @@ def iterate_decay(
     deviations = []
     amplitudes = []
     for m in range(r + 1):
-        lifted = np.array([lift(v, float(x), params.n, policy) for x in xs])
+        lifted = np.array([lift(v, float(x), params.n) for x in xs])
         target = lam**m * np.exp(-params.beta * xs)
         deviations.append(float(np.max(np.abs(lifted - target))))
         amplitudes.append(float(np.max(np.abs(lifted))))

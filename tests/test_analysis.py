@@ -212,6 +212,11 @@ class TestSchur:
         with pytest.raises(ParameterError):
             schur_first_integral(OperatorParams(10.0, 0.0, 1.0), 25.0, 2.0, 1.0)
 
+    def test_first_integral_negative_x(self):
+        with pytest.raises(ParameterError) as exc:
+            schur_first_integral(OperatorParams(10.0, 0.0, 2.0), 1.0, 1.0, -1.0)
+        assert exc.value.code == "x_negative"
+
     def test_second_integral_exact_value(self):
         # for alpha = 0, gamma = p beta the conjugated x-integral is exactly
         # c^(1-alpha) (1 - beta/n) = c here; the direct quadrature must hit it

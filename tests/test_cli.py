@@ -70,6 +70,26 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "max_r >= 0" in capsys.readouterr().err
 
+    def test_missing_function_file(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["apply", "--f", "file:/nonexistent/x.txt", "--n", "10"])
+        assert exc.value.code == 2
+        assert "x.txt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "10", "--x=-1"],
+            ["apply", "--f", "abs:1", "--n", "10", "--x-grid=1,-1"],
+            ["schur", "--n", "10", "--beta", "2", "--x-grid=-1", "--t-grid", "1"],
+        ],
+    )
+    def test_negative_x(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert "x >= 0" in capsys.readouterr().err
+
 
 class TestEmit:
     def test_empty_table_header_only(self):

@@ -198,6 +198,21 @@ class TestApplyOperator:
         for x, gv in zip(xs, grid_vals):
             assert gv == pytest.approx(apply_operator(f, float(x), params), abs=1e-11)
 
+    def test_grid_matches_pointwise_large_n(self):
+        # one k-sum: the grid and the pointwise value differ only by the
+        # terms one window keeps and the other skips
+        params = OperatorParams(640.0, -0.5, 1.0)
+        f = TestFunction.exp_scaled(-0.5)
+        xs = np.array([0.0, 0.3, 1.7, 4.0, 5.0])
+        grid_vals = apply_operator_grid(f, xs, params)
+        for x, gv in zip(xs, grid_vals):
+            assert gv == pytest.approx(apply_operator(f, float(x), params), rel=1e-14)
+
+    def test_grid_normalization_large_n(self):
+        params = OperatorParams(640.0, 0.0, 0.0)
+        vals = apply_operator_grid(TestFunction.monomial(0), np.linspace(0.0, 5.0, 11), params)
+        assert np.max(np.abs(vals - 1.0)) <= 2e-13
+
     def test_k_max_exceeded(self):
         policy = TruncationPolicy(k_max=256)
         with pytest.raises(TruncationError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from smld.errors import ParameterError
 from smld.special import (
     kummer_scaled,
     log_gamma,
+    log_poisson_weights,
     pochhammer,
     poisson_tail,
     poisson_weight_log,
@@ -160,3 +162,27 @@ class TestPoissonWeights:
             poisson_weight_log(1.0, -1.0, 0)
         with pytest.raises(ParameterError):
             poisson_tail(1.0, 1.0, -2)
+
+    @pytest.mark.parametrize("lam", [0.3, 5.0, 37.2, 1e3, 1.68e4])
+    def test_array_weights_match_scalar(self, lam):
+        # weighted relative error sum |w - w_ref| / sum w_ref over the bulk
+        # and both tails; k = 0 must not warn (it would take log1p(-1))
+        k = np.arange(int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0))
+        ref = np.exp([poisson_weight_log(lam, 1.0, int(j)) for j in k])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = np.exp(log_poisson_weights(lam, k))
+        assert np.sum(np.abs(w - ref)) <= 1e-14 * np.sum(ref)
+
+    def test_array_weights_at_origin(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = log_poisson_weights(np.array([[0.0], [2.0]]), np.arange(3))
+        assert w[0].tolist() == [0.0, float("-inf"), float("-inf")]
+        assert w[1, 0] == -2.0
+
+    def test_array_domain(self):
+        with pytest.raises(ParameterError):
+            log_poisson_weights(-1.0, np.arange(3))
+        with pytest.raises(ParameterError):
+            log_poisson_weights(1.0, np.array([0.5]))
