@@ -330,16 +330,8 @@ def lp_error(
     panels: int = 48,
     nodes: int = 12,
 ) -> float:
-    """(integral_0^R |M f - f|^p dx)^(1/p) by composite panel quadrature."""
-    if p < 1:
-        raise ParameterError("norm_p", f"requires p >= 1, got {p}")
-    if not r_cut > 0:
-        raise ParameterError("norm_interval", f"requires R > 0, got {r_cut}")
-    validate(params, f)
-    edges = _grid_with_kinks(0.0, r_cut, panels + 1, f.kinks)
-    xs, ws = panel_rule(edges, nodes)
-    diff = apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
-    return float(np.dot(ws, np.abs(diff) ** p) ** (1.0 / p))
+    """(integral_0^R |M f - f|^p dx)^(1/p): the weighted L_p error at gamma = 0."""
+    return weighted_lp_error(f, params, p, 0.0, r_cut, policy, panels, nodes)[0]
 
 
 def weighted_lp_error(
@@ -359,6 +351,8 @@ def weighted_lp_error(
         raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
     if p < 1:
         raise ParameterError("norm_p", f"requires p >= 1, got {p}")
+    if not r_max > 0:
+        raise ParameterError("norm_interval", f"requires R > 0, got {r_max}")
     validate(params, f)
     edges = _grid_with_kinks(0.0, r_max, panels + 1, f.kinks)
     xs, ws = panel_rule(edges, nodes)

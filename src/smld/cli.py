@@ -3,7 +3,9 @@
 Commands: moments, central-moments, asymptotics, apply, converge, eigen,
 schur, verify-all.  Output is deterministic: identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 verification failure,
-2 usage error, 3 numerical failure.
+2 usage error (bad flags, or parameters outside an operator's domain, such
+as n <= beta + A for a function of growth class A), 3 numerical failure
+(for example a certified k window wider than --k-max).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, moments, spectral, verification
-from .errors import SmldError
+from .errors import ParameterError, SmldError
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -121,12 +123,10 @@ def _build_parser() -> argparse.ArgumentParser:
     policy = argparse.ArgumentParser(add_help=False, parents=[out])
     policy.add_argument("--eps-tail", type=float, default=1e-13,
                         help="k-sum tail tolerance (default 1e-13)")
-    policy.add_argument("--quad-nodes", type=int, default=96,
-                        help="quadrature node budget (default 96)")
     policy.add_argument("--eps-quad", type=float, default=1e-12,
                         help="target relative quadrature error (default 1e-12)")
     policy.add_argument("--k-max", type=int, default=50_000,
-                        help="hard cap on the k-sum (default 50000)")
+                        help="hard cap on the k-window width (default 50000)")
 
     prm = argparse.ArgumentParser(add_help=False)
     prm.add_argument("--n", type=float, required=True, help="operator index n > beta")
@@ -186,8 +186,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if hasattr(ns, "eps_tail"):
         try:
             cfg.policy = TruncationPolicy(
-                eps_tail=ns.eps_tail, quad_nodes=ns.quad_nodes, eps_quad=ns.eps_quad,
-                k_max=ns.k_max,
+                eps_tail=ns.eps_tail, eps_quad=ns.eps_quad, k_max=ns.k_max
             )
         except SmldError as exc:
             parser.error(str(exc))
@@ -402,7 +401,8 @@ def run(config: RunConfig) -> int:
         result = _HANDLERS[config.command](config)
     except SmldError as exc:
         print(f"smld: {exc.code}: {exc}", file=sys.stderr)
-        return 3
+        # a parameter outside the operator's domain is a usage error
+        return 2 if isinstance(exc, ParameterError) else 3
     # only verify-all reports a pass/fail verdict along with its table
     table, all_ok = result if isinstance(result, tuple) else (result, True)
     if config.output:

@@ -9,8 +9,10 @@ and f(k/n) for the Szasz operator.  Its ingredients:
 
 * ``coefficient`` -- one certified gamma-density mean (cached per
   (f, k, params, policy); the cache is write-once and safe to share),
-* a truncation level K such that the neglected tail, bounded through the
-  growth envelope of f by a tilted Poisson tail, stays below eps_tail,
+* one certified two-sided k window per block of up to 128 x
+  (``_k_window``): through the growth envelope of f, the terms below and
+  above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
+  tails; ``k_max`` caps its width,
 * log-domain Poisson weights on arrays from :mod:`smld.special`.
 """
 
@@ -23,7 +25,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import ParameterError, TruncationError
-from ..special import log_poisson_weights, reg_lower_gamma
+from ..special import log_poisson_weights
 from .functions import TestFunction
 from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
 from .quadrature import gamma_mean
@@ -43,10 +45,6 @@ __all__ = [
 _BLOCK = 128  # grid rows per Poisson weight matrix
 
 
-def _panel_nodes(policy: TruncationPolicy) -> int:
-    return max(8, min(64, policy.quad_nodes // 6))
-
-
 @lru_cache(maxsize=None)
 def _coefficient_cached(
     f: TestFunction, k: int, params: OperatorParams, policy: TruncationPolicy
@@ -62,7 +60,6 @@ def _coefficient_cached(
         kinks=kinks_u,
         tilt=tilt,
         env_k=f.growth_k,
-        nodes=_panel_nodes(policy),
         endpoint_power=f.endpoint_power,
     )
 
@@ -99,46 +96,68 @@ def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
     )
 
 
-def _poisson_window(lam: float, target: float, policy: TruncationPolicy) -> int:
-    """Smallest K on the growth schedule with P(K + 1, lam) <= target.
+def _first(ok, k: int, step: int) -> int:
+    """First of k, k + step, k + 2 step, ... where the monotone test ``ok``
+    holds: gallop out by doubling strides, then bisect back."""
+    lo, hi = -1, 0  # ok fails at k + lo * step and is tested at k + hi * step
+    while not ok(k + hi * step):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(k + mid * step) else (mid, hi)
+    return k + hi * step
 
-    P(K + 1, lam) is the Poisson(lam) mass above K; K starts a few standard
-    deviations above the mean and grows geometrically.  Raises
-    TruncationError before testing any K above k_max.
+
+def _k_window(
+    lam_lo: float, lam_hi: float, log_tol: float, policy: TruncationPolicy
+) -> tuple[int, int]:
+    """Certified k window [k_lo, k_hi] for Poisson means in [lam_lo, lam_hi].
+
+    The Poisson(lam_lo) mass below k_lo and the Poisson(lam_hi) mass above
+    k_hi are each at most 1% of e^log_tol.  A tail is bounded by its first
+    neglected weight psi_j over one minus the neighbour ratio (psi_{j+1}/psi_j
+    = lam/(j+1)), so each edge is one integer search on scalar log weights.
+    Raises TruncationError if the window is wider than k_max.
     """
-    k = int(lam + 10.0 * math.sqrt(lam + 1.0) + 20.0)
-    while True:
-        if k > policy.k_max:
-            raise TruncationError(
-                f"certified truncation needs K > k_max = {policy.k_max} (Poisson mean {lam})"
-            )
-        if reg_lower_gamma(k + 1.0, lam) <= target:
-            return k
-        k = int(k * 1.3) + 8
+    log_target = math.log(0.01) + log_tol
 
+    def bound_ok(lam, j, ratio):  # psi_j(lam) / (1 - ratio) <= e^log_target
+        log_psi = j * math.log(lam) - lam - math.lgamma(j + 1.0)
+        return log_psi - math.log1p(-ratio) <= log_target
 
-def _truncation_k(
-    params: OperatorParams, growth_a: float, growth_k: float, x: float, policy: TruncationPolicy
-) -> int:
-    """Smallest-ish K with the certified coefficient-weighted tail <= eps_tail.
-
-    sum_{k>K} |c_k| psi_{n,k}(x) <= K_f rho^(alpha+1) e^(nx(rho-1)) P(K+1, nx rho)
-    with rho = rate/(rate - A): the growth envelope turns the tail into a
-    tilted Poisson tail, evaluated exactly via the incomplete gamma.
-    """
-    if x == 0.0:
-        return 0
-    rate = params.rate
-    rho = rate / (rate - growth_a)
-    lam = params.n * x * rho
-    const = growth_k * rho ** (params.alpha + 1.0) * math.exp(params.n * x * (rho - 1.0))
-    return _poisson_window(lam, policy.eps_tail / const, policy)
+    k_lo = k_hi = 0
+    if lam_lo > 0.0:
+        lower_ok = lambda k: k <= 0 or bound_ok(lam_lo, k - 1, (k - 1) / lam_lo)
+        k_lo = k_hi = _first(lower_ok, math.ceil(lam_lo), -1)
+    if lam_hi > 0.0:
+        upper_ok = lambda k: bound_ok(lam_hi, k + 1, lam_hi / (k + 2))
+        k_hi = _first(upper_ok, max(k_lo, math.floor(lam_hi)), 1)
+    if k_hi - k_lo + 1 > policy.k_max:
+        raise TruncationError(f"k window [{k_lo}, {k_hi}] is wider than k_max = {policy.k_max}")
+    return k_lo, k_hi
 
 
 def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.ndarray:
     """sum_j values[j] psi_{n, k_lo + j}(x) for each x in xs: the one k-sum."""
     kk = np.arange(k_lo, k_lo + len(values), dtype=float)
     return np.exp(log_poisson_weights(n * xs[:, None], kk)) @ values
+
+
+def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
+    """The one k-sum on a grid, in blocks of up to 128 rows.
+
+    Each block sums over its own k window ``window(x_min, x_max)``;
+    ``values(ks)`` gives v_k once, on the sorted union ks of the windows.
+    """
+    blocks = [xs[i : i + _BLOCK] for i in range(0, len(xs), _BLOCK)]
+    windows = [window(float(b.min()), float(b.max())) for b in blocks]
+    ks = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
+    vals = np.asarray(values(ks), dtype=float)
+    cuts = np.searchsorted(ks, np.add(windows, (0, 1)))  # each window's slice of ks
+    sums = [
+        _poisson_sum(n, b, vals[i:j], lo) for b, (i, j), (lo, _) in zip(blocks, cuts, windows)
+    ]
+    return np.concatenate(sums)
 
 
 def _operator_values(
@@ -150,32 +169,19 @@ def _operator_values(
     if np.any(xs < 0):
         raise ParameterError("x_negative", f"requires x >= 0, got {xs.min()}")
     n = params.n
-    big_k = _truncation_k(params, f.growth_a, f.growth_k, float(xs.max()), policy)
-    kk = np.arange(big_k + 1.0)
-    # terms whose envelope-weighted Poisson mass cannot reach eps_tail/(K+1)
-    # are skipped without computing their coefficient.  psi_k(x) falls with
-    # x for k < nx and rises for k > nx, so a block's smallest and largest x
-    # decide the skip for every row of the block; a k between their nx
-    # peaks inside the block and is kept.
-    log_env = (kk + params.alpha + 1.0) * -math.log1p(-f.growth_a / params.rate)
-    skip_below = math.log(policy.eps_tail) - math.log(big_k + 1.0) - math.log(max(f.growth_k, 1.0))
-    blocks = [xs[lo : lo + _BLOCK] for lo in range(0, len(xs), _BLOCK)]
-    windows = []
-    for block in blocks:
-        ends = n * np.array([block.min(), block.max()])
-        alive = np.any(log_poisson_weights(ends[:, None], kk) + log_env >= skip_below, axis=0)
-        alive |= (kk > ends[0]) & (kk < ends[1])
-        hits = np.flatnonzero(alive)
-        windows.append((hits[0], hits[-1] + 1) if hits.size else (0, 0))
-    needed = np.zeros(big_k + 1, dtype=bool)
-    for a, b in windows:
-        needed[a:b] = True
-    coeffs = np.zeros(big_k + 1)
-    ks = np.flatnonzero(needed).tolist()
-    coeffs[ks] = [_coefficient_cached(f, k, params, policy) for k in ks]
-    return np.concatenate(
-        [_poisson_sum(n, block, coeffs[a:b], a) for block, (a, b) in zip(blocks, windows)]
-    )
+    rho = params.rate / (params.rate - f.growth_a)
+    # |c_k| psi_k(x) <= K_f rho^(alpha+1) e^(nx(rho-1)) psi_k(nx rho): tilted
+    # Poisson tails, the lower one largest at a block's smallest x and the
+    # upper one (and the constant) at its largest
+    log_env = math.log(policy.eps_tail / f.growth_k) - (params.alpha + 1.0) * math.log(rho)
+
+    def window(lo, hi):
+        return _k_window(n * rho * lo, n * rho * hi, log_env - n * hi * (rho - 1.0), policy)
+
+    def coefficients(ks):
+        return [_coefficient_cached(f, k, params, policy) for k in ks.tolist()]
+
+    return _windowed_sum(n, xs, window, coefficients)
 
 
 def apply_operator(
@@ -191,9 +197,8 @@ def apply_operator_grid(
     """Operator values on a grid of x >= 0.
 
     One coefficient vector serves the whole grid.  Rows are summed in
-    blocks of 128, each over the k window that the envelope skip keeps at
-    the block's smallest and largest x; a one-point grid is
-    :func:`apply_operator`.
+    blocks of 128, each over one certified k window for the block's
+    smallest and largest x; a one-point grid is :func:`apply_operator`.
     """
     return _operator_values(f, xs, params, policy)
 
@@ -226,23 +231,27 @@ def kernel_on_x_grid(
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
         raise ParameterError("kernel_domain", "grid must satisfy x >= 0")
+    n = params.n
     rate = params.rate
     al = params.alpha
     u = rate * t
-    xmax = float(xs.max())
-    # gamma densities are bounded by rate for every k >= 1, so a plain
-    # Poisson tail at the largest x certifies the x-side cut ...
-    big_k = _poisson_window(params.n * xmax, policy.eps_tail / rate, policy) if xmax > 0 else 0
 
     def log_density(k):
         return math.log(rate) + (k + al) * math.log(u) - u - gammaln(k + al + 1.0)
 
+    # gamma densities at t are bounded by rate for k + alpha >= 1 and by the
+    # k = 0 density below, so plain Poisson tails certify each block's window ...
+    log_tol = math.log(policy.eps_tail) - max(math.log(rate), log_density(0))
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
-    while k_cut < big_k and math.log(2.0) + log_density(k_cut) > math.log(policy.eps_tail):
+    while math.log(2.0) + log_density(k_cut) > math.log(policy.eps_tail):
         k_cut = int(k_cut * 1.3) + 8
-    kk = np.arange(min(big_k, k_cut) + 1.0)
-    return _poisson_sum(params.n, xs, np.exp(log_density(kk)), 0)
+
+    def window(lo, hi):
+        k_lo, k_hi = _k_window(n * lo, n * hi, log_tol, policy)
+        return k_lo, min(k_hi, k_cut)
+
+    return _windowed_sum(n, xs, window, lambda ks: np.exp(log_density(ks)))
 
 
 def apply_szasz(
@@ -258,8 +267,9 @@ def apply_szasz(
         )
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
+    # |f(k/n)| <= K_f rho^k with rho = e^(A/n): a tilted Poisson tail on each side
     rho = math.exp(f.growth_a / n)
-    const = f.growth_k * math.exp(n * x * (rho - 1.0))
-    big_k = _poisson_window(n * x * rho, policy.eps_tail / const, policy)
-    vals = np.asarray(f(np.arange(big_k + 1) / n), dtype=float)
-    return float(_poisson_sum(n, np.array([float(x)]), vals, 0)[0])
+    log_tol = math.log(policy.eps_tail / f.growth_k) - n * x * math.expm1(f.growth_a / n)
+    k_lo, k_hi = _k_window(n * x * rho, n * x * rho, log_tol, policy)
+    vals = np.asarray(f(np.arange(k_lo, k_hi + 1) / n), dtype=float)
+    return float(_poisson_sum(n, np.array([float(x)]), vals, k_lo)[0])

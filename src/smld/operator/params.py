@@ -35,10 +35,12 @@ class OperatorParams:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Tolerances for k-sum truncation and coefficient quadrature."""
+    """Tolerances for k-sum truncation and coefficient quadrature.
+
+    ``k_max`` caps the width of a certified k window, not the index k.
+    """
 
     eps_tail: float = 1e-13
-    quad_nodes: int = 96
     eps_quad: float = 1e-12
     k_max: int = 50_000
 
@@ -46,10 +48,6 @@ class TruncationPolicy:
         if not (0.0 < self.eps_tail <= 1e-8):
             raise ParameterError(
                 "eps_tail_range", f"eps_tail must lie in (0, 1e-8], got {self.eps_tail}"
-            )
-        if self.quad_nodes < 32:
-            raise ParameterError(
-                "quad_nodes_too_small", f"quad_nodes must be >= 32, got {self.quad_nodes}"
             )
         if not self.eps_quad > 0:
             raise ParameterError(

@@ -27,7 +27,7 @@ from .operator import (
     OperatorParams,
     TestFunction,
     TruncationPolicy,
-    apply_operator,
+    apply_operator_grid,
     validate,
 )
 from .operator.core import _poisson_sum
@@ -222,7 +222,6 @@ def eigen_operator_check(
     if which == "constant":
         phi = TestFunction.monomial(0)
         lam = 1.0
-        phi_vals = lambda x: 1.0
     elif which == "exponential":
         if params.beta < 0 or params.beta >= params.n:
             raise ParameterError(
@@ -231,14 +230,10 @@ def eigen_operator_check(
             )
         phi = TestFunction.exp_scaled(-params.beta)
         lam = lambda2(params)
-        phi_vals = lambda x: math.exp(-params.beta * x)
     else:
         raise ParameterError("eigen_which", f"which must be one of {_WHICH}, got {which!r}")
-    residual = 0.0
-    for x in np.atleast_1d(np.asarray(x_grid, dtype=float)):
-        residual = max(
-            residual, abs(apply_operator(phi, float(x), params, policy) - lam * phi_vals(x))
-        )
+    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params, policy) - lam * phi(xs))))
     return EigenCheck(which, lam, operator_residual=residual)
 
 
@@ -291,7 +286,7 @@ def iterate_decay(
     deviations = []
     amplitudes = []
     for m in range(r + 1):
-        lifted = np.array([lift(v, float(x), params.n) for x in xs])
+        lifted = _poisson_sum(params.n, xs, v, 0)
         target = lam**m * np.exp(-params.beta * xs)
         deviations.append(float(np.max(np.abs(lifted - target))))
         amplitudes.append(float(np.max(np.abs(lifted))))

@@ -160,6 +160,13 @@ class TestLpErrors:
         assert weighted == pytest.approx(plain, rel=1e-13)
         assert ok  # gamma = 0 <= p beta always
 
+    @pytest.mark.parametrize("r_max", [0.0, -1.0])
+    def test_weighted_interval(self, r_max):
+        f = TestFunction.monomial(0)
+        with pytest.raises(ParameterError) as err:
+            weighted_lp_error(f, OperatorParams(10.0, 0.0, 0.0), 1.0, 0.0, r_max)
+        assert err.value.code == "norm_interval"
+
     def test_hypothesis_flag(self):
         f = TestFunction.monomial(0)
         _, ok = weighted_lp_error(f, OperatorParams(10.0, 0.0, 0.0), 1.0, 0.5, 2.0)

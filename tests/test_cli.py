@@ -175,11 +175,31 @@ class TestRun:
         assert float(rows[0][1]) == pytest.approx(1.1, rel=1e-12)
 
     def test_numerical_failure_exit_code(self, capsys):
-        # Szasz growth precondition: n <= A
+        # Szasz growth precondition n <= A: a parameter outside the domain
+        # is a usage error, not a numerical failure
         code = main(["apply", "--f", "exp:3", "--n", "2", "--operator", "szasz",
                      "--x-grid", "1"])
-        assert code == 3
+        assert code == 2
         assert "szasz_growth" in capsys.readouterr().err
+
+    def test_growth_incompatible_exit_code(self, capsys):
+        code = main(["apply", "--f", "exp:20", "--n", "10", "--x-grid", "1"])
+        assert code == 2
+        assert "growth_incompatible" in capsys.readouterr().err
+
+    def test_k_max_exceeded_exit_code(self, capsys):
+        # the certified k window at n x = 1000 is wider than 256 terms
+        code = main(["apply", "--f", "monomial:1", "--n", "200", "--x-grid", "5",
+                     "--k-max", "256"])
+        assert code == 3
+        assert "k_max_exceeded" in capsys.readouterr().err
+
+    def test_apply_large_n(self, capsys):
+        # n x = 1e5: the k window starts far from k = 0
+        code = main(["apply", "--f", "abs:1", "--n", "1e5", "--x-grid", "1"])
+        assert code == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        assert 0.0 < float(rows[0][1]) < 0.01
 
     def test_json_output(self, capsys):
         code = main(["moments", "--n", "10", "--x", "1", "--max-r", "1", "--format", "json"])

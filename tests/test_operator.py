@@ -20,6 +20,9 @@ from smld.operator import (
     value_at_zero,
 )
 
+from smld.moments import raw_moment_closed
+from smld.operator.core import _k_window
+
 from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_szasz
 
 import mpmath as mp
@@ -53,8 +56,6 @@ class TestTruncationPolicy:
     def test_invariants(self):
         with pytest.raises(ParameterError):
             TruncationPolicy(eps_tail=1e-7)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(quad_nodes=16)
         with pytest.raises(ParameterError):
             TruncationPolicy(k_max=100)
 
@@ -213,6 +214,12 @@ class TestApplyOperator:
         vals = apply_operator_grid(TestFunction.monomial(0), np.linspace(0.0, 5.0, 11), params)
         assert np.max(np.abs(vals - 1.0)) <= 2e-13
 
+    def test_large_n_window(self):
+        # n x = 1e5: the window [k_lo, k_hi] is far narrower than [0, k_hi]
+        params = OperatorParams(1e5, 0.5, 1.0)
+        val = apply_operator(TestFunction.monomial(2), 1.0, params)
+        assert val == pytest.approx(raw_moment_closed(2, 1.0, params), rel=1e-10)
+
     def test_k_max_exceeded(self):
         policy = TruncationPolicy(k_max=256)
         with pytest.raises(TruncationError):
@@ -239,6 +246,21 @@ class TestTruncationCap:
     def test_szasz(self):
         with pytest.raises(TruncationError):
             apply_szasz(TestFunction.monomial(1), 3.0, 100.0, self.POLICY)
+
+
+class TestKWindow:
+    @pytest.mark.parametrize(
+        "lam_lo, lam_hi",
+        [(0.3, 0.3), (5.0, 5.0), (37.2, 37.2), (1e3, 1e3), (1e5, 1e5), (40.0, 90.0)],
+    )
+    def test_tails_against_mpmath(self, lam_lo, lam_hi):
+        k_lo, k_hi = _k_window(lam_lo, lam_hi, math.log(1e-15), TruncationPolicy())
+        assert k_lo <= lam_lo and k_hi >= lam_hi
+        # exact Poisson masses: below k_lo is Q(k_lo, lam), above k_hi is P(k_hi + 1, lam)
+        below = mp.gammainc(k_lo, lam_lo, mp.inf, regularized=True) if k_lo > 0 else 0
+        above = mp.gammainc(k_hi + 1, 0, lam_hi, regularized=True)
+        assert below <= 1e-17
+        assert above <= 1e-17
 
 
 class TestValueAtZero:
