@@ -182,10 +182,17 @@ def modulus_of_continuity(
     kinks = f.kinks if isinstance(f, TestFunction) else ()
     grid = _grid_with_kinks(0.0, a, grid_points, kinks)
     vals = np.asarray(f(grid), dtype=float)
-    close = np.abs(grid[:, None] - grid[None, :]) <= delta
-    diffs = np.where(close, np.abs(vals[:, None] - vals[None, :]), 0.0)
-    i, j = np.unravel_index(int(np.argmax(diffs)), diffs.shape)
-    best = float(diffs[i, j])
+    # rows in blocks of 128, so no grid_points^2 array is built; a later
+    # block must be strictly larger, which keeps the first maximal pair
+    best, i, j = -1.0, 0, 0
+    for r in range(0, len(grid), 128):
+        close = np.abs(grid[r : r + 128, None] - grid[None, :]) <= delta
+        diffs = np.where(close, np.abs(vals[r : r + 128, None] - vals[None, :]), 0.0)
+        at = int(np.argmax(diffs))
+        if diffs.flat[at] > best:
+            best = float(diffs.flat[at])
+            i, j = divmod(at, len(grid))
+            i += r
     # local refinement around the maximizing pair
     h = float(grid[1] - grid[0])
     ti = np.clip(np.linspace(grid[i] - h, grid[i] + h, 41), 0.0, a)

@@ -28,12 +28,6 @@ class ParameterError(SmldError, ValueError):
         self.code = code
 
 
-class NonConvergenceError(SmldError, ArithmeticError):
-    """A series or continued fraction failed to reach the requested tolerance."""
-
-    code = "non_convergence"
-
-
 class QuadratureError(SmldError, ArithmeticError):
     """Adaptive quadrature did not converge within its refinement budget."""
 

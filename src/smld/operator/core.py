@@ -12,8 +12,12 @@ and f(k/n) for the Szasz operator.  Its ingredients:
 * one certified two-sided k window per block of up to 128 x
   (``_k_window``): through the growth envelope of f, the terms below and
   above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
-  tails; ``k_max`` caps its width,
+  tails; ``k_max`` caps its width, and a block whose window is wider is
+  split in halves,
 * log-domain Poisson weights on arrays from :mod:`smld.special`.
+
+Each window end is one ``special._first`` search on ``special._log_tail``,
+the tail bound the quadrature windows use too.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from ..errors import ParameterError, TruncationError
-from ..special import log_poisson_weights
+from ..special import _first, _log_tail, log_poisson_weights
 from .functions import TestFunction
 from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
 from .quadrature import gamma_mean
@@ -96,18 +100,6 @@ def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
     )
 
 
-def _first(ok, k: int, step: int) -> int:
-    """First of k, k + step, k + 2 step, ... where the monotone test ``ok``
-    holds: gallop out by doubling strides, then bisect back."""
-    lo, hi = -1, 0  # ok fails at k + lo * step and is tested at k + hi * step
-    while not ok(k + hi * step):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if ok(k + mid * step) else (mid, hi)
-    return k + hi * step
-
-
 def _k_window(
     lam_lo: float, lam_hi: float, log_tol: float, policy: TruncationPolicy
 ) -> tuple[int, int]:
@@ -116,21 +108,16 @@ def _k_window(
     The Poisson(lam_lo) mass below k_lo and the Poisson(lam_hi) mass above
     k_hi are each at most 1% of e^log_tol.  A tail is bounded by its first
     neglected weight psi_j over one minus the neighbour ratio (psi_{j+1}/psi_j
-    = lam/(j+1)), so each edge is one integer search on scalar log weights.
+    = lam/(j+1)), ``special._log_tail``, so each edge is one integer search.
     Raises TruncationError if the window is wider than k_max.
     """
     log_target = math.log(0.01) + log_tol
-
-    def bound_ok(lam, j, ratio):  # psi_j(lam) / (1 - ratio) <= e^log_target
-        log_psi = j * math.log(lam) - lam - math.lgamma(j + 1.0)
-        return log_psi - math.log1p(-ratio) <= log_target
-
     k_lo = k_hi = 0
     if lam_lo > 0.0:
-        lower_ok = lambda k: k <= 0 or bound_ok(lam_lo, k - 1, (k - 1) / lam_lo)
+        lower_ok = lambda k: k <= 0 or _log_tail(k - 1, lam_lo, (k - 1) / lam_lo) <= log_target
         k_lo = k_hi = _first(lower_ok, math.ceil(lam_lo), -1)
     if lam_hi > 0.0:
-        upper_ok = lambda k: bound_ok(lam_hi, k + 1, lam_hi / (k + 2))
+        upper_ok = lambda k: _log_tail(k + 1, lam_hi, lam_hi / (k + 2)) <= log_target
         k_hi = _first(upper_ok, max(k_lo, math.floor(lam_hi)), 1)
     if k_hi - k_lo + 1 > policy.k_max:
         raise TruncationError(f"k window [{k_lo}, {k_hi}] is wider than k_max = {policy.k_max}")
@@ -143,14 +130,27 @@ def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.
     return np.exp(log_poisson_weights(n * xs[:, None], kk)) @ values
 
 
+def _blocks(xs: np.ndarray, window) -> list:
+    """[(block, its window)] for the rows xs: one block, or, while its window
+    is wider than k_max, the blocks of each half; a single row still raises."""
+    try:
+        return [(xs, window(float(xs.min()), float(xs.max())))]
+    except TruncationError:
+        if len(xs) == 1:
+            raise
+        half = len(xs) // 2
+        return _blocks(xs[:half], window) + _blocks(xs[half:], window)
+
+
 def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
     """The one k-sum on a grid, in blocks of up to 128 rows.
 
-    Each block sums over its own k window ``window(x_min, x_max)``;
+    Each block sums over its own k window ``window(x_min, x_max)``, and a
+    block whose window is wider than k_max is split in halves (``_blocks``);
     ``values(ks)`` gives v_k once, on the sorted union ks of the windows.
     """
-    blocks = [xs[i : i + _BLOCK] for i in range(0, len(xs), _BLOCK)]
-    windows = [window(float(b.min()), float(b.max())) for b in blocks]
+    pairs = [p for i in range(0, len(xs), _BLOCK) for p in _blocks(xs[i : i + _BLOCK], window)]
+    blocks, windows = zip(*pairs)
     ks = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
     vals = np.asarray(values(ks), dtype=float)
     cuts = np.searchsorted(ks, np.add(windows, (0, 1)))  # each window's slice of ks
@@ -241,11 +241,11 @@ def kernel_on_x_grid(
 
     # gamma densities at t are bounded by rate for k + alpha >= 1 and by the
     # k = 0 density below, so plain Poisson tails certify each block's window ...
-    log_tol = math.log(policy.eps_tail) - max(math.log(rate), log_density(0))
+    log_eps = math.log(policy.eps_tail)
+    log_tol = log_eps - max(math.log(rate), log_density(0))
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
-    while math.log(2.0) + log_density(k_cut) > math.log(policy.eps_tail):
-        k_cut = int(k_cut * 1.3) + 8
+    k_cut = _first(lambda k: math.log(2.0) + log_density(k) <= log_eps, k_cut, 1)
 
     def window(lo, hi):
         k_lo, k_hi = _k_window(n * lo, n * hi, log_tol, policy)

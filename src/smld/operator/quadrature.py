@@ -8,9 +8,11 @@ rate) law.  After the substitution u = rate * t this is
 which is what :func:`gamma_mean` computes:
 
 * the integration window [u_lo, u_hi] is chosen so that both neglected
-  tails are provably below a fraction of the target tolerance, using the
-  regularized incomplete gamma and the caller's exponential growth
-  envelope |f| <= env_k * exp(tilt * u);
+  tails are provably below a fraction of the target tolerance, through the
+  caller's exponential growth envelope |f| <= env_k * exp(tilt * u): each
+  gamma tail is bounded by its edge density over one minus a term ratio
+  (``special._log_tail``, the same bound as the operator's k windows) and
+  each edge is one ``special._first`` search, with no incomplete gamma;
 * panels of width ~ 2 sqrt(shape) (split further at the declared kinks of
   f) carry fixed Gauss-Legendre rules with the gamma density applied in
   log domain, so nothing overflows for shapes in the thousands;
@@ -30,7 +32,7 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from ..errors import QuadratureError
-from ..special import _log_reg_upper_gamma, reg_lower_gamma
+from ..special import _first, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
 
@@ -51,24 +53,23 @@ def _gj_rule(m: int, shape: float):
     return x, w
 
 
-def _upper_edge(shape: float, log_tau: float) -> float:
-    w = shape + 10.0 * math.sqrt(shape) + 30.0
-    for _ in range(300):
-        if _log_reg_upper_gamma(shape, w) <= log_tau:
-            return w
-        w *= 1.25
-    raise QuadratureError("could not certify an upper quadrature edge")
+def _window(shape: float, eps_win: float, tilt: float, env_k: float) -> tuple[float, float]:
+    """Certified integration window [u_lo, u_hi] for a Gamma(shape, 1) mean.
 
-
-def _lower_edge(shape: float, tau: float) -> float:
-    w = shape - 10.0 * math.sqrt(shape) - 30.0
-    if w <= 0.0:
-        return 0.0
-    while reg_lower_gamma(shape, w) > tau:
-        w *= 0.8
-        if w < 1e-280:
-            return 0.0
-    return w
+    Upper: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= eps_win, with
+    Q(s, w) <= psi_{s-1}(w) / (1 - max(s-1, 0)/w) for w > s - 1 (for s < 1 the
+    density ratio is at most 1, so the ratio is 0).  Lower: env_k P(shape,
+    u_lo) <= eps_win (the growth factor is ~1 near 0), with P(s, w) <=
+    psi_s(w) / (1 - w/(s+1)) for w < s + 1.  Each edge is one search in
+    strides of sqrt(shape) from shape +- (10 sqrt(shape) + 30).
+    """
+    root = math.sqrt(shape)
+    log_hi = math.log(eps_win) + shape * math.log1p(-tilt) - math.log(env_k)
+    upper_ok = lambda w: _log_tail(shape - 1.0, w, max(shape - 1.0, 0.0) / w) <= log_hi
+    u_hi = _first(upper_ok, shape + 10.0 * root + 30.0, root) / (1.0 - tilt)
+    log_lo = math.log(eps_win / env_k)
+    lower_ok = lambda w: w <= 0.0 or _log_tail(shape, w, w / (shape + 1.0)) <= log_lo
+    return max(0.0, _first(lower_ok, shape - 10.0 * root - 30.0, -root)), u_hi
 
 
 def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -134,12 +135,7 @@ def gamma_mean(
     envelope |f(u)| <= env_k * exp(tilt * u), used to certify the
     neglected tails.
     """
-    eps_win = 0.01 * eps
-    # Upper edge: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= eps_win.
-    log_tau = math.log(eps_win) + shape * math.log1p(-tilt) - math.log(env_k)
-    u_hi = _upper_edge(shape, log_tau) / (1.0 - tilt)
-    # Lower edge: env_k P(shape, u_lo) <= eps_win (growth factor is ~1 near 0).
-    u_lo = _lower_edge(shape, eps_win / env_k)
+    u_lo, u_hi = _window(shape, 0.01 * eps, tilt, env_k)
 
     inner = sorted({k for k in kinks if u_lo < k < u_hi})
     if len(inner) > _MAX_KINK_PANELS:

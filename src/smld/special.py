@@ -4,17 +4,21 @@ The operators on the half line only ever need these primitives on a
 restricted parameter range (second Kummer parameter > 0, gamma shape > 0,
 argument >= 0), and the implementations target exactly that range:
 
-* ``log_gamma`` -- thin wrapper with a domain check,
 * ``pochhammer`` -- rising factorial,
 * ``reg_lower_gamma`` -- regularized lower incomplete gamma P(s, z),
-  series below z = s + 1 and a Lentz continued fraction for the upper
-  tail above it (the classical stable split),
+  scipy's ``gammainc`` behind a domain check,
 * ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
   the only case the closed-form raw moments need, as an exact finite sum,
-* ``poisson_weight_log`` / ``poisson_tail`` -- log-domain Poisson weights
-  and certified tail masses for truncating the operator's k-sums,
+* ``poisson_weight_log`` -- one log-domain Poisson weight,
 * ``log_poisson_weights`` -- the same log weights on arrays, for the one
   k-sum that every operator value goes through.
+
+Every truncation edge in the package -- both ends of a Poisson k window
+and both ends of a gamma-mean quadrature window -- is one ``_first``
+search on one tail bound, ``_log_tail``: by the Poisson-gamma duality a
+Poisson tail in k and a gamma tail in u are both tails of the terms
+psi_j(lam) = lam^j e^(-lam) / Gamma(j + 1), and a tail whose terms shrink
+by at most ``ratio`` per step weighs at most its first term / (1 - ratio).
 """
 
 from __future__ import annotations
@@ -22,28 +26,40 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln, xlogy
+from scipy.special import gammainc, gammaln, xlogy
 
-from .errors import NonConvergenceError, ParameterError
+from .errors import ParameterError
 
 __all__ = [
-    "log_gamma",
     "pochhammer",
     "reg_lower_gamma",
     "kummer_scaled",
     "poisson_weight_log",
     "log_poisson_weights",
-    "poisson_tail",
 ]
 
 _NEG_INF = float("-inf")
 
 
-def log_gamma(s: float) -> float:
-    """ln Gamma(s) for s > 0."""
-    if not s > 0:
-        raise ParameterError("log_gamma_domain", f"log_gamma requires s > 0, got {s}")
-    return math.lgamma(s)
+def _first(ok, k, step):
+    """First of k, k + step, k + 2 step, ... where the monotone test ``ok``
+    holds: gallop out by doubling strides, then bisect back."""
+    lo, hi = -1, 0  # ok fails at k + lo * step and is tested at k + hi * step
+    while not ok(k + hi * step):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if ok(k + mid * step) else (mid, hi)
+    return k + hi * step
+
+
+def _log_tail(j: float, lam: float, ratio: float) -> float:
+    """ln[psi_j(lam) / (1 - ratio)], psi_j(lam) = lam^j e^(-lam) / Gamma(j + 1), real j.
+
+    A bound on the tail that starts at the term psi_j(lam) when each further
+    term is at most ``ratio`` < 1 times the one before it.
+    """
+    return j * math.log(lam) - lam - math.lgamma(j + 1.0) - math.log1p(-ratio)
 
 
 def pochhammer(a: float, r: int) -> float:
@@ -59,54 +75,13 @@ def pochhammer(a: float, r: int) -> float:
 def reg_lower_gamma(s: float, z: float) -> float:
     """Regularized lower incomplete gamma P(s, z) = gamma(s, z) / Gamma(s).
 
-    Monotone nondecreasing in z with values in [0, 1].  Uses the power
-    series for z < s + 1 and the Lentz continued fraction for the upper
-    function Q(s, z) otherwise.
+    Monotone nondecreasing in z with values in [0, 1] (scipy's ``gammainc``).
     """
     if not s > 0:
         raise ParameterError("reg_gamma_shape", f"requires s > 0, got {s}")
     if z < 0:
         raise ParameterError("reg_gamma_argument", f"requires z >= 0, got {z}")
-    if z == 0.0:
-        return 0.0
-    log_front = -z + s * math.log(z) - math.lgamma(s)
-    if z < s + 1.0:
-        ap = s
-        term = 1.0 / s
-        total = term
-        for _ in range(100_000):
-            ap += 1.0
-            term *= z / ap
-            total += term
-            if abs(term) < abs(total) * 1e-17:
-                return min(1.0, total * math.exp(log_front))
-        raise NonConvergenceError("lower gamma series did not converge")
-    q = math.exp(log_front) * _upper_gamma_fraction(s, z)
-    return max(0.0, min(1.0, 1.0 - q))
-
-
-def _upper_gamma_fraction(s: float, z: float) -> float:
-    """Lentz's method for the continued fraction of Q(s, z) e^z z^(-s) Gamma(s)."""
-    tiny = 1e-300
-    b = z + 1.0 - s
-    c = 1.0 / tiny
-    d = 1.0 / b if b != 0.0 else 1.0 / tiny
-    h = d
-    for i in range(1, 100_000):
-        an = -i * (i - s)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-17:
-            return h
-    raise NonConvergenceError("upper gamma continued fraction did not converge")
+    return float(gammainc(s, z))
 
 
 def kummer_scaled(a: float, b: float, z: float) -> float:
@@ -136,20 +111,6 @@ def kummer_scaled(a: float, b: float, z: float) -> float:
         term *= (m - j + 1) * z / (j * (b + j - 1))
         total += term
     return total
-
-
-def _log_reg_upper_gamma(s: float, z: float) -> float:
-    """ln Q(s, z) for z > s + 1, usable far below the underflow threshold.
-
-    Internal: the quadrature window search needs tail masses down to
-    ~1e-320 in log form, where 1 - P(s, z) would round to zero.
-    """
-    if z <= s + 1.0:
-        p = reg_lower_gamma(s, z)
-        if p >= 1.0:
-            return -745.0  # tail below double resolution in this regime
-        return math.log1p(-p)
-    return -z + s * math.log(z) - math.lgamma(s) + math.log(_upper_gamma_fraction(s, z))
 
 
 # stirlerr(k) = lgamma(k+1) - [k ln k - k + 0.5 ln(2 pi k)]; series for k >= 16
@@ -234,18 +195,3 @@ def log_poisson_weights(lam, k) -> np.ndarray:
     dev -= klog
     dev -= g
     return dev
-
-
-def poisson_tail(n: float, x: float, K: int) -> float:
-    """Tail mass sum_{k > K} psi_{n,k}(x), clamped to [0, 1].
-
-    Equal to P(K + 1, nx) by the standard Poisson/gamma duality, which is
-    how it is computed -- no cancellation against 1.
-    """
-    if not n > 0:
-        raise ParameterError("poisson_n", f"requires n > 0, got {n}")
-    if x < 0:
-        raise ParameterError("poisson_x", f"requires x >= 0, got {x}")
-    if K < 0 or K != int(K):
-        raise ParameterError("poisson_k", f"K must be a nonnegative integer, got {K}")
-    return reg_lower_gamma(K + 1.0, n * x)

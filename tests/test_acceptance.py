@@ -12,9 +12,12 @@ will flag them loudly if the measured values ever change sides.
 """
 
 import csv
+import importlib
 import io
 import subprocess
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -190,3 +193,15 @@ def test_criterion_15_determinism(verify_runs):
 )
 def test_criterion_15_exit_code_zero(verify_runs):
     assert verify_runs["runs"][0][0] == 0
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark tracer patches these names by vars() lookup: deleting or
+    # renaming one must fail here, not only in a traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    tracing = types.ModuleType("tracing")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    for _label, module, attr, _extract, _aggregate in tracing._TARGETS:
+        importlib.import_module(module)
+        owner, name, original = tracing._resolve(module, attr)
+        assert vars(owner)[name] is original and callable(original)

@@ -22,6 +22,7 @@ from smld.operator import (
 
 from smld.moments import raw_moment_closed
 from smld.operator.core import _k_window
+from smld.operator.quadrature import _window
 
 from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_szasz
 
@@ -225,6 +226,14 @@ class TestApplyOperator:
         with pytest.raises(TruncationError):
             apply_operator(TestFunction.monomial(1), 5.0, OperatorParams(200.0, 0.0, 0.0), policy)
 
+    def test_sparse_grid_splits_block(self):
+        # one window over [0, 2] is wider than k_max; each point alone is not
+        f = TestFunction.abs_shift(1.0)
+        params = OperatorParams(100.0)
+        policy = TruncationPolicy(k_max=256)
+        grid_vals = apply_operator_grid(f, [0.0, 2.0], params, policy)
+        assert grid_vals.tolist() == [apply_operator(f, x, params, policy) for x in (0.0, 2.0)]
+
     def test_negative_x(self):
         with pytest.raises(ParameterError):
             apply_operator(TestFunction.monomial(0), -0.5, OperatorParams(5.0, 0.0, 0.0))
@@ -261,6 +270,21 @@ class TestKWindow:
         above = mp.gammainc(k_hi + 1, 0, lam_hi, regularized=True)
         assert below <= 1e-17
         assert above <= 1e-17
+
+
+class TestQuadratureWindow:
+    @pytest.mark.parametrize("s", [0.3, 0.5, 1.0, 2.5, 17.0, 250.5, 5000.5])
+    @pytest.mark.parametrize("tilt", [0.0, 1.0 / 3.0])
+    def test_tails_against_mpmath(self, s, tilt):
+        eps_win = 1e-14
+        u_lo, u_hi = _window(s, eps_win, tilt, 1.0)
+        assert 0.0 <= u_lo < s < u_hi
+        # exact tilted upper tail (1-tilt)^(-s) Q(s, (1-tilt) u_hi) and lower tail P(s, u_lo)
+        keep = mp.mpf(1.0 - tilt)
+        upper = mp.gammainc(s, keep * u_hi, mp.inf, regularized=True) * keep ** (-s)
+        lower = mp.gammainc(s, 0, u_lo, regularized=True)
+        assert upper <= eps_win
+        assert lower <= eps_win
 
 
 class TestValueAtZero:
