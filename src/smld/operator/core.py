@@ -14,7 +14,8 @@ and f(k/n) for the Szasz operator.  Its ingredients:
   above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
   tails; ``k_max`` caps its width, and a block whose window is wider is
   split in halves,
-* log-domain Poisson weights on arrays from :mod:`smld.special`.
+* ``special.log_poisson_weights``, the one real-order psi_a(lam), for both
+  the Poisson weights and the kernel's gamma densities.
 
 Each window end is one ``special._first`` search on ``special._log_tail``,
 the tail bound the quadrature windows use too.
@@ -26,7 +27,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from ..errors import ParameterError, TruncationError
 from ..special import _first, _log_tail, log_poisson_weights
@@ -149,6 +149,8 @@ def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
     block whose window is wider than k_max is split in halves (``_blocks``);
     ``values(ks)`` gives v_k once, on the sorted union ks of the windows.
     """
+    if not len(xs):
+        return np.empty(0)
     pairs = [p for i in range(0, len(xs), _BLOCK) for p in _blocks(xs[i : i + _BLOCK], window)]
     blocks, windows = zip(*pairs)
     ks = np.unique(np.concatenate([np.arange(lo, hi + 1) for lo, hi in windows]))
@@ -236,22 +238,26 @@ def kernel_on_x_grid(
     al = params.alpha
     u = rate * t
 
-    def log_density(k):
-        return math.log(rate) + (k + al) * math.log(u) - u - gammaln(k + al + 1.0)
+    def densities(ks):
+        # the Gamma(k + alpha + 1, rate) density at t is rate psi_{k+alpha}(u),
+        # written as rate psi_{k+alpha+1}(u) (k+alpha+1)/u to keep the order >= 0
+        a = ks + al + 1.0
+        return rate * np.exp(log_poisson_weights(u, a)) * a / u
 
     # gamma densities at t are bounded by rate for k + alpha >= 1 and by the
     # k = 0 density below, so plain Poisson tails certify each block's window ...
     log_eps = math.log(policy.eps_tail)
-    log_tol = log_eps - max(math.log(rate), log_density(0))
+    log_tol = log_eps - math.log(rate) - max(0.0, _log_tail(al, u, 0.0))
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
-    k_cut = _first(lambda k: math.log(2.0) + log_density(k) <= log_eps, k_cut, 1)
+    alive = lambda k: math.log(2.0 * rate) + _log_tail(k + al, u, 0.0) <= log_eps
+    k_cut = _first(alive, k_cut, 1)
 
     def window(lo, hi):
         k_lo, k_hi = _k_window(n * lo, n * hi, log_tol, policy)
         return k_lo, min(k_hi, k_cut)
 
-    return _windowed_sum(n, xs, window, lambda ks: np.exp(log_density(ks)))
+    return _windowed_sum(n, xs, window, densities)
 
 
 def apply_szasz(

@@ -9,9 +9,11 @@ argument >= 0), and the implementations target exactly that range:
   scipy's ``gammainc`` behind a domain check,
 * ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
   the only case the closed-form raw moments need, as an exact finite sum,
-* ``poisson_weight_log`` -- one log-domain Poisson weight,
-* ``log_poisson_weights`` -- the same log weights on arrays, for the one
-  k-sum that every operator value goes through.
+* ``log_poisson_weights`` -- ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1)
+  for real a >= 0 on arrays, in deviance form: every Poisson weight of the
+  k-sums, every gamma density of the quadrature and the kernel, and the
+  negative-binomial anchors of the spectral matrix,
+* ``poisson_weight_log`` -- the same routine at one point.
 
 Every truncation edge in the package -- both ends of a Poisson k window
 and both ends of a gamma-mean quadrature window -- is one ``_first``
@@ -19,6 +21,8 @@ search on one tail bound, ``_log_tail``: by the Poisson-gamma duality a
 Poisson tail in k and a gamma tail in u are both tails of the terms
 psi_j(lam) = lam^j e^(-lam) / Gamma(j + 1), and a tail whose terms shrink
 by at most ``ratio`` per step weighs at most its first term / (1 - ratio).
+The bound runs in scalar ``math`` inside the searches, with the short
+three-logarithm form of psi: a truncation edge needs no more digits.
 """
 
 from __future__ import annotations
@@ -37,9 +41,6 @@ __all__ = [
     "poisson_weight_log",
     "log_poisson_weights",
 ]
-
-_NEG_INF = float("-inf")
-
 
 def _first(ok, k, step):
     """First of k, k + step, k + 2 step, ... where the monotone test ``ok``
@@ -113,46 +114,24 @@ def kummer_scaled(a: float, b: float, z: float) -> float:
     return total
 
 
-# stirlerr(k) = lgamma(k+1) - [k ln k - k + 0.5 ln(2 pi k)]; series for k >= 16
+# g(a) = ln Gamma(a+1) - a ln a + a - 0.5 ln(2 pi a), the Stirling series for a >= 16
 _S0 = 1.0 / 12.0
 _S1 = 1.0 / 360.0
 _S2 = 1.0 / 1260.0
 _S3 = 1.0 / 1680.0
 _S4 = 1.0 / 1188.0
-_LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def _stirlerr(k: float) -> float:
-    if k < 16:
-        return math.lgamma(k + 1.0) - (k + 0.5) * math.log(k) + k - _LN_SQRT_2PI
-    kk = k * k
-    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
-
-
-def _bd0(x: float, lam: float) -> float:
-    # x ln(x/lam) + lam - x, computed without cancellation when x ~ lam
-    # (Loader's deviance term).
-    if abs(x - lam) < 0.1 * (x + lam):
-        v = (x - lam) / (x + lam)
-        s = (x - lam) * v
-        ej = 2.0 * x * v
-        v2 = v * v
-        for j in range(1, 1000):
-            ej *= v2
-            s1 = s + ej / (2 * j + 1)
-            if s1 == s:
-                return s1
-            s = s1
-    return x * math.log(x / lam) + lam - x
+def _stirling(a):
+    aa = a * a
+    return (_S0 - (_S1 - (_S2 - (_S3 - _S4 / aa) / aa) / aa) / aa) / a
 
 
 def poisson_weight_log(n: float, x: float, k: int) -> float:
-    """ln psi_{n,k}(x) = k ln(nx) - nx - ln k!.
+    """ln psi_{n,k}(x) = k ln(nx) - nx - ln k!: ``log_poisson_weights`` at one point.
 
     Returns -inf for x = 0, k >= 1 (and exactly 0 for x = 0, k = 0) so the
-    k = 0 term survives at the interpolation point.  Large (k, nx) pairs go
-    through the saddle-point form -bd0(k, nx) - stirlerr(k) - 0.5 ln(2 pi k),
-    which avoids the cancellation of three large logarithms.
+    k = 0 term survives at the interpolation point.
     """
     if not n > 0:
         raise ParameterError("poisson_n", f"requires n > 0, got {n}")
@@ -160,38 +139,38 @@ def poisson_weight_log(n: float, x: float, k: int) -> float:
         raise ParameterError("poisson_x", f"requires x >= 0, got {x}")
     if k < 0 or k != int(k):
         raise ParameterError("poisson_k", f"k must be a nonnegative integer, got {k}")
-    if x == 0.0:
-        return 0.0 if k == 0 else _NEG_INF
-    lam = n * x
-    if k == 0:
-        return -lam
-    if k <= 15:
-        return k * math.log(lam) - lam - math.lgamma(k + 1.0)
-    return -_stirlerr(float(k)) - _bd0(float(k), lam) - 0.5 * math.log(2.0 * math.pi * k)
+    return float(log_poisson_weights(n * x, k))
 
 
-def log_poisson_weights(lam, k) -> np.ndarray:
-    """ln psi_k(lam) = k ln(lam) - lam - ln k! on broadcast arrays lam >= 0, integer k >= 0.
+def log_poisson_weights(lam, a) -> np.ndarray:
+    """ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1), broadcast, for lam >= 0 and real a >= 0.
 
-    Computed as (k - lam) - k log1p((k - lam)/lam) - g(k) with g(k) = ln k! -
-    k ln k + k (the Stirling series above k = 15): near the mean its error is
-    a few eps |k - lam|, not the eps lam ln(lam) of three large logarithms.
-    At lam = 0 it is 0 for k = 0 and -inf above.
+    Computed as (a - lam) - a log1p((a - lam)/lam) - g(a) with g(a) = ln
+    Gamma(a + 1) - a ln a + a (the Stirling series from a = 16): near the
+    mean its error is a few eps |a - lam|, not the eps lam ln(lam) of three
+    large logarithms.  At lam = 0 it is 0 for a = 0 and -inf above.  One
+    positive order over positive lam (a quadrature panel's density) takes
+    g(a) in floats and needs no mask.
     """
     lam = np.asarray(lam, dtype=float)
-    k = np.asarray(k, dtype=float)
-    if (lam < 0).any() or (k < 0).any() or (k != np.floor(k)).any():
-        raise ParameterError("poisson_domain", "requires lam >= 0 and integer k >= 0")
+    if isinstance(a, (int, float)) and a > 0 and lam.min(initial=1.0) > 0:
+        if a < 16:
+            g = math.lgamma(a + 1.0) - a * math.log(a) + a
+        else:
+            g = _stirling(a) + 0.5 * math.log(2.0 * math.pi * a)
+        dev = a - lam
+        return dev - a * np.log1p(dev / lam) - g
+    a = np.asarray(a, dtype=float)
+    if (lam < 0).any() or (a < 0).any():
+        raise ParameterError("poisson_domain", "requires lam >= 0 and a >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = k - lam
+        dev = a - lam
         ratio = dev / lam
-        kk = k * k
-        series = (_S0 - (_S1 - (_S2 - (_S3 - _S4 / kk) / kk) / kk) / kk) / k
-        g = np.where(k < 16, gammaln(k + 1.0) - xlogy(k, k) + k,
-                     series + 0.5 * np.log(2.0 * math.pi * k))
-    klog = np.zeros(ratio.shape)  # k = 0 stays out of log1p(-1)
-    np.log1p(ratio, out=klog, where=k > 0)
-    klog *= k
-    dev -= klog
+        g = np.where(a < 16, gammaln(a + 1.0) - xlogy(a, a) + a,
+                     _stirling(a) + 0.5 * np.log(2.0 * math.pi * a))
+    alog = np.zeros(ratio.shape)  # a = 0 stays out of log1p(-1)
+    np.log1p(ratio, out=alog, where=a > 0)
+    alog *= a
+    dev -= alog
     dev -= g
     return dev

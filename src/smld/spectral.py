@@ -11,7 +11,9 @@ eigenpairs are known in closed form: the constant vector with eigenvalue
 1 and the geometric vector (1 - beta/n)^j with eigenvalue
 (1 - beta/n)^(alpha+1), whose lift through the Poisson basis is e^(-beta x).
 Nothing here searches for further spectrum; only these two pairs are
-verified, at matrix level and at operator level.
+verified, at matrix level and at operator level.  Each row is anchored at
+its mode by ``special.log_poisson_weights`` (a negative-binomial pmf is a
+ratio of real-order Poisson weights) and filled by its term recurrence.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .operator import (
     validate,
 )
 from .operator.core import _poisson_sum
-from .special import _bd0, _stirlerr
+from .special import log_poisson_weights
 
 __all__ = [
     "TruncatedP",
@@ -83,32 +85,27 @@ def lambda2(params: OperatorParams) -> float:
     return (1.0 - params.beta / params.n) ** (params.alpha + 1.0)
 
 
-def _log_nb_pmf(s: float, q1: float, q2: float, j: int) -> float:
-    """ln of the row pmf q1^s q2^j (s)_j / j!, stable for large (s, j).
+def _log_nb_pmf(s, q1: float, q2: float, j):
+    """ln of the row pmf q1^s q2^j (s)_j / j! (on broadcast arrays), stable for large (s, j).
 
-    Written through stirlerr/bd0 (the saddle-point form of a real-order
-    binomial weight), so the result is accurate to a few ulps even where
-    three large lgamma values would cancel to O(1).
+    With N = s + j and q1 + q2 = 1 it is ln(s/N) + ln psi_s(N q1) +
+    ln psi_j(N q2) - ln psi_N(N), three real-order Poisson weights in
+    deviance form, so it is accurate to a few ulps near the row mode even
+    where three large lgamma values would cancel to O(1).
     """
-    if j == 0:
-        return s * math.log(q1)
     nn = s + j
     return (
-        _stirlerr(nn)
-        - _stirlerr(s)
-        - _stirlerr(float(j))
-        - _bd0(s, nn * q1)
-        - _bd0(float(j), nn * q2)
-        + 0.5 * math.log(nn / (2.0 * math.pi * s * j))
-        + math.log(s / nn)
+        np.log(s / nn)
+        + log_poisson_weights(nn * q1, s)
+        + log_poisson_weights(nn * q2, j)
+        - log_poisson_weights(nn, nn)
     )
 
 
-def _nb_row(s: float, q1: float, q2: float, K: int) -> np.ndarray:
-    """Columns 0..K of the row pmf, anchored at the mode and filled by the
-    two-sided term recurrence (so no entry inherits a large-log error)."""
-    mode = int(min(K, max(0, math.floor(s * q2 / q1))))
-    anchor = math.exp(_log_nb_pmf(s, q1, q2, mode))
+def _nb_row(s: float, q2: float, K: int, mode: int, anchor: float) -> np.ndarray:
+    """Columns 0..K of the row pmf, anchored at its value ``anchor`` at the
+    mode and filled by the two-sided term recurrence (so no entry inherits a
+    large-log error)."""
     row = np.empty(K + 1)
     row[mode] = anchor
     if mode < K:
@@ -129,9 +126,12 @@ def build_P(params: OperatorParams, K: int) -> TruncatedP:
     denom = 2.0 * n - b
     q1 = (n - b) / denom
     q2 = n / denom
+    s = np.arange(K + 1) + al + 1.0
+    modes = np.clip(np.floor(s * q2 / q1), 0, K)
+    anchors = np.exp(_log_nb_pmf(s, q1, q2, modes))
     entries = np.empty((K + 1, K + 1))
     for k in range(K + 1):
-        entries[k] = _nb_row(k + al + 1.0, q1, q2, K)
+        entries[k] = _nb_row(s[k], q2, K, int(modes[k]), anchors[k])
     # pairwise summation keeps the measurement noise ~1e-15; true deficits
     # are masses, so the measured values are floored at zero
     deficits = np.maximum(1.0 - entries.sum(axis=1), 0.0)

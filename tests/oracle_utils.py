@@ -17,6 +17,12 @@ def mp_reg_lower_gamma(s, z) -> float:
     return float(mp.gammainc(s, 0, z) / mp.gamma(s))
 
 
+def mp_poisson_weight(lam, a):
+    """psi_a(lam) = lam^a e^(-lam) / Gamma(a + 1) for real a >= 0, as an mpf."""
+    lam = mp.mpf(lam)
+    return mp.exp(a * mp.log(lam) - lam - mp.loggamma(a + 1)) if lam else mp.mpf(a == 0)
+
+
 def mp_raw_moment(r, n, alpha, beta, x) -> float:
     """mu_r via the Poisson sum of gamma-law moments, summed in mpmath."""
     n, alpha, beta, x = map(mp.mpf, (n, alpha, beta, x))

@@ -14,6 +14,7 @@ will flag them loudly if the measured values ever change sides.
 import csv
 import importlib
 import io
+import json
 import subprocess
 import sys
 import types
@@ -195,13 +196,39 @@ def test_criterion_15_exit_code_zero(verify_runs):
     assert verify_runs["runs"][0][0] == 0
 
 
-def test_benchmark_tracer_names_resolve():
-    # the benchmark tracer patches these names by vars() lookup: deleting or
-    # renaming one must fail here, not only in a traced benchmark run
+def _load_tracing():
+    """benchmarks/tracing.py, read and run into a fresh module namespace."""
     path = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
     tracing = types.ModuleType("tracing")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracing.__dict__)
+    return tracing
+
+
+def test_benchmark_tracer_names_resolve():
+    # the benchmark tracer patches these names by vars() lookup: deleting or
+    # renaming one must fail here, not only in a traced benchmark run
+    tracing = _load_tracing()
     for _label, module, attr, _extract, _aggregate in tracing._TARGETS:
         importlib.import_module(module)
         owner, name, original = tracing._resolve(module, attr)
         assert vars(owner)[name] is original and callable(original)
+
+
+def test_traced_layer_metrics_are_strict_json():
+    # a traced benchmark run prints its metrics as strict JSON on its last
+    # line: one small operator value and check 06 under the tracer
+    tracing = _load_tracing()
+    for _label, module, _attr, _extract, _aggregate in tracing._TARGETS:
+        importlib.import_module(module)
+    operator = importlib.import_module("smld.operator")
+    verification = importlib.import_module("smld.verification")
+    tracer = tracing.Tracer()
+    with tracer:
+        operator.apply_operator(
+            operator.TestFunction.exp_scaled(-1.0), 1.0, operator.OperatorParams(10.0, 0.5, 1.0)
+        )
+        verification.check_06_asymptotics()
+    metrics = tracer.layer_metrics()
+    assert metrics["core.apply_operator.calls"] == 1
+    assert metrics["verification.check_06.s"] > 0.0
+    json.dumps(metrics, allow_nan=False)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,22 @@ class TestCoefficient:
         oracle = mp_gamma_mean(lambda t: abs(t - c), alpha + 1.0, params.rate, breakpoints=(c,))
         assert val == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [1e3, 1e4, 1e5, 1e6])
+    def test_large_k_against_mpmath(self, n):
+        # E[e^(-T)] under Gamma(k + alpha + 1, rate) is (rate/(rate+1))^(k+alpha+1);
+        # the gamma density must not lose eps k ln(k) to cancelling logarithms
+        params = OperatorParams(n, 0.5, 1.0)
+        f = TestFunction.exp_scaled(-1.0)
+        for k in (round(0.99 * n), round(n), round(1.01 * n)):
+            exact = float((mp.mpf(params.rate) / (params.rate + 1)) ** (k + mp.mpf(1.5)))
+            assert coefficient(f, k, params) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_large_k_monomial_exact(self):
+        # (k+alpha+1)(k+alpha+2)(k+alpha+3)/rate^3 as an exact rational
+        exact = float(Fraction(12001 * 12003 * 12005, 8 * 200**3))
+        val = coefficient(TestFunction.monomial(3), 6000, OperatorParams(200.0, -0.5, 0.0))
+        assert val == pytest.approx(exact, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("k", [0, 4])
     def test_sin_oracle(self, k):
         params = OperatorParams(6.0, -0.25, 0.5)
@@ -220,6 +237,18 @@ class TestApplyOperator:
         params = OperatorParams(1e5, 0.5, 1.0)
         val = apply_operator(TestFunction.monomial(2), 1.0, params)
         assert val == pytest.approx(raw_moment_closed(2, 1.0, params), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [1e4, 1e5])
+    def test_large_n_exp_closed_form(self, n):
+        # M_n e^(-t) (x) = (rate/(rate+1))^(alpha+1) e^(-nx/(rate+1))
+        params = OperatorParams(n, 0.5, 1.0)
+        rate = mp.mpf(params.rate)
+        exact = float((rate / (rate + 1)) ** mp.mpf(1.5) * mp.exp(-n / (rate + 1)))
+        val = apply_operator(TestFunction.exp_scaled(-1.0), 1.0, params)
+        assert val == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+    def test_empty_grid(self):
+        assert apply_operator_grid(TestFunction.monomial(1), [], OperatorParams(10.0)).shape == (0,)
 
     def test_k_max_exceeded(self):
         policy = TruncationPolicy(k_max=256)
@@ -369,6 +398,9 @@ class TestKernel:
             vals = [kernel(x, float(t), params) * math.exp(-t) for t in ts]
             total += 0.5 * (b - a) * float(np.dot(weights, vals))
         assert total == pytest.approx(apply_operator(f, x, params), abs=1e-7)
+
+    def test_empty_grid(self):
+        assert kernel_on_x_grid([], 1.0, OperatorParams(10.0)).shape == (0,)
 
     def test_grid_matches_scalar(self):
         params = OperatorParams(7.0, -0.25, 0.5)

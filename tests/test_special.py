@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -13,7 +14,7 @@ from smld.special import (
     reg_lower_gamma,
 )
 
-from oracle_utils import mp_kummer_scaled, mp_reg_lower_gamma
+from oracle_utils import mp_kummer_scaled, mp_poisson_weight, mp_reg_lower_gamma
 
 
 class TestPochhammer:
@@ -147,10 +148,10 @@ class TestPoissonWeights:
 
     @pytest.mark.parametrize("lam", [0.3, 5.0, 37.2, 1e3, 1.68e4])
     def test_array_weights_match_scalar(self, lam):
-        # weighted relative error sum |w - w_ref| / sum w_ref over the bulk
-        # and both tails; k = 0 must not warn (it would take log1p(-1))
+        # weighted relative error sum |w - w_ref| / sum w_ref against mpmath
+        # over the bulk and both tails; k = 0 must not warn (log1p(-1))
         k = np.arange(int(lam + 40.0 * math.sqrt(lam + 1.0) + 40.0))
-        ref = np.exp([poisson_weight_log(lam, 1.0, int(j)) for j in k])
+        ref = np.array([float(mp_poisson_weight(lam, int(j))) for j in k])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             w = np.exp(log_poisson_weights(lam, k))
@@ -167,4 +168,30 @@ class TestPoissonWeights:
         with pytest.raises(ParameterError):
             log_poisson_weights(-1.0, np.arange(3))
         with pytest.raises(ParameterError):
-            log_poisson_weights(1.0, np.array([0.5]))
+            log_poisson_weights(1.0, np.array([-0.5]))
+
+    def test_single_order_domain(self):
+        # one order skips the mask only where every lam > 0; a zero or a bad
+        # input still reaches the masked path and its checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            w = log_poisson_weights(np.array([0.0, 2.0]), 3.0)
+        assert w[0] == float("-inf") and w[1] == pytest.approx(math.log(8.0 / 6.0) - 2.0, rel=1e-15)
+        with pytest.raises(ParameterError):
+            log_poisson_weights(np.array([2.0, -1.0]), 3.0)
+        with pytest.raises(ParameterError):
+            log_poisson_weights(2.0, -0.5)
+
+    @pytest.mark.parametrize("a", [0.3, 16.5, 1000.5])
+    def test_real_order_against_mpmath(self, a):
+        # ln psi_a(lam) for one real order (a quadrature panel's density) and
+        # for an array of orders, from the bulk into both tails: the error is
+        # a few eps |a - lam|, where three large logarithms would give
+        # eps a ln(a) (37 eps (|a - lam| + 1) at a = 16.5, 492 eps at 1000.5)
+        root = math.sqrt(a + 1.0)
+        lam = np.linspace(max(a - 8.0 * root, 0.05), a + 8.0 * root, 41)
+        ref = np.array([float(mp.log(mp_poisson_weight(x, a))) for x in lam])
+        bound = 4.0 * np.finfo(float).eps * (np.abs(a - lam) + 1.0)
+        assert np.all(np.abs(log_poisson_weights(lam, a) - ref) <= bound)
+        column = log_poisson_weights(lam[:, None], np.array([a]))[:, 0]
+        assert np.all(np.abs(column - ref) <= bound)
