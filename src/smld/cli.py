@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -192,8 +193,8 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             parser.error(str(exc))
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
-    if min((getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))) < 0:
-        parser.error("--x, --x-grid: requires x >= 0")
+    if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
+        parser.error("--x, --x-grid: requires finite x >= 0")
     if hasattr(ns, "alpha"):
         if not ns.alpha > -1.0:
             parser.error("--alpha: requires alpha > -1")

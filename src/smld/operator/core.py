@@ -7,8 +7,11 @@ computed by ``_poisson_sum`` on a grid of x: v_k = c_k(f) for the operator
 (a single point is a grid of one), the gamma density at t for the kernel
 and f(k/n) for the Szasz operator.  Its ingredients:
 
-* ``coefficient`` -- one certified gamma-density mean (cached per
-  (f, k, params, policy); the cache is write-once and safe to share),
+* ``coefficient`` -- one certified gamma-density mean, read out of its
+  chunk: chunk j holds c_k for k in [j^2, (j+1)^2), computed by one batched
+  ``gamma_mean`` call and kept in a bounded LRU cache keyed by (f, j,
+  params, policy); chunk 0 is {c_0}, so ``value_at_zero`` runs one
+  quadrature, and the read-only chunks are safe to share,
 * one certified two-sided k window per block of up to 128 x
   (``_k_window``): through the growth envelope of f, the terms below and
   above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
@@ -47,25 +50,45 @@ __all__ = [
 
 
 _BLOCK = 128  # grid rows per Poisson weight matrix
+_CHUNKS = 4096  # coefficient chunks kept per process
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CHUNKS)
 def _coefficient_cached(
-    f: TestFunction, k: int, params: OperatorParams, policy: TruncationPolicy
-) -> float:
+    f: TestFunction, j: int, params: OperatorParams, policy: TruncationPolicy
+) -> np.ndarray:
+    """Chunk j of the coefficients: c_k for k in [j^2, (j+1)^2), one quadrature
+    batch.  A chunk's rows depend only on k, so c_k is the same whichever
+    call first computed it."""
     rate = params.rate
-    shape = k + params.alpha + 1.0
+    shapes = np.arange(j * j, (j + 1) ** 2) + params.alpha + 1.0
     tilt = f.growth_a / rate
     kinks_u = tuple(rate * t for t in f.kinks if t > 0.0)
-    return gamma_mean(
+    chunk = gamma_mean(
         lambda u: f(u / rate),
-        shape,
+        shapes,
         policy.eps_quad,
         kinks=kinks_u,
         tilt=tilt,
         env_k=f.growth_k,
         endpoint_power=f.endpoint_power,
     )
+    chunk.flags.writeable = False
+    return chunk
+
+
+def _coefficients(
+    f: TestFunction, ks: np.ndarray, params: OperatorParams, policy: TruncationPolicy
+) -> np.ndarray:
+    """c_k for each k of the sorted integer array ks, read out of its chunk."""
+    js = np.floor(np.sqrt(ks)).astype(np.int64)
+    js -= js * js > ks  # floor(sqrt) can round up next to a perfect square
+    out = np.empty(len(ks))
+    starts = np.flatnonzero(np.diff(js, prepend=-1))
+    for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(ks)]):
+        j = int(js[a])
+        out[a:b] = _coefficient_cached(f, j, params, policy)[ks[a:b] - j * j]
+    return out
 
 
 def coefficient(
@@ -76,16 +99,17 @@ def coefficient(
         raise ParameterError("coefficient_index", f"k must be a nonnegative integer, got {k}")
     policy = policy or DEFAULT_TRUNCATION
     validate(params, f)
-    return _coefficient_cached(f, int(k), params, policy)
+    j = math.isqrt(int(k))
+    return float(_coefficient_cached(f, j, params, policy)[int(k) - j * j])
 
 
 def value_at_zero(
     f: TestFunction, params: OperatorParams, policy: TruncationPolicy | None = None
 ) -> float:
-    """Operator value at x = 0 (the interpolation point): exactly c_0(f)."""
+    """Operator value at x = 0 (the interpolation point): exactly c_0(f), chunk 0."""
     policy = policy or DEFAULT_TRUNCATION
     validate(params, f)
-    return _coefficient_cached(f, 0, params, policy)
+    return float(_coefficient_cached(f, 0, params, policy)[0])
 
 
 def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
@@ -168,6 +192,8 @@ def _operator_values(
     policy = policy or DEFAULT_TRUNCATION
     validate(params, f)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not np.all(np.isfinite(xs)):
+        raise ParameterError("x_not_finite", "requires finite x")
     if np.any(xs < 0):
         raise ParameterError("x_negative", f"requires x >= 0, got {xs.min()}")
     n = params.n
@@ -180,10 +206,7 @@ def _operator_values(
     def window(lo, hi):
         return _k_window(n * rho * lo, n * rho * hi, log_env - n * hi * (rho - 1.0), policy)
 
-    def coefficients(ks):
-        return [_coefficient_cached(f, k, params, policy) for k in ks.tolist()]
-
-    return _windowed_sum(n, xs, window, coefficients)
+    return _windowed_sum(n, xs, window, lambda ks: _coefficients(f, ks, params, policy))
 
 
 def apply_operator(
@@ -210,6 +233,8 @@ def kernel(
 ) -> float:
     """Kernel K_n(x, t): for each x a probability density in t."""
     validate(params)
+    if not (math.isfinite(x) and math.isfinite(t)):
+        raise ParameterError("kernel_not_finite", f"requires finite x, t, got x = {x}, t = {t}")
     if x < 0 or t < 0:
         raise ParameterError("kernel_domain", f"requires x, t >= 0, got x = {x}, t = {t}")
     if t == 0.0:
@@ -228,9 +253,11 @@ def kernel_on_x_grid(
     """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
     policy = policy or DEFAULT_TRUNCATION
     validate(params)
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    if not (math.isfinite(t) and np.all(np.isfinite(xs))):
+        raise ParameterError("kernel_not_finite", f"requires finite x, t, got t = {t}")
     if not t > 0:
         raise ParameterError("kernel_domain", f"grid kernel requires t > 0, got {t}")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if np.any(xs < 0):
         raise ParameterError("kernel_domain", "grid must satisfy x >= 0")
     n = params.n
@@ -265,12 +292,14 @@ def apply_szasz(
 ) -> float:
     """Classical Szasz operator e^(-nx) sum_k (nx)^k/k! f(k/n)."""
     policy = policy or DEFAULT_TRUNCATION
-    if not n > 0:
-        raise ParameterError("szasz_n", f"requires n > 0, got {n}")
+    if not (n > 0 and math.isfinite(n)):
+        raise ParameterError("szasz_n", f"requires finite n > 0, got {n}")
     if not n > f.growth_a:
         raise ParameterError(
             "szasz_growth", f"requires n > A for growth class A = {f.growth_a}, got n = {n}"
         )
+    if not math.isfinite(x):
+        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
     # |f(k/n)| <= K_f rho^k with rho = e^(A/n): a tilted Poisson tail on each side

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -64,10 +65,16 @@ def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:
     """Check that the operator is well defined (and applicable to ``f``).
 
     Raises :class:`ParameterError` with a distinct code per violated
-    constraint: ``n_le_beta``, ``alpha_le_minus_one``, or
-    ``growth_incompatible`` (n <= beta + A, so the coefficient integrals
+    constraint: ``params_not_finite``, ``n_le_beta``, ``alpha_le_minus_one``,
+    or ``growth_incompatible`` (n <= beta + A, so the coefficient integrals
     of a function with growth rate A would diverge).
     """
+    if not all(math.isfinite(v) for v in (params.n, params.alpha, params.beta)):
+        raise ParameterError(
+            "params_not_finite",
+            f"requires finite n, alpha and beta, got n = {params.n}, "
+            f"alpha = {params.alpha}, beta = {params.beta}",
+        )
     if not params.n > params.beta:
         raise ParameterError(
             "n_le_beta", f"requires n > beta, got n = {params.n}, beta = {params.beta}"

@@ -1,29 +1,38 @@
-"""Certified quadrature of gamma-density means on the half line.
+"""Certified quadrature of gamma-density means on the half line, in batches.
 
 Every coefficient of the operator is the mean of f under a Gamma(shape,
 rate) law.  After the substitution u = rate * t this is
 
     integral f(u / rate) u^(shape-1) e^(-u) du / Gamma(shape),
 
-which is what :func:`gamma_mean` computes:
+and :func:`gamma_mean` computes it for a batch of nearby shapes at once
+(the operator's coefficient layer hands it runs of consecutive k); a scalar
+shape is a batch of one.  The batch shares everything but its densities:
 
-* the integration window [u_lo, u_hi] is chosen so that both neglected
-  tails are provably below a fraction of the target tolerance, through the
-  caller's exponential growth envelope |f| <= env_k * exp(tilt * u): each
-  gamma tail is bounded by its edge density over one minus a term ratio
-  (``special._log_tail``, the same bound as the operator's k windows) and
-  each edge is one ``special._first`` search, with no incomplete gamma;
-* panels of width ~ 2 sqrt(shape) (split further at the declared kinks of
-  f) carry fixed Gauss-Legendre rules with the gamma density taken from
-  ``special.log_poisson_weights`` (the Gamma(s) density at u is the Poisson
-  weight psi_{s-1}(u)), in log domain and deviance form, so nothing
-  overflows and no digits cancel for shapes in the millions;
-* when the window touches u = 0 and the shape is not an integer, the
-  leading panel uses a Gauss-Jacobi rule with weight u^(shape-1), which
-  integrates the fractional endpoint power exactly instead of fighting it;
-* all panels are halved until two successive refinements agree, which for
-  the smooth catalog happens immediately; a value that does not converge
-  in ``_MAX_ROUNDS`` rounds raises ``QuadratureError``.
+* one integration window [u_lo, u_hi], from the lower edge of the smallest
+  shape to the upper edge of the largest, chosen so that both neglected
+  tails of every row are provably below a fraction of the target
+  tolerance, through the caller's exponential growth envelope |f| <= env_k
+  * exp(tilt * u): each gamma tail is bounded by its edge density over one
+  minus a term ratio (``special._log_tail``, the same bound as the
+  operator's k windows), each edge is one ``special._first`` search, and
+  both bounds fall (lower edge) or rise (upper edge) with the shape, so the
+  two extreme rows certify the rest;
+* one set of panels of width ~ 2 sqrt(smallest shape) (split further at
+  the declared kinks of f) carrying fixed Gauss-Legendre rules, with f
+  evaluated once per node and round;
+* a rows x nodes density matrix from ``special.log_poisson_weights`` (the
+  Gamma(s) density at u is the Poisson weight psi_{s-1}(u)), in log domain
+  and deviance form, so nothing overflows and no digits cancel for shapes
+  in the millions; it is built in slabs of at most ``_SLAB_CELLS`` entries;
+* when the window starts at u = 0, a row with a non-integer shape and
+  mass on the leading panel takes that panel as a Gauss-Jacobi rule with
+  weight u^(shape-1), which integrates the fractional endpoint power
+  exactly instead of fighting it;
+* all panels are halved until two successive refinements of a row agree,
+  which for the smooth catalog happens immediately; a row that has agreed
+  leaves the density matrix, and one that does not converge in
+  ``_MAX_ROUNDS`` rounds raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -32,7 +41,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import eval_jacobi, gammaln
 
 from ..errors import QuadratureError
 from ..special import _first, _log_tail, log_poisson_weights
@@ -41,6 +50,7 @@ __all__ = ["gamma_mean", "panel_rule"]
 
 _MAX_ROUNDS = 10
 _MAX_KINK_PANELS = 64
+_SLAB_CELLS = 1 << 14  # density-matrix entries built at once: 128 kB of floats
 
 
 @lru_cache(maxsize=64)
@@ -49,11 +59,35 @@ def _gl_rule(m: int):
     return x, w
 
 
-@lru_cache(maxsize=512)
-def _gj_rule(m: int, shape: float):
-    # weight (1+x)^(shape-1) on [-1, 1]
-    x, w = roots_jacobi(m, 0.0, shape - 1.0)
+@lru_cache(maxsize=64)
+def _gj_rules(m: int, b: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights (one row per b) of the m-point Gauss-Jacobi rules
+    with weight (1+x)^b on [-1, 1], all at once: the eigenvalues of each
+    Jacobi matrix polished by one Newton step, as scipy's ``roots_jacobi``
+    does one rule at a time, and weights scaled to the exact total mass
+    2^(b+1) / (b+1)."""
+    b = np.array(b)[:, None]
+    k = np.arange(1.0, m)
+    s = 2.0 * k + b
+    jac = np.zeros((len(b), m, m))
+    i = np.arange(m)
+    jac[:, 0, 0] = b[:, 0] / (2.0 + b[:, 0])
+    jac[:, i[1:], i[1:]] = b * b / (s * (s + 2.0))
+    off = 2.0 / s * np.sqrt(k * (k + b) / (s + 1.0))
+    off[:, 1:] *= np.sqrt(k[1:] * (k[1:] + b) / (s[:, 1:] - 1.0))
+    jac[:, i[1:], i[:-1]] = off
+    x = np.linalg.eigvalsh(jac)
+    dp = 0.5 * (m + b + 1.0) * eval_jacobi(m - 1, 1.0, b + 1.0, x)
+    x -= eval_jacobi(m, 0.0, b, x) / dp
+    w = 1.0 / (_log_centred(eval_jacobi(m - 1, 0.0, b, x)) * _log_centred(dp))
+    w *= 2.0 ** (b + 1.0) / (b + 1.0) / w.sum(axis=1, keepdims=True)
     return x, w
+
+
+def _log_centred(v: np.ndarray) -> np.ndarray:
+    """Each row of v over the geometric mean of its extreme magnitudes."""
+    lv = np.log(np.abs(v))
+    return v / np.exp(0.5 * (lv.max(axis=1, keepdims=True) + lv.min(axis=1, keepdims=True)))
 
 
 def _window(shape: float, eps_win: float, tilt: float, env_k: float) -> tuple[float, float]:
@@ -64,7 +98,8 @@ def _window(shape: float, eps_win: float, tilt: float, env_k: float) -> tuple[fl
     density ratio is at most 1, so the ratio is 0).  Lower: env_k P(shape,
     u_lo) <= eps_win (the growth factor is ~1 near 0), with P(s, w) <=
     psi_s(w) / (1 - w/(s+1)) for w < s + 1.  Each edge is one search in
-    strides of sqrt(shape) from shape +- (10 sqrt(shape) + 30).
+    strides of sqrt(shape) from shape +- (10 sqrt(shape) + 30).  At a fixed
+    edge the upper bound rises and the lower bound falls with the shape.
     """
     root = math.sqrt(shape)
     log_hi = math.log(eps_win) + shape * math.log1p(-tilt) - math.log(env_k)
@@ -87,33 +122,41 @@ def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, wt
 
 
-def _panel_values(f, shape: float, edges: np.ndarray, nodes: int) -> tuple[float, float]:
-    """GL panel integrals of f(u) * gamma_pdf(u): (signed value, absolute mass)."""
+def _panel_values(f, shapes, jacobi, edges, nodes):
+    """GL panel integrals of f(u) * gamma_pdf(u) for each shape: (signed
+    values, absolute masses).  Rows flagged in ``jacobi`` leave out the
+    first panel, which their Gauss-Jacobi rule covers."""
     u, wt = panel_rule(edges, nodes)
-    if shape >= 1.0:
-        dens = np.exp(log_poisson_weights(u, shape - 1.0))
-    else:
-        dens = np.exp(log_poisson_weights(u, shape)) * (shape / u)
     vals = np.asarray(f(u), dtype=float)
-    prod = vals * dens
-    return float(np.dot(wt, prod)), float(np.dot(wt, np.abs(prod)))
+    signed, mass = wt * vals, wt * np.abs(vals)
+    total, absolute = np.empty(len(shapes)), np.empty(len(shapes))
+    step = max(1, _SLAB_CELLS // len(u))
+    for i in range(0, len(shapes), step):
+        s = shapes[i : i + step, None]
+        # psi_{s-1}(u), or psi_s(u) s / u to keep the order >= 0 for s < 1
+        dens = np.exp(log_poisson_weights(u, np.where(s >= 1.0, s - 1.0, s)))
+        if s.min() < 1.0:
+            np.multiply(dens, s / u, out=dens, where=s < 1.0)
+        dens[jacobi[i : i + step], :nodes] = 0.0
+        total[i : i + step] = dens @ signed
+        absolute[i : i + step] = dens @ mass
+    return total, absolute
 
 
-def _jacobi_panel(f, shape: float, hi: float, nodes: int, power: float) -> tuple[float, float]:
-    """integral_0^hi f(u) u^(shape-1) e^(-u) du / Gamma(shape), with the full
-    endpoint power u^(shape-1+power) absorbed into a Gauss-Jacobi weight
-    (``power`` is the caller's declared behavior f(u) ~ u^power near 0).
-    Returns (signed value, absolute mass)."""
-    if hi <= 0.0:
-        return 0.0, 0.0
-    x, w = _gj_rule(nodes, shape + power)
+def _jacobi_panel(f, shapes, rules, hi: float, power: float):
+    """integral_0^hi f(u) u^(shape-1) e^(-u) du / Gamma(shape) for each shape,
+    with the full endpoint power u^(shape-1+power) absorbed into the
+    Gauss-Jacobi ``rules`` of weight (1+x)^(shape-1+power) (``power`` is the
+    caller's declared behavior f(u) ~ u^power near 0).  Returns (signed
+    values, absolute masses)."""
+    x, w = rules
     u = 0.5 * hi * (x + 1.0)
-    front = math.exp((shape + power) * math.log(0.5 * hi) - math.lgamma(shape))
+    front = np.exp((shapes + power) * math.log(0.5 * hi) - gammaln(shapes))
     vals = np.asarray(f(u), dtype=float)
     if power != 0.0:
         vals = vals / u**power
     prod = vals * np.exp(-u)
-    return front * float(np.dot(w, prod)), front * float(np.dot(w, np.abs(prod)))
+    return front * np.einsum("ij,ij->i", w, prod), front * np.einsum("ij,ij->i", w, np.abs(prod))
 
 
 def _halve(edges: np.ndarray) -> np.ndarray:
@@ -126,22 +169,30 @@ def _halve(edges: np.ndarray) -> np.ndarray:
 
 def gamma_mean(
     f,
-    shape: float,
+    shape,
     eps: float,
     kinks: tuple[float, ...] = (),
     tilt: float = 0.0,
     env_k: float = 1.0,
     nodes: int = 16,
     endpoint_power: float = 0.0,
-) -> float:
-    """Mean of f under Gamma(shape, 1), to relative accuracy ~eps for smooth f.
+):
+    """Mean of f under Gamma(s, 1) for each s in ``shape``, to relative
+    accuracy ~eps for smooth f.
 
+    ``shape`` is one shape (the result is a float) or an array of nearby
+    shapes (the result is an array of means, one per shape): the batch
+    shares one window, one set of panels and one evaluation of f per node.
     ``kinks`` are u-locations where f is not smooth (they become panel
     edges); ``tilt`` in [0, 1) and ``env_k`` describe the caller's growth
     envelope |f(u)| <= env_k * exp(tilt * u), used to certify the
     neglected tails.
     """
-    u_lo, u_hi = _window(shape, 0.01 * eps, tilt, env_k)
+    shapes = np.atleast_1d(np.asarray(shape, dtype=float))
+    eps_win = 0.01 * eps
+    s_min, s_max = float(shapes.min()), float(shapes.max())
+    u_lo = _window(s_min, eps_win, tilt, env_k)[0]
+    u_hi = _window(s_max, eps_win, tilt, env_k)[1]
 
     inner = sorted({k for k in kinks if u_lo < k < u_hi})
     if len(inner) > _MAX_KINK_PANELS:
@@ -149,44 +200,56 @@ def gamma_mean(
         inner = inner[::stride]
     base = [u_lo] + inner + [u_hi]
 
-    width = max(2.0 * math.sqrt(shape), (u_hi - u_lo) / 48.0)
+    width = max(2.0 * math.sqrt(s_min), (u_hi - u_lo) / 48.0)
     segments = [np.array([u_lo])]  # the segments share only their endpoints
     for a, b in zip(base[:-1], base[1:]):
         pieces = max(1, int(math.ceil((b - a) / width)))
         segments.append(np.linspace(a, b, pieces + 1)[1:])
     edges = np.concatenate(segments)
 
-    jacobi_hi = 0.0
-    singular = endpoint_power > 0.0 or abs(shape - round(shape)) > 1e-12
-    if u_lo == 0.0 and singular:
-        jacobi_hi = float(edges[1])
-        edges = edges[1:]
-        if len(edges) > 1 and edges[1] - edges[0] > 2.0 * jacobi_hi:
+    # a row with a fractional endpoint power and mass on the first panel
+    # [0, e1] (its lower tail bound at e1 is above the window's target)
+    # takes that panel as a Gauss-Jacobi panel
+    jacobi = np.zeros(len(shapes), dtype=bool)
+    if u_lo == 0.0:
+        e1, log_lo = float(edges[1]), math.log(eps_win / env_k)
+        jacobi[:] = [
+            (endpoint_power > 0.0 or abs(s - round(s)) > 1e-12)
+            and (e1 >= s + 1.0 or _log_tail(s, e1, e1 / (s + 1.0)) > log_lo)
+            for s in shapes.tolist()
+        ]
+    if jacobi.any():
+        jx, jw = _gj_rules(nodes, tuple((shapes[jacobi] + endpoint_power - 1.0).tolist()))
+        slot = np.cumsum(jacobi) - 1  # a Jacobi row's rule in (jx, jw)
+        if len(edges) > 2 and edges[2] - edges[1] > 2.0 * edges[1]:
             # a kink close to u = 0 ends the Jacobi panel early: grade the
             # next panel geometrically so no panel is wider than its
             # distance to the u^(shape-1) singularity
-            grade = [2.0 * jacobi_hi]
-            while 2.0 * grade[-1] < edges[1]:
+            grade = [2.0 * edges[1]]
+            while 2.0 * grade[-1] < edges[2]:
                 grade.append(2.0 * grade[-1])
-            edges = np.concatenate(([jacobi_hi], grade, edges[1:]))
+            edges = np.concatenate((edges[:2], grade, edges[2:]))
 
+    out = np.empty(len(shapes))
+    rows = np.arange(len(shapes))  # the rows still refining
     previous = None
     for _ in range(_MAX_ROUNDS):
-        total, mass = _panel_values(f, shape, edges, nodes) if len(edges) > 1 else (0.0, 0.0)
-        if jacobi_hi > 0.0:
-            jt, jm = _jacobi_panel(f, shape, jacobi_hi, nodes, endpoint_power)
-            total += jt
-            mass += jm
+        total, mass = _panel_values(f, shapes[rows], jacobi[rows], edges, nodes)
+        front = rows[jacobi[rows]]
+        if len(front):
+            rules = jx[slot[front]], jw[slot[front]]
+            jt, jm = _jacobi_panel(f, shapes[front], rules, float(edges[1]), endpoint_power)
+            total[jacobi[rows]] += jt
+            mass[jacobi[rows]] += jm
         if previous is not None:
-            diff = abs(total - previous)
-            thresh = eps * abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
-            if diff <= thresh:
-                return total
+            thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
+            done = np.abs(total - previous) <= thresh
+            out[rows[done]] = total[done]
+            rows, total = rows[~done], total[~done]
+            if not len(rows):
+                return float(out[0]) if np.ndim(shape) == 0 else out
         previous = total
         edges = _halve(edges)
-        if jacobi_hi > 0.0:
-            edges = np.concatenate(([0.5 * jacobi_hi], edges))
-            jacobi_hi *= 0.5
     raise QuadratureError(
-        f"gamma-mean quadrature did not converge (shape = {shape}, eps = {eps})"
+        f"gamma-mean quadrature did not converge (shapes {s_min}..{s_max}, eps = {eps})"
     )

@@ -149,8 +149,8 @@ def log_poisson_weights(lam, a) -> np.ndarray:
     Gamma(a + 1) - a ln a + a (the Stirling series from a = 16): near the
     mean its error is a few eps |a - lam|, not the eps lam ln(lam) of three
     large logarithms.  At lam = 0 it is 0 for a = 0 and -inf above.  One
-    positive order over positive lam (a quadrature panel's density) takes
-    g(a) in floats and needs no mask.
+    positive order over positive lam takes g(a) in floats, and only an
+    order a = 0 needs a mask.
     """
     lam = np.asarray(lam, dtype=float)
     if isinstance(a, (int, float)) and a > 0 and lam.min(initial=1.0) > 0:
@@ -165,11 +165,13 @@ def log_poisson_weights(lam, a) -> np.ndarray:
         raise ParameterError("poisson_domain", "requires lam >= 0 and a >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
         dev = a - lam
-        ratio = dev / lam
+        alog = dev / lam
         g = np.where(a < 16, gammaln(a + 1.0) - xlogy(a, a) + a,
                      _stirling(a) + 0.5 * np.log(2.0 * math.pi * a))
-    alog = np.zeros(ratio.shape)  # a = 0 stays out of log1p(-1)
-    np.log1p(ratio, out=alog, where=a > 0)
+        if a.all():
+            alog = np.log1p(alog)
+        else:  # a = 0 stays out of log1p(-1)
+            alog = np.log1p(alog, out=np.zeros(alog.shape), where=a > 0)
     alog *= a
     dev -= alog
     dev -= g

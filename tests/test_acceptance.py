@@ -232,3 +232,25 @@ def test_traced_layer_metrics_are_strict_json():
     assert metrics["core.apply_operator.calls"] == 1
     assert metrics["verification.check_06.s"] > 0.0
     json.dumps(metrics, allow_nan=False)
+
+
+def test_cold_caches_repeat_quadrature_counts():
+    # the benchmark starts each cold pass with reset_caches(): every cache the
+    # coefficient layer keeps must be a bounded functools cache it can empty,
+    # so two cold runs of one operator value make the same quadrature calls
+    tracing = _load_tracing()
+    for _label, module, _attr, _extract, _aggregate in tracing._TARGETS:
+        importlib.import_module(module)
+    operator = importlib.import_module("smld.operator")
+    core = importlib.import_module("smld.operator.core")
+    f = operator.TestFunction.abs_shift(0.5)
+    calls = []
+    for _ in range(2):
+        tracing.reset_caches()
+        tracer = tracing.Tracer()
+        with tracer:
+            operator.apply_operator(f, 3.0, operator.OperatorParams(40.0, 0.3, 1.0))
+        calls.append(tracer.layer_metrics()["quadrature.gamma_mean.calls"])
+    assert calls[0] == calls[1] > 0
+    maxsize = core._coefficient_cached.cache_info().maxsize
+    assert isinstance(maxsize, int) and maxsize > 0

@@ -90,6 +90,21 @@ class TestParseConfig:
         assert exc.value.code == 2
         assert "x >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--f", "exp:-1", "--n", "10", "--x-grid", "nan"],
+            ["apply", "--f", "exp:-1", "--n", "10", "--x-grid", "1,inf"],
+            ["apply", "--f", "exp:-1", "--n", "10", "--x-grid", "inf", "--operator", "szasz"],
+            ["moments", "--n", "10", "--x", "nan"],
+        ],
+    )
+    def test_non_finite_x(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert "finite x >= 0" in capsys.readouterr().err
+
 
 class TestEmit:
     def test_empty_table_header_only(self):
@@ -126,6 +141,20 @@ class TestRun:
         _, rows = _csv_rows(capsys.readouterr().out)
         for row in rows:
             assert float(row[1]) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "extra, code",
+        [
+            (["--n", "inf"], "params_not_finite"),
+            (["--n", "10", "--alpha", "inf"], "params_not_finite"),
+            (["--n", "10", "--beta=-inf"], "params_not_finite"),
+            (["--n", "inf", "--operator", "szasz"], "szasz_n"),
+        ],
+    )
+    def test_apply_non_finite_params_exit_2(self, extra, code, capsys):
+        assert main(["apply", "--f", "exp:-1", "--x-grid", "1", *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"smld: {code}:" in captured.err
 
     def test_eigen_contains_lambda2(self, capsys):
         code = main(["eigen", "--n", "10", "--beta", "2", "--alpha", "0"])

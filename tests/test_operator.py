@@ -22,8 +22,8 @@ from smld.operator import (
 )
 
 from smld.moments import raw_moment_closed
-from smld.operator.core import _k_window
-from smld.operator.quadrature import _window
+from smld.operator.core import _coefficient_cached, _k_window
+from smld.operator.quadrature import _gj_rules, _window, gamma_mean
 
 from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_szasz
 
@@ -52,6 +52,20 @@ class TestValidate:
 
     def test_negative_beta_accepted(self):
         validate(OperatorParams(5.0, 0.0, -3.0))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            OperatorParams(math.inf, 0.0, 0.0),
+            OperatorParams(math.nan, 0.0, 0.0),
+            OperatorParams(10.0, math.inf, 0.0),
+            OperatorParams(10.0, 0.0, -math.inf),
+        ],
+    )
+    def test_non_finite_params(self, params):
+        with pytest.raises(ParameterError) as err:
+            validate(params)
+        assert err.value.code == "params_not_finite"
 
 
 class TestTruncationPolicy:
@@ -170,6 +184,70 @@ class TestCoefficient:
         assert val == pytest.approx(oracle, abs=1e-12)
 
 
+class TestCoefficientChunks:
+    # chunk j of the coefficient cache holds k in [j^2, (j+1)^2): the first and
+    # the last row of a chunk, each computed in one quadrature batch
+    FUNCTIONS = {
+        "sqrt": (TestFunction.sqrt(), mp.sqrt, ()),
+        "abs:1e-6": (TestFunction.abs_shift(1e-6), lambda t: abs(t - mp.mpf("1e-6")), (1e-6,)),
+        "sin:2": (TestFunction.sin_scaled(2.0), lambda t: mp.sin(2 * t), ()),
+        "exp:-1": (TestFunction.exp_scaled(-1.0), lambda t: mp.exp(-t), ()),
+    }
+
+    @pytest.mark.parametrize("name", list(FUNCTIONS))
+    @pytest.mark.parametrize("alpha", [-0.5, 0.3])
+    @pytest.mark.parametrize("j", [1, 3, 12, 40])
+    def test_chunk_edges_against_mpmath(self, name, alpha, j):
+        # at rate ~ 400 no sin mean here is a small difference of large parts
+        # (at n = 20, k = 1600 it is 5e-5 of a mass near 0.6, below what
+        # double-precision values of sin(2t) at t ~ 80 can resolve)
+        f, mp_f, kinks = self.FUNCTIONS[name]
+        params = OperatorParams(400.0, alpha, 0.5)
+        for k in (j * j - 1, j * j):
+            shape = k + alpha + 1.0
+            mean, sd = shape / params.rate, math.sqrt(shape) / params.rate
+            splits = (*kinks, *(mean + i * sd for i in range(-8, 9) if mean + i * sd > 0))
+            oracle = mp_gamma_mean(mp_f, shape, params.rate, breakpoints=splits)
+            assert coefficient(f, k, params) == pytest.approx(oracle, rel=1e-12, abs=0.0)
+
+    def test_cold_equals_cached_by_grid(self):
+        f, params = TestFunction.abs_shift(0.7), OperatorParams(30.0, 0.3, 1.0)
+        _coefficient_cached.cache_clear()
+        cold = [coefficient(f, k, params) for k in (0, 24, 25, 130)]
+        _coefficient_cached.cache_clear()
+        apply_operator_grid(f, np.linspace(0.0, 4.0, 9), params)
+        hits = _coefficient_cached.cache_info().hits
+        assert [coefficient(f, k, params) for k in (0, 24, 25, 130)] == cold
+        assert _coefficient_cached.cache_info().hits == hits + 4
+
+    @pytest.mark.parametrize("power, alpha", [(0.0, 0.3), (0.5, -0.5), (0.0, 2.0)])
+    def test_scalar_is_a_batch_of_one(self, power, alpha):
+        f = TestFunction.sqrt() if power else TestFunction.sin_scaled(0.3)
+        shapes = np.arange(36, 49) + alpha + 1.0
+        batch = gamma_mean(f, shapes, 1e-12, endpoint_power=power)
+        for i in (0, 6, 12):
+            scalar = gamma_mean(f, float(shapes[i]), 1e-12, endpoint_power=power)
+            assert isinstance(scalar, float)
+            assert scalar == gamma_mean(f, shapes[i : i + 1], 1e-12, endpoint_power=power)[0]
+            assert scalar == pytest.approx(batch[i], rel=1e-13, abs=0.0)
+
+
+def test_batched_gauss_jacobi_matches_scipy():
+    # one eigenproblem per rule, all at once, against scipy's one-rule routine
+    # (whose b = 0 rule is its Legendre routine, 2.5e-13 away in the smallest
+    # weight); the total mass is the exact 2^(b+1)/(b+1), not scipy's
+    # beta-function value
+    from scipy.special import roots_jacobi
+
+    bs = (-0.5, -0.25, 0.0, 0.3, *(k + 0.37 for k in range(1, 160, 7)))
+    x, w = _gj_rules(16, bs)
+    for xi, wi, b in zip(x, w, bs):
+        ref_x, ref_w = roots_jacobi(16, 0.0, b)
+        np.testing.assert_allclose(xi, ref_x, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(wi / wi.sum(), ref_w / ref_w.sum(), rtol=5e-13)
+        assert wi.sum() == pytest.approx(float(mp.mpf(2) ** (b + 1) / (b + 1)), rel=4e-16)
+
+
 class TestApplyOperator:
     def test_normalization(self):
         for params in (OperatorParams(5.0, -0.5, 2.0), OperatorParams(50.0, 1.0, 0.0)):
@@ -266,6 +344,16 @@ class TestApplyOperator:
     def test_negative_x(self):
         with pytest.raises(ParameterError):
             apply_operator(TestFunction.monomial(0), -0.5, OperatorParams(5.0, 0.0, 0.0))
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_x(self, x):
+        f, params = TestFunction.exp_scaled(-1.0), OperatorParams(10.0)
+        for call in (lambda: apply_operator(f, x, params),
+                     lambda: apply_operator_grid(f, [1.0, x], params),
+                     lambda: apply_szasz(f, x, 10.0)):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.code == "x_not_finite"
 
 
 class TestTruncationCap:
@@ -402,6 +490,16 @@ class TestKernel:
     def test_empty_grid(self):
         assert kernel_on_x_grid([], 1.0, OperatorParams(10.0)).shape == (0,)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_x_or_t(self, bad):
+        params = OperatorParams(10.0)
+        for call in (lambda: kernel(bad, 1.0, params), lambda: kernel(1.0, bad, params),
+                     lambda: kernel_on_x_grid([1.0, bad], 1.0, params),
+                     lambda: kernel_on_x_grid([1.0], bad, params)):
+            with pytest.raises(ParameterError) as err:
+                call()
+            assert err.value.code == "kernel_not_finite"
+
     def test_grid_matches_scalar(self):
         params = OperatorParams(7.0, -0.25, 0.5)
         xs = np.array([0.0, 0.4, 1.1, 3.0])
@@ -430,3 +528,8 @@ class TestSzasz:
     def test_growth_precondition(self):
         with pytest.raises(ParameterError):
             apply_szasz(TestFunction.exp_scaled(3.0), 1.0, 2.0)
+
+    def test_non_finite_n(self):
+        with pytest.raises(ParameterError) as err:
+            apply_szasz(TestFunction.monomial(1), 1.0, math.inf)
+        assert err.value.code == "szasz_n"
