@@ -26,6 +26,13 @@ _KINDS = ("monomial", "polynomial", "exp_scaled", "abs_shift", "sqrt", "sin_scal
           "sampled", "callable")
 
 
+def _require_finite(kind: str, values: tuple) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise ParameterError(
+            "function_not_finite", f"{kind} parameters must be finite, got {values}"
+        )
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """A function on [0, inf), evaluable on numpy arrays.
@@ -49,6 +56,7 @@ class TestFunction:
 
     @classmethod
     def monomial(cls, r: int) -> "TestFunction":
+        _require_finite("monomial", (r,))
         if r < 0 or r != int(r):
             raise ParameterError("monomial_order", f"order must be a nonnegative integer, got {r}")
         r = int(r)
@@ -64,6 +72,7 @@ class TestFunction:
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "TestFunction":
         coeffs = tuple(float(c) for c in coeffs)
+        _require_finite("polynomial", coeffs)
         if not coeffs:
             raise ParameterError("polynomial_empty", "need at least one coefficient")
         if len(coeffs) == 1:
@@ -73,10 +82,12 @@ class TestFunction:
 
     @classmethod
     def exp_scaled(cls, c: float) -> "TestFunction":
+        _require_finite("exp_scaled", (c,))
         return cls("exp_scaled", (float(c),), max(float(c), 0.0), 1.0, f"exp({c}t)")
 
     @classmethod
     def abs_shift(cls, c: float) -> "TestFunction":
+        _require_finite("abs_shift", (c,))
         if c < 0:
             raise ParameterError("abs_shift_negative", f"shift must be >= 0, got {c}")
         return cls("abs_shift", (float(c),), 1.0, float(c) + 0.5, f"|t-{c}|")
@@ -87,12 +98,14 @@ class TestFunction:
 
     @classmethod
     def sin_scaled(cls, c: float) -> "TestFunction":
+        _require_finite("sin_scaled", (c,))
         return cls("sin_scaled", (float(c),), 0.0, 1.0, f"sin({c}t)")
 
     @classmethod
     def sampled(cls, grid: Sequence[float], values: Sequence[float]) -> "TestFunction":
         grid = tuple(float(t) for t in grid)
         values = tuple(float(v) for v in values)
+        _require_finite("sampled", grid + values)
         if len(grid) != len(values) or len(grid) < 2:
             raise ParameterError("sampled_shape", "grid and values must have equal length >= 2")
         if grid[0] != 0.0:

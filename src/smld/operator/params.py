@@ -66,8 +66,10 @@ def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:
 
     Raises :class:`ParameterError` with a distinct code per violated
     constraint: ``params_not_finite``, ``n_le_beta``, ``alpha_le_minus_one``,
-    or ``growth_incompatible`` (n <= beta + A, so the coefficient integrals
-    of a function with growth rate A would diverge).
+    ``growth_not_finite`` (f's envelope |f(t)| <= K e^(A t) has a
+    non-finite A or K, as an overflowing polynomial's K is), or
+    ``growth_incompatible`` (n <= beta + A, so the coefficient integrals of
+    a function with growth rate A would diverge).
     """
     if not all(math.isfinite(v) for v in (params.n, params.alpha, params.beta)):
         raise ParameterError(
@@ -83,7 +85,14 @@ def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:
         raise ParameterError(
             "alpha_le_minus_one", f"requires alpha > -1, got alpha = {params.alpha}"
         )
-    if f is not None and not params.n > params.beta + f.growth_a:
+    if f is None:
+        return
+    if not (math.isfinite(f.growth_a) and math.isfinite(f.growth_k)):
+        raise ParameterError(
+            "growth_not_finite",
+            f"requires a finite growth envelope, got A = {f.growth_a}, K = {f.growth_k}",
+        )
+    if not params.n > params.beta + f.growth_a:
         raise ParameterError(
             "growth_incompatible",
             f"requires n > beta + A for growth class A = {f.growth_a}; "

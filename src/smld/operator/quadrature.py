@@ -18,21 +18,28 @@ shape is a batch of one.  The batch shares everything but its densities:
   operator's k windows), each edge is one ``special._first`` search, and
   both bounds fall (lower edge) or rise (upper edge) with the shape, so the
   two extreme rows certify the rest;
-* one set of panels of width ~ 2 sqrt(smallest shape) (split further at
-  the declared kinks of f) carrying fixed Gauss-Legendre rules, with f
-  evaluated once per node and round;
-* a rows x nodes density matrix from ``special.log_poisson_weights`` (the
-  Gamma(s) density at u is the Poisson weight psi_{s-1}(u)), in log domain
-  and deviance form, so nothing overflows and no digits cancel for shapes
-  in the millions; it is built in slabs of at most ``_SLAB_CELLS`` entries;
+* one set of opening panels of width ~ 4 sqrt(smallest shape) (at least
+  1/24 of the window, split further at the declared kinks of f) carrying
+  fixed Gauss-Legendre rules, with f evaluated once per node and round;
+* each row's density prepared once per batch: the Gamma(s) density at u
+  is the Poisson weight psi_{s-1}(u), so the batch computes its orders and
+  their g(a) = ln Gamma(a+1) - a ln a + a (``special._log_gamma_excess``)
+  and the Jacobi rows' ln Gamma(s) up front, and each round runs only the
+  deviance kernel ``special._log_psi`` -- the one ``log_poisson_weights``
+  runs, in log domain and deviance form, so nothing overflows and no
+  digits cancel for shapes in the millions -- over a rows x nodes matrix,
+  built in slabs of at most ``_SLAB_CELLS`` entries;
 * when the window starts at u = 0, a row with a non-integer shape and
   mass on the leading panel takes that panel as a Gauss-Jacobi rule with
   weight u^(shape-1), which integrates the fractional endpoint power
   exactly instead of fighting it;
 * all panels are halved until two successive refinements of a row agree,
-  which for the smooth catalog happens immediately; a row that has agreed
-  leaves the density matrix, and one that does not converge in
-  ``_MAX_ROUNDS`` rounds raises ``QuadratureError``.
+  and the finer of the two is returned.  For the smooth catalog that is
+  the second round, on panels ~ 2 sqrt(shape) wide, where 16 nodes already
+  integrate the Gaussian-like density to rounding; the coarse opening
+  round only confirms it.  A row that has agreed leaves the density
+  matrix, and one that does not converge in ``_MAX_ROUNDS`` rounds (the
+  finest panel ~ 4 sqrt(shape) / 2^10) raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -44,11 +51,11 @@ import numpy as np
 from scipy.special import eval_jacobi, gammaln
 
 from ..errors import QuadratureError
-from ..special import _first, _log_tail, log_poisson_weights
+from ..special import _first, _log_gamma_excess, _log_psi, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
 
-_MAX_ROUNDS = 10
+_MAX_ROUNDS = 11
 _MAX_KINK_PANELS = 64
 _SLAB_CELLS = 1 << 14  # density-matrix entries built at once: 128 kB of floats
 
@@ -122,36 +129,39 @@ def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, wt
 
 
-def _panel_values(f, shapes, jacobi, edges, nodes):
-    """GL panel integrals of f(u) * gamma_pdf(u) for each shape: (signed
-    values, absolute masses).  Rows flagged in ``jacobi`` leave out the
-    first panel, which their Gauss-Jacobi rule covers."""
+def _panel_values(f, order, g, small, jacobi, edges, nodes):
+    """GL panel integrals of f(u) * gamma_pdf(u) for each row's prepared
+    density: (signed values, absolute masses).  Row i's density is
+    psi_{order_i}(u), times order_i / u where ``small`` (shape < 1, order =
+    shape), with g = g(order) from ``special._log_gamma_excess``.  Rows
+    flagged in ``jacobi`` leave out the first panel, which their
+    Gauss-Jacobi rule covers."""
     u, wt = panel_rule(edges, nodes)
     vals = np.asarray(f(u), dtype=float)
     signed, mass = wt * vals, wt * np.abs(vals)
-    total, absolute = np.empty(len(shapes)), np.empty(len(shapes))
+    total, absolute = np.empty(len(order)), np.empty(len(order))
     step = max(1, _SLAB_CELLS // len(u))
-    for i in range(0, len(shapes), step):
-        s = shapes[i : i + step, None]
-        # psi_{s-1}(u), or psi_s(u) s / u to keep the order >= 0 for s < 1
-        dens = np.exp(log_poisson_weights(u, np.where(s >= 1.0, s - 1.0, s)))
-        if s.min() < 1.0:
-            np.multiply(dens, s / u, out=dens, where=s < 1.0)
-        dens[jacobi[i : i + step], :nodes] = 0.0
-        total[i : i + step] = dens @ signed
-        absolute[i : i + step] = dens @ mass
+    for i in range(0, len(order), step):
+        rows = slice(i, i + step)
+        dens = np.exp(_log_psi(u, order[rows], g[rows]))
+        if small[rows].any():
+            np.multiply(dens, order[rows] / u, out=dens, where=small[rows])
+        if jacobi[rows].any():
+            dens[jacobi[rows], :nodes] = 0.0
+        total[rows] = dens @ signed
+        absolute[rows] = dens @ mass
     return total, absolute
 
 
-def _jacobi_panel(f, shapes, rules, hi: float, power: float):
+def _jacobi_panel(f, shapes, log_gamma, rules, hi: float, power: float):
     """integral_0^hi f(u) u^(shape-1) e^(-u) du / Gamma(shape) for each shape,
     with the full endpoint power u^(shape-1+power) absorbed into the
     Gauss-Jacobi ``rules`` of weight (1+x)^(shape-1+power) (``power`` is the
-    caller's declared behavior f(u) ~ u^power near 0).  Returns (signed
-    values, absolute masses)."""
+    caller's declared behavior f(u) ~ u^power near 0; ``log_gamma`` is
+    ln Gamma(shape)).  Returns (signed values, absolute masses)."""
     x, w = rules
     u = 0.5 * hi * (x + 1.0)
-    front = np.exp((shapes + power) * math.log(0.5 * hi) - gammaln(shapes))
+    front = np.exp((shapes + power) * math.log(0.5 * hi) - log_gamma)
     vals = np.asarray(f(u), dtype=float)
     if power != 0.0:
         vals = vals / u**power
@@ -183,10 +193,14 @@ def gamma_mean(
     ``shape`` is one shape (the result is a float) or an array of nearby
     shapes (the result is an array of means, one per shape): the batch
     shares one window, one set of panels and one evaluation of f per node.
-    ``kinks`` are u-locations where f is not smooth (they become panel
-    edges); ``tilt`` in [0, 1) and ``env_k`` describe the caller's growth
-    envelope |f(u)| <= env_k * exp(tilt * u), used to certify the
-    neglected tails.
+    The panels open about 4 sqrt(min shape) wide and are halved until two
+    successive rounds of a row agree; the finer round is returned, which
+    for smooth f is the second, on panels about 2 sqrt(min shape) wide.
+    Each row's density order, its g(order) and a Jacobi row's ln Gamma(s)
+    are computed once per batch, not per round.  ``kinks`` are
+    u-locations where f is not smooth (they become panel edges); ``tilt``
+    in [0, 1) and ``env_k`` describe the caller's growth envelope |f(u)|
+    <= env_k * exp(tilt * u), used to certify the neglected tails.
     """
     shapes = np.atleast_1d(np.asarray(shape, dtype=float))
     eps_win = 0.01 * eps
@@ -200,7 +214,7 @@ def gamma_mean(
         inner = inner[::stride]
     base = [u_lo] + inner + [u_hi]
 
-    width = max(2.0 * math.sqrt(s_min), (u_hi - u_lo) / 48.0)
+    width = max(4.0 * math.sqrt(s_min), (u_hi - u_lo) / 24.0)
     segments = [np.array([u_lo])]  # the segments share only their endpoints
     for a, b in zip(base[:-1], base[1:]):
         pieces = max(1, int(math.ceil((b - a) / width)))
@@ -218,9 +232,10 @@ def gamma_mean(
             and (e1 >= s + 1.0 or _log_tail(s, e1, e1 / (s + 1.0)) > log_lo)
             for s in shapes.tolist()
         ]
-    if jacobi.any():
-        jx, jw = _gj_rules(nodes, tuple((shapes[jacobi] + endpoint_power - 1.0).tolist()))
-        slot = np.cumsum(jacobi) - 1  # a Jacobi row's rule in (jx, jw)
+    front = shapes[jacobi]  # the Jacobi rows' shapes, their ln Gamma and rules
+    if len(front):
+        front_log_gamma = gammaln(front)
+        jx, jw = _gj_rules(nodes, tuple((front + endpoint_power - 1.0).tolist()))
         if len(edges) > 2 and edges[2] - edges[1] > 2.0 * edges[1]:
             # a kink close to u = 0 ends the Jacobi panel early: grade the
             # next panel geometrically so no panel is wider than its
@@ -230,24 +245,36 @@ def gamma_mean(
                 grade.append(2.0 * grade[-1])
             edges = np.concatenate((edges[:2], grade, edges[2:]))
 
+    # each row's density, prepared once: psi_{s-1}(u), or psi_s(u) s / u to
+    # keep the order >= 0 for s < 1
+    small = shapes[:, None] < 1.0
+    order = np.where(small, shapes[:, None], shapes[:, None] - 1.0)
+    g = _log_gamma_excess(order)
+
     out = np.empty(len(shapes))
     rows = np.arange(len(shapes))  # the rows still refining
     previous = None
     for _ in range(_MAX_ROUNDS):
-        total, mass = _panel_values(f, shapes[rows], jacobi[rows], edges, nodes)
-        front = rows[jacobi[rows]]
+        total, mass = _panel_values(f, order, g, small, jacobi, edges, nodes)
         if len(front):
-            rules = jx[slot[front]], jw[slot[front]]
-            jt, jm = _jacobi_panel(f, shapes[front], rules, float(edges[1]), endpoint_power)
-            total[jacobi[rows]] += jt
-            mass[jacobi[rows]] += jm
+            jt, jm = _jacobi_panel(f, front, front_log_gamma, (jx, jw), float(edges[1]),
+                                   endpoint_power)
+            total[jacobi] += jt
+            mass[jacobi] += jm
         if previous is not None:
             thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
             done = np.abs(total - previous) <= thresh
             out[rows[done]] = total[done]
-            rows, total = rows[~done], total[~done]
-            if not len(rows):
+            if done.all():
                 return float(out[0]) if np.ndim(shape) == 0 else out
+            if done.any():  # the accepted rows leave the density matrix
+                if len(front):
+                    keep = ~done[jacobi]
+                    front, front_log_gamma = front[keep], front_log_gamma[keep]
+                    jx, jw = jx[keep], jw[keep]
+                keep = ~done
+                rows, total = rows[keep], total[keep]
+                order, g, small, jacobi = order[keep], g[keep], small[keep], jacobi[keep]
         previous = total
         edges = _halve(edges)
     raise QuadratureError(

@@ -11,9 +11,15 @@ argument >= 0), and the implementations target exactly that range:
   the only case the closed-form raw moments need, as an exact finite sum,
 * ``log_poisson_weights`` -- ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1)
   for real a >= 0 on arrays, in deviance form: every Poisson weight of the
-  k-sums, every gamma density of the quadrature and the kernel, and the
-  negative-binomial anchors of the spectral matrix,
+  k-sums, every gamma density of the kernel, and the negative-binomial
+  anchors of the spectral matrix,
 * ``poisson_weight_log`` -- the same routine at one point.
+
+``log_poisson_weights`` is a domain check, the order-only part g(a) =
+ln Gamma(a + 1) - a ln a + a (``_log_gamma_excess``) and the one copy of
+the deviance formula, ``_log_psi(lam, a, g)``.  The quadrature's batches
+have fixed orders over several rounds of nodes, so they compute g once
+per batch and call ``_log_psi`` on each round's nodes directly.
 
 Every truncation edge in the package -- both ends of a Poisson k window
 and both ends of a gamma-mean quadrature window -- is one ``_first``
@@ -142,15 +148,42 @@ def poisson_weight_log(n: float, x: float, k: int) -> float:
     return float(log_poisson_weights(n * x, k))
 
 
+def _log_gamma_excess(a: np.ndarray) -> np.ndarray:
+    """g(a) = ln Gamma(a + 1) - a ln a + a for an array of orders a >= 0, with
+    g(0) = 0 and the Stirling series from a = 16: the order-only part of
+    ``_log_psi``, which a caller with fixed orders computes once."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a < 16, gammaln(a + 1.0) - xlogy(a, a) + a,
+                        _stirling(a) + 0.5 * np.log(2.0 * math.pi * a))
+
+
+def _log_psi(lam, a, g):
+    """The deviance kernel: ln psi_a(lam) = (a - lam) - a log1p((a - lam)/lam) - g
+    for g = g(a), broadcast, with no checks.
+
+    Near the mean its error is a few eps |a - lam|, not the eps lam ln(lam)
+    of three large logarithms.  An order a = 0 stays out of log1p(-1); lam
+    = 0 gives -inf for a > 0 and -g for a = 0, and needs the caller's
+    ``np.errstate``.
+    """
+    dev = a - lam
+    alog = dev / lam
+    if not isinstance(a, np.ndarray) or a.all():  # a scalar order is > 0
+        alog = np.log1p(alog)
+    else:
+        alog = np.log1p(alog, out=np.zeros(alog.shape), where=a > 0)
+    alog *= a
+    dev -= alog
+    dev -= g
+    return dev
+
+
 def log_poisson_weights(lam, a) -> np.ndarray:
     """ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1), broadcast, for lam >= 0 and real a >= 0.
 
-    Computed as (a - lam) - a log1p((a - lam)/lam) - g(a) with g(a) = ln
-    Gamma(a + 1) - a ln a + a (the Stirling series from a = 16): near the
-    mean its error is a few eps |a - lam|, not the eps lam ln(lam) of three
-    large logarithms.  At lam = 0 it is 0 for a = 0 and -inf above.  One
-    positive order over positive lam takes g(a) in floats, and only an
-    order a = 0 needs a mask.
+    The deviance kernel ``_log_psi`` behind a domain check.  At lam = 0 it
+    is 0 for a = 0 and -inf above.  One positive order over positive lam
+    takes g(a) in scalar ``math``.
     """
     lam = np.asarray(lam, dtype=float)
     if isinstance(a, (int, float)) and a > 0 and lam.min(initial=1.0) > 0:
@@ -158,21 +191,9 @@ def log_poisson_weights(lam, a) -> np.ndarray:
             g = math.lgamma(a + 1.0) - a * math.log(a) + a
         else:
             g = _stirling(a) + 0.5 * math.log(2.0 * math.pi * a)
-        dev = a - lam
-        return dev - a * np.log1p(dev / lam) - g
+        return _log_psi(lam, a, g)
     a = np.asarray(a, dtype=float)
     if (lam < 0).any() or (a < 0).any():
         raise ParameterError("poisson_domain", "requires lam >= 0 and a >= 0")
     with np.errstate(divide="ignore", invalid="ignore"):
-        dev = a - lam
-        alog = dev / lam
-        g = np.where(a < 16, gammaln(a + 1.0) - xlogy(a, a) + a,
-                     _stirling(a) + 0.5 * np.log(2.0 * math.pi * a))
-        if a.all():
-            alog = np.log1p(alog)
-        else:  # a = 0 stays out of log1p(-1)
-            alog = np.log1p(alog, out=np.zeros(alog.shape), where=a > 0)
-    alog *= a
-    dev -= alog
-    dev -= g
-    return dev
+        return _log_psi(lam, a, _log_gamma_excess(a))

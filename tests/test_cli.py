@@ -106,6 +106,24 @@ class TestParseConfig:
         assert "finite x >= 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "spec", ["abs:inf", "abs:nan", "poly:1,nan", "sin:inf", "sin:nan", "exp:inf", "exp:nan"]
+    )
+    def test_non_finite_function_parameter(self, spec, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["apply", "--f", spec, "--n", "10", "--x-grid", "1"])
+        assert exc.value.code == 2
+        assert "parameters must be finite" in capsys.readouterr().err
+
+    def test_non_finite_function_sample(self, tmp_path, capsys):
+        path = tmp_path / "f.txt"
+        path.write_text("0 1\n1 1e308\n2 inf\n")
+        with pytest.raises(SystemExit) as exc:
+            parse_config(["apply", "--f", f"file:{path}", "--n", "10", "--x-grid", "1"])
+        assert exc.value.code == 2
+        assert "parameters must be finite" in capsys.readouterr().err
+
+
 class TestEmit:
     def test_empty_table_header_only(self):
         buf = io.StringIO()
@@ -215,6 +233,13 @@ class TestRun:
         code = main(["apply", "--f", "exp:20", "--n", "10", "--x-grid", "1"])
         assert code == 2
         assert "growth_incompatible" in capsys.readouterr().err
+
+    def test_overflowing_growth_exit_code(self, capsys):
+        # finite coefficients whose envelope constant K overflows
+        code = main(["apply", "--f", "poly:1e308,1e308", "--n", "10", "--x-grid", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: growth_not_finite:" in captured.err
 
     def test_k_max_exceeded_exit_code(self, capsys):
         # the certified k window at n x = 1000 is wider than 256 terms

@@ -68,6 +68,20 @@ class TestValidate:
         assert err.value.code == "params_not_finite"
 
 
+    @pytest.mark.parametrize(
+        "f",
+        [
+            TestFunction.polynomial((1e308, 1e308)),
+            TestFunction.from_callable(np.exp, math.inf, 1.0),
+            TestFunction.from_callable(np.exp, 1.0, math.nan),
+        ],
+    )
+    def test_non_finite_growth(self, f):
+        with pytest.raises(ParameterError) as err:
+            validate(OperatorParams(10.0, 0.0, 0.0), f)
+        assert err.value.code == "growth_not_finite"
+
+
 class TestTruncationPolicy:
     def test_invariants(self):
         with pytest.raises(ParameterError):
@@ -105,6 +119,23 @@ class TestTestFunction:
             TestFunction.sampled((0.5, 1.0), (1.0, 2.0))  # must start at 0
         with pytest.raises(ParameterError):
             TestFunction.sampled((0.0, 1.0, 1.0), (0.0, 1.0, 2.0))  # not increasing
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TestFunction.monomial(math.inf),
+            lambda: TestFunction.polynomial((1.0, math.nan)),
+            lambda: TestFunction.exp_scaled(math.inf),
+            lambda: TestFunction.abs_shift(math.nan),
+            lambda: TestFunction.sin_scaled(-math.inf),
+            lambda: TestFunction.sampled((0.0, 1.0), (1.0, math.inf)),
+            lambda: TestFunction.sampled((0.0, math.nan), (1.0, 1.0)),
+        ],
+    )
+    def test_non_finite_parameters(self, make):
+        with pytest.raises(ParameterError) as err:
+            make()
+        assert err.value.code == "function_not_finite"
 
     def test_load_sampled(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -230,6 +261,77 @@ class TestCoefficientChunks:
             assert isinstance(scalar, float)
             assert scalar == gamma_mean(f, shapes[i : i + 1], 1e-12, endpoint_power=power)[0]
             assert scalar == pytest.approx(batch[i], rel=1e-13, abs=0.0)
+
+
+class TestCoarseOpening:
+    # every batch opens on panels about 4 sqrt(s) wide and halves from there
+    RATE = 399.5
+    # f(t), its mean under Gamma(s, RATE) in mpmath, and an absolute
+    # tolerance: the acceptance test is absolute in the mass E|f|, so a sin
+    # mean that is a small difference of large parts (at j = 141, -8.9e-4
+    # from a mass near 0.6) is certified to 64 eps of the mass, not 1e-12
+    # of itself
+    SMOOTH = {
+        "exp:-1": (lambda t: np.exp(-t), lambda s, r: (r / (r + 1)) ** s, 0.0),
+        "sin:2": (
+            lambda t: np.sin(2.0 * t),
+            lambda s, r: mp.im((1 - 2j / r) ** (-s)),
+            64.0 * np.finfo(float).eps,
+        ),
+        "poly": (
+            lambda t: 1.0 - 2.0 * t + 0.5 * t * t,
+            lambda s, r: 1 - 2 * s / r + s * (s + 1) / (2 * r * r),
+            0.0,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", list(SMOOTH))
+    @pytest.mark.parametrize("alpha", [0.0, 2.0])
+    @pytest.mark.parametrize("j", [1, 12, 40, 141])
+    def test_smooth_chunk_in_two_rounds(self, name, alpha, j):
+        # a smooth f is accepted at the second round, one evaluation of f
+        # per round; every row against its closed form at 30 digits (mpmath
+        # quadrature costs over a second per row at s ~ 2e4)
+        fn, mean, atol = self.SMOOTH[name]
+        calls = []
+
+        def f(u):
+            calls.append(len(u))
+            return fn(u / self.RATE)
+
+        shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
+        got = gamma_mean(f, shapes, 1e-12)
+        assert len(calls) == 2
+        with mp.workdps(30):
+            exact = [float(mean(mp.mpf(s), mp.mpf(self.RATE))) for s in shapes]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=atol)
+
+    @pytest.mark.parametrize("s", [0.5, 3.5, 40.5, 95.5, 150.5])
+    @pytest.mark.parametrize("name", ["sqrt", "exp:-1"])
+    def test_fractional_shapes_near_jacobi_edge(self, s, name):
+        # the Gauss-Jacobi front rule is chosen on the wider opening panel:
+        # at tolerance 1e-12 it covers shapes up to 96.5 (95.5 + [0, 1, 2]
+        # straddles the edge), and 150.5 is past it; against the closed
+        # forms Gamma(s + 1/2) / Gamma(s) and 2^(-s) at 30 digits
+        fn, power, mean = {
+            "sqrt": (np.sqrt, 0.5, lambda s: mp.gamma(s + 0.5) / mp.gamma(s)),
+            "exp:-1": (lambda u: np.exp(-u), 0.0, lambda s: mp.mpf(2) ** (-s)),
+        }[name]
+        shapes = s + np.arange(3.0)
+        got = gamma_mean(fn, shapes, 1e-12, endpoint_power=power)
+        with mp.workdps(30):
+            exact = [float(mean(mp.mpf(shape))) for shape in shapes]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    @pytest.mark.parametrize("j", [0, 1, 2])
+    def test_strong_tilt_converges(self, alpha, j):
+        # f = e^(0.9 u) against its envelope of tilt 0.9: the mean is 10^s
+        # (from j = 3 the window's upper edge passes u = 709 / 0.9, where
+        # f itself overflows)
+        shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
+        got = gamma_mean(lambda u: np.exp(0.9 * u), shapes, 1e-12, tilt=0.9)
+        np.testing.assert_allclose(got, 10.0**shapes, rtol=1e-12, atol=0.0)
 
 
 def test_batched_gauss_jacobi_matches_scipy():

@@ -7,6 +7,8 @@ import pytest
 
 from smld.errors import ParameterError
 from smld.special import (
+    _log_gamma_excess,
+    _log_psi,
     kummer_scaled,
     log_poisson_weights,
     pochhammer,
@@ -163,6 +165,20 @@ class TestPoissonWeights:
             w = log_poisson_weights(np.array([[0.0], [2.0]]), np.arange(3))
         assert w[0].tolist() == [0.0, float("-inf"), float("-inf")]
         assert w[1, 0] == -2.0
+
+    def test_prepared_orders_match(self):
+        # the deviance kernel with g(a) computed once per set of orders (a
+        # quadrature batch) gives the routine's values bit for bit, with an
+        # order-0 row and an empty order vector quiet
+        lam = np.linspace(0.05, 60.0, 37)
+        orders = np.array([[0.0], [0.5], [3.0], [15.999], [16.0], [40.5]])
+        empty = np.empty((0, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prepared = _log_psi(lam, orders, _log_gamma_excess(orders))
+            assert _log_psi(lam, empty, _log_gamma_excess(empty)).shape == (0, 37)
+        assert np.array_equal(prepared, log_poisson_weights(lam, orders))
+        assert prepared[0].tolist() == (-lam).tolist()
 
     def test_array_domain(self):
         with pytest.raises(ParameterError):
