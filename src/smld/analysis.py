@@ -22,7 +22,6 @@ from .operator import (
     OperatorParams,
     TestFunction,
     TruncationPolicy,
-    apply_operator,
     apply_operator_grid,
     kernel_on_x_grid,
     validate,
@@ -146,8 +145,7 @@ def _golden_max(g: Callable[[float], float], lo: float, hi: float, iters: int = 
 
 
 def sup_abs_on_interval(
-    g_grid: Callable[[np.ndarray], np.ndarray],
-    g_point: Callable[[float], float] | None,
+    g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
     grid_points: int = 2001,
@@ -155,18 +153,17 @@ def sup_abs_on_interval(
 ) -> float:
     """sup |g| on [lo, hi]: grid max plus golden-section refinement.
 
-    ``g_grid`` evaluates on arrays; ``g_point`` (if given) is used for the
-    refinement around the grid argmax.
+    ``g`` evaluates on arrays; the refinement around the grid argmax calls
+    it on one-element arrays.
     """
     grid = _grid_with_kinks(lo, hi, grid_points, kinks)
-    vals = np.abs(np.asarray(g_grid(grid), dtype=float))
+    vals = np.abs(np.asarray(g(grid), dtype=float))
     i = int(np.argmax(vals))
     best = float(vals[i])
-    if g_point is not None:
-        a = grid[max(i - 1, 0)]
-        b = grid[min(i + 1, len(grid) - 1)]
-        if b > a:
-            best = max(best, _golden_max(lambda x: abs(g_point(x)), a, b))
+    a = grid[max(i - 1, 0)]
+    b = grid[min(i + 1, len(grid) - 1)]
+    if b > a:
+        best = max(best, _golden_max(lambda x: abs(float(g(np.array([x]))[0])), a, b))
     return best
 
 
@@ -214,13 +211,10 @@ def operator_sup_error(
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
     validate(params, f)
 
-    def on_grid(xs):
+    def diff(xs):
         return apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
 
-    def at_point(x):
-        return apply_operator(f, x, params, policy) - float(f(x))
-
-    return sup_abs_on_interval(on_grid, at_point, 0.0, a, grid_points, f.kinks)
+    return sup_abs_on_interval(diff, 0.0, a, grid_points, f.kinks)
 
 
 def compact_estimate_check(
@@ -268,14 +262,10 @@ def weighted_phi_norm(g: Callable, x_max: float, grid_points: int = 2001) -> flo
     if not x_max > 0:
         raise ParameterError("norm_interval", f"requires x_max > 0, got {x_max}")
 
-    def ratio_grid(xs):
+    def ratio(xs):
         return np.asarray(g(xs), dtype=float) / (1.0 + xs**2)
 
-    def ratio_point(x):
-        val = np.asarray(g(np.asarray([x])), dtype=float).ravel()
-        return float(val[0]) / (1.0 + x * x)
-
-    return sup_abs_on_interval(ratio_grid, ratio_point, 0.0, x_max, grid_points)
+    return sup_abs_on_interval(ratio, 0.0, x_max, grid_points)
 
 
 # -- Korovkin test functions: exact weighted norms ----------------------------

@@ -190,7 +190,7 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
                 eps_tail=ns.eps_tail, eps_quad=ns.eps_quad, k_max=ns.k_max
             )
         except SmldError as exc:
-            parser.error(str(exc))
+            parser.error(f"{exc.code}: {exc}")
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
     if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
@@ -209,7 +209,9 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
             cfg.f = _parse_function(ns.f)
         if hasattr(ns, "norm"):
             cfg.norm = _parse_norm(ns.norm)
-    except (ValueError, OSError, SmldError) as exc:
+    except SmldError as exc:
+        parser.error(f"{exc.code}: {exc}")
+    except (ValueError, OSError) as exc:
         parser.error(str(exc))
     for name in ("x", "max_r", "r", "p", "gamma", "operator"):
         if hasattr(ns, name):
@@ -366,7 +368,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return repr(value)
+        return repr(float(value))  # a numpy scalar prints as a plain float
     if isinstance(value, str) and ("," in value or '"' in value):
         return '"' + value.replace('"', '""') + '"'
     return str(value)

@@ -56,7 +56,3 @@ class FileFormatError(SmldError, ValueError):
     """A sampled-function file does not follow the two-column format."""
 
     code = "file_format"
-
-
-class CancellationWarning(UserWarning):
-    """Estimated relative error of a compensated sum exceeded its threshold."""

@@ -12,18 +12,19 @@ others:
   r/(alpha+2r+1) of the leading one,
 * explicit degree-r polynomials in nx for r <= 4, whose coefficients
   follow the pattern binom(r, j) (alpha+j+1)_{r-j},
-* the binomial expansion of central moments, accumulated in double-double
-  arithmetic because the expansion cancels r-1 leading orders.
+* the binomial expansion of central moments, summed exactly: the same
+  recurrence runs on ``fractions.Fraction`` copies of the (binary) inputs,
+  so the r-1 leading orders the expansion cancels cost no digits, and the
+  exact sum is rounded once.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
-from ._ddouble import DD, dd, dd_add, dd_div, dd_mul, dd_neg, dd_to_float, two_prod, two_sum
-from .errors import CancellationWarning, ParameterError, UnsupportedOrderError
+from .errors import ParameterError, UnsupportedOrderError
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -59,20 +60,26 @@ def raw_moment_closed(r: int, x: float, params: OperatorParams) -> float:
     return front * kummer_scaled(params.alpha + r + 1.0, params.alpha + 1.0, params.n * x)
 
 
+def _recurrence(r_max: int, z, al, rate) -> list:
+    """mu_0 .. mu_{r_max} by forward three-term recurrence at z = nx.
+
+    The same body serves floats and ``Fraction``s: the integer literals
+    keep the float route's bits, and on rationals every step is exact.
+    """
+    mus = [rate**0]  # 1 in the inputs' type: 1.0 or Fraction(1)
+    if r_max >= 1:
+        mus.append((al + 1 + z) / rate)
+    for r in range(1, r_max):
+        nxt = (rate * (al + 2 * r + 1 + z) * mus[r] - r * (al + r) * mus[r - 1]) / rate**2
+        mus.append(nxt)
+    return mus
+
+
 def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list[float]:
     """All raw moments mu_0 .. mu_{r_max} by forward three-term recurrence."""
     _check_order(r_max)
     validate(params)
-    rate = params.rate
-    z = params.n * x
-    al = params.alpha
-    mus = [1.0]
-    if r_max >= 1:
-        mus.append((al + 1.0 + z) / rate)
-    for r in range(1, r_max):
-        nxt = (rate * (al + 2.0 * r + 1.0 + z) * mus[r] - r * (al + r) * mus[r - 1]) / rate**2
-        mus.append(nxt)
-    return mus
+    return _recurrence(r_max, params.n * x, params.alpha, params.rate)
 
 
 def raw_moment_recurrence(r: int, x: float, params: OperatorParams) -> float:
@@ -168,55 +175,22 @@ def central_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     ) / rate**4
 
 
-def _raw_moments_dd(r_max: int, x: float, params: OperatorParams) -> list[DD]:
-    """Raw moments by the three-term recurrence in double-double arithmetic."""
-    rate = two_sum(params.n, -params.beta)
-    rate2 = dd_mul(rate, rate)
-    z = two_prod(params.n, x)
-    al1 = two_sum(params.alpha, 1.0)
-    mus = [dd(1.0)]
-    if r_max >= 1:
-        mus.append(dd_div(dd_add(al1, z), rate))
-    for r in range(1, r_max):
-        coeff = dd_add(two_sum(params.alpha, 2.0 * r + 1.0), z)
-        lead = dd_mul(dd_mul(rate, coeff), mus[r])
-        sub = dd_mul(dd(r * 1.0), dd_mul(two_sum(params.alpha, float(r)), mus[r - 1]))
-        mus.append(dd_div(dd_add(lead, dd_neg(sub)), rate2))
-    return mus
-
-
 def central_moment_binomial(r: int, x: float, params: OperatorParams) -> float:
-    """Central moment via sum_j binom(r,j) (-x)^(r-j) mu_j, compensated.
+    """Central moment sum_j binom(r,j) (-x)^(r-j) mu_j, summed exactly.
 
-    Both the raw moments and the alternating sum run in double-double
-    arithmetic; emits :class:`CancellationWarning` if the estimated
-    relative error still exceeds 1e-6 (it cannot for sane inputs, but the
-    estimate is reported rather than assumed).
+    The raw moments come from the three-term recurrence on the exact
+    rational values of n x, alpha and n - beta, so the alternating sum has
+    no rounding to cancel; the result is the exact moment of the given
+    float inputs, rounded once.
     """
     validate(params)
-    if r < 0 or r != int(r):
-        raise ParameterError("moment_order", f"r must be a nonnegative integer, got {r}")
-    if r == 0:
-        return 1.0
-    mus = _raw_moments_dd(r, x, params)
-    negx = dd(-x)
-    powers = [dd(1.0)]
-    for _ in range(r):
-        powers.append(dd_mul(powers[-1], negx))
-    acc = dd(0.0)
-    max_term = 0.0
-    for j in range(r + 1):
-        term = dd_mul(dd_mul(dd(float(math.comb(r, j))), powers[r - j]), mus[j])
-        max_term = max(max_term, abs(term[0]))
-        acc = dd_add(acc, term)
-    value = dd_to_float(acc)
-    est_rel = (2.0**-96) * (r + 1) * max_term / max(abs(value), 1e-300)
-    if est_rel > 1e-6:
-        warnings.warn(
-            f"central moment r = {r} at x = {x}: estimated relative error {est_rel:.2e}",
-            CancellationWarning,
-        )
-    return value
+    _check_order(r)
+    if not math.isfinite(x):
+        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
+    xq = Fraction(x)
+    n = Fraction(params.n)
+    mus = _recurrence(r, n * xq, Fraction(params.alpha), n - Fraction(params.beta))
+    return float(sum(math.comb(r, j) * (-xq) ** (r - j) * mus[j] for j in range(r + 1)))
 
 
 def asymptotic_prediction(r: int, x: float, params: OperatorParams) -> float:

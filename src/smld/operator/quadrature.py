@@ -39,7 +39,10 @@ shape is a batch of one.  The batch shares everything but its densities:
   integrate the Gaussian-like density to rounding; the coarse opening
   round only confirms it.  A row that has agreed leaves the density
   matrix, and one that does not converge in ``_MAX_ROUNDS`` rounds (the
-  finest panel ~ 4 sqrt(shape) / 2^10) raises ``QuadratureError``.
+  finest panel ~ 4 sqrt(shape) / 2^10) raises ``QuadratureError``.  A
+  round whose totals are not finite (f overflowed or returned inf or nan
+  on the window; one such value reaches every row, as 0 * inf is nan)
+  raises it at once, with code ``integrand_not_finite``.
 """
 
 from __future__ import annotations
@@ -255,12 +258,21 @@ def gamma_mean(
     rows = np.arange(len(shapes))  # the rows still refining
     previous = None
     for _ in range(_MAX_ROUNDS):
-        total, mass = _panel_values(f, order, g, small, jacobi, edges, nodes)
-        if len(front):
-            jt, jm = _jacobi_panel(f, front, front_log_gamma, (jx, jw), float(edges[1]),
-                                   endpoint_power)
-            total[jacobi] += jt
-            mass[jacobi] += jm
+        # f and its products with the weights may overflow; that leaves a
+        # total that is not finite, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, mass = _panel_values(f, order, g, small, jacobi, edges, nodes)
+            if len(front):
+                jt, jm = _jacobi_panel(f, front, front_log_gamma, (jx, jw), float(edges[1]),
+                                       endpoint_power)
+                total[jacobi] += jt
+                mass[jacobi] += jm
+        if not np.isfinite(total).all():
+            raise QuadratureError(
+                f"gamma-mean integrand is not finite on the window [{u_lo}, {u_hi}] "
+                f"(shapes {s_min}..{s_max})",
+                code="integrand_not_finite",
+            )
         if previous is not None:
             thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
             done = np.abs(total - previous) <= thresh

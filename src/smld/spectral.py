@@ -18,11 +18,11 @@ ratio of real-order Poisson weights) and filled by its term recurrence.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import betainc
 
 from .errors import ParameterError, TruncationError
 from .operator import (
@@ -138,26 +138,14 @@ def build_P(params: OperatorParams, K: int) -> TruncatedP:
     return TruncatedP(K, entries, params, deficits)
 
 
-def row_deficit_tail(params: OperatorParams, k: int, K: int, floor: float = 1e-30) -> float:
-    """Row-k deficit computed independently: sum the negative-binomial pmf
-    beyond column K by its term recurrence until terms fall below ``floor``.
+def row_deficit_tail(params: OperatorParams, k: int, K: int) -> float:
+    """Row-k deficit computed independently of the matrix: the
+    negative-binomial mass beyond column K, I_{q2}(K + 1, k + alpha + 1)
+    as a regularized incomplete beta function.
     """
     validate(params)
-    n, al, b = params.n, params.alpha, params.beta
-    denom = 2.0 * n - b
-    q1 = (n - b) / denom
-    q2 = n / denom
-    s = k + al + 1.0
-    j = K + 1
-    term = math.exp(_log_nb_pmf(s, q1, q2, j))
-    total = 0.0
-    while j < K + 1 + 10_000_000:
-        total += term
-        j += 1
-        term *= (s + j - 1.0) / j * q2
-        if term < floor * max(total, 1e-300):
-            break
-    return total
+    q2 = params.n / (2.0 * params.n - params.beta)
+    return float(betainc(K + 1.0, k + params.alpha + 1.0, q2))
 
 
 def adaptive_K(
@@ -184,17 +172,18 @@ def build_P_adaptive(
     return build_P(params, adaptive_K(params, deficit_tol, start))
 
 
-def _eigen_pair(params: OperatorParams, which: str, K: int):
+def _eigen_pair(params: OperatorParams, which: str) -> tuple[TestFunction, float, float]:
+    """(phi, z, lam) of a known eigenpair: phi = 1 or e^(-beta x), whose
+    coefficient vector is z^j (z = 1 or 1 - beta/n), with eigenvalue lam."""
     if which == "constant":
-        return np.ones(K + 1), 1.0
+        return TestFunction.monomial(0), 1.0, 1.0
     if which == "exponential":
         if params.beta < 0 or params.beta >= params.n:
             raise ParameterError(
                 "exponential_eigen_beta",
                 f"exponential eigenpair needs 0 <= beta < n, got beta = {params.beta}",
             )
-        z = 1.0 - params.beta / params.n
-        return z ** np.arange(K + 1.0), lambda2(params)
+        return TestFunction.exp_scaled(-params.beta), 1.0 - params.beta / params.n, lambda2(params)
     raise ParameterError("eigen_which", f"which must be one of {_WHICH}, got {which!r}")
 
 
@@ -204,7 +193,8 @@ def eigen_vector_check(p_mat: TruncatedP, which: str) -> EigenCheck:
     Only upper rows are measured: truncation error concentrates in the
     high rows, while the identity is exact for the infinite matrix.
     """
-    v, lam = _eigen_pair(p_mat.params, which, p_mat.K)
+    _, z, lam = _eigen_pair(p_mat.params, which)
+    v = z ** np.arange(p_mat.K + 1.0)
     pv = p_mat.entries @ v
     upper = slice(0, p_mat.K // 2 + 1)
     residual = float(np.max(np.abs(pv[upper] - lam * v[upper])))
@@ -219,19 +209,7 @@ def eigen_operator_check(
 ) -> EigenCheck:
     """Max |M[phi](x) - lam phi(x)| over the grid, phi = 1 or e^(-beta x)."""
     validate(params)
-    if which == "constant":
-        phi = TestFunction.monomial(0)
-        lam = 1.0
-    elif which == "exponential":
-        if params.beta < 0 or params.beta >= params.n:
-            raise ParameterError(
-                "exponential_eigen_beta",
-                f"exponential eigenpair needs 0 <= beta < n, got beta = {params.beta}",
-            )
-        phi = TestFunction.exp_scaled(-params.beta)
-        lam = lambda2(params)
-    else:
-        raise ParameterError("eigen_which", f"which must be one of {_WHICH}, got {which!r}")
+    phi, _, lam = _eigen_pair(params, which)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params, policy) - lam * phi(xs))))
     return EigenCheck(which, lam, operator_residual=residual)
@@ -280,8 +258,7 @@ def iterate_decay(
             f"iterate_decay: truncation-dominated regime, upper-row deficit {upper_deficit:.2e}",
             stacklevel=2,
         )
-    lam = lambda2(params)
-    z = 1.0 - params.beta / params.n
+    _, z, lam = _eigen_pair(params, "exponential")
     v = z ** np.arange(p_mat.K + 1.0)
     deviations = []
     amplitudes = []

@@ -35,6 +35,21 @@ def mp_raw_moment(r, n, alpha, beta, x) -> float:
     return float(total / (n - beta) ** r)
 
 
+def mp_central_moment(r, n, alpha, beta, x, dps=80):
+    """E (T - x)^r as an mpf at ``dps`` digits, from the closed-form raw
+    moments mu_j = sum_m binom(j, m) z^m (alpha+m+1)_{j-m} / (n-beta)^j,
+    z = n x (the terminating Kummer transform of the 1F1 form)."""
+    with mp.workdps(dps):
+        n, alpha, beta, x = map(mp.mpf, (n, alpha, beta, x))
+        z, rate = n * x, n - beta
+        mus = [
+            sum(mp.binomial(j, m) * z**m * mp.rf(alpha + m + 1, j - m) for m in range(j + 1))
+            / rate**j
+            for j in range(r + 1)
+        ]
+        return sum(mp.binomial(r, j) * (-x) ** (r - j) * mus[j] for j in range(r + 1))
+
+
 def mp_gamma_mean(f, shape, rate, breakpoints=()) -> float:
     """Mean of f under Gamma(shape, rate) by mpmath quadrature.
 

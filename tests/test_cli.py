@@ -113,7 +113,9 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse_config(["apply", "--f", spec, "--n", "10", "--x-grid", "1"])
         assert exc.value.code == 2
-        assert "parameters must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "parameters must be finite" in err
+        assert "error: function_not_finite: " in err
 
     def test_non_finite_function_sample(self, tmp_path, capsys):
         path = tmp_path / "f.txt"
@@ -214,6 +216,15 @@ class TestRun:
         assert float(rows[0][1]) == pytest.approx(1.0 / 25.0, rel=1e-8)
         assert float(rows[0][3]) == pytest.approx(-1.0, abs=0.02)
 
+    def test_converge_phi_cells_are_plain_floats(self, capsys):
+        # the golden-section refinement wins at n = 40; its value is written
+        # as a plain float, not as a numpy scalar's repr
+        code = main(["converge", "--f", "sin:2", "--norm", "phi:5", "--n-grid", "10,40"])
+        assert code == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        errs = [float(row[1]) for row in rows]
+        assert errs[1] < errs[0]
+
     def test_szasz_operator(self, capsys):
         code = main(["apply", "--f", "monomial:2", "--n", "10", "--operator", "szasz",
                      "--x-grid", "1"])
@@ -240,6 +251,13 @@ class TestRun:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "smld: growth_not_finite:" in captured.err
+
+    def test_integrand_not_finite_exit_code(self, capsys):
+        # e^(9t) overflows on the certified window of its own envelope
+        code = main(["apply", "--f", "exp:9", "--n", "10", "--x-grid", "0.2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: integrand_not_finite:" in captured.err
 
     def test_k_max_exceeded_exit_code(self, capsys):
         # the certified k window at n x = 1000 is wider than 256 terms

@@ -16,7 +16,7 @@ from smld.moments import (
 )
 from smld.operator import OperatorParams, TestFunction, apply_operator
 
-from oracle_utils import mp_raw_moment
+from oracle_utils import mp_central_moment, mp_raw_moment
 
 P_DEFAULT = OperatorParams(10.0, 0.0, 0.0)
 
@@ -121,6 +121,32 @@ class TestCentralMoments:
         a = central_moment_explicit(r, 2.0, params)
         b = central_moment_binomial(r, 2.0, params)
         assert b == pytest.approx(a, rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, beta", [(0.3, 1.0), (-0.5, 0.0), (1.0, 2.0)])
+    @pytest.mark.parametrize("n", [1e2, 1e4, 1e6])
+    @pytest.mark.parametrize("x", [0.1, 1.0, 2.5])
+    def test_binomial_against_mpmath(self, alpha, beta, n, x):
+        # the exact sum rounded once: within one ulp of the 80-digit value,
+        # although up to 31 leading digits cancel at n = 1e6, r = 12
+        params = OperatorParams(n, alpha, beta)
+        for r in range(13):
+            exact = mp_central_moment(r, n, alpha, beta, x)
+            got = central_moment_binomial(r, x, params)
+            assert abs(got - float(exact)) <= 2.0**-52 * abs(float(exact)), (r, got, exact)
+
+    def test_even_orders_positive(self):
+        # n = 1e6, x = 1, alpha = 0.3, beta = 1, r = 12 is 6.654e-31
+        for n in (1e2, 1e4, 1e5, 1e6):
+            for x in (0.1, 1.0, 2.5):
+                params = OperatorParams(n, 0.3, 1.0)
+                for r in range(2, 13, 2):
+                    assert central_moment_binomial(r, x, params) > 0.0, (n, x, r)
+
+    @pytest.mark.parametrize("x", [float("inf"), float("nan")])
+    def test_binomial_non_finite_x(self, x):
+        with pytest.raises(ParameterError) as err:
+            central_moment_binomial(2, x, P_DEFAULT)
+        assert err.value.code == "x_not_finite"
 
     def test_order_six_vs_quadrature(self):
         params = OperatorParams(50.0, 0.5, 1.0)

@@ -1,10 +1,11 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from smld.errors import FileFormatError, ParameterError, TruncationError
+from smld.errors import FileFormatError, ParameterError, QuadratureError, TruncationError
 from smld.operator import (
     OperatorParams,
     TestFunction,
@@ -332,6 +333,24 @@ class TestCoarseOpening:
         shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
         got = gamma_mean(lambda u: np.exp(0.9 * u), shapes, 1e-12, tilt=0.9)
         np.testing.assert_allclose(got, 10.0**shapes, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    def test_overflowing_integrand_fails_fast(self, alpha):
+        # at j = 3 f overflows on the window: the first round's totals are
+        # not finite, so the batch raises there, with no RuntimeWarning
+        calls = []
+
+        def f(u):
+            calls.append(len(u))
+            return np.exp(0.9 * u)
+
+        shapes = np.arange(9, 16) + alpha + 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureError) as err:
+                gamma_mean(f, shapes, 1e-12, tilt=0.9)
+        assert err.value.code == "integrand_not_finite"
+        assert len(calls) == (2 if alpha % 1 else 1)  # one round, with its Jacobi panel
 
 
 def test_batched_gauss_jacobi_matches_scipy():
