@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from smld.analysis import (
+    _REFINE_POINTS,
     NormSpec,
+    _grid_with_kinks,
     compact_estimate_check,
     korovkin_weighted_check,
     lp_error,
@@ -15,11 +17,121 @@ from smld.analysis import (
     schur_first_integral,
     schur_lemma_applicable,
     schur_second_integral,
+    sup_abs_on_interval,
     weighted_lp_error,
     weighted_phi_norm,
 )
 from smld.errors import DegenerateDataError, ParameterError
-from smld.operator import OperatorParams, TestFunction
+from smld.operator import OperatorParams, TestFunction, apply_operator_grid
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_sup(g, lo, hi, grid_points=2001, kinks=()):
+    """Oracle: the grid max plus a 40-step golden-section search on one-point
+    arrays around the grid argmax, the refinement the batched one replaced."""
+    grid = _grid_with_kinks(lo, hi, grid_points, kinks)
+    vals = np.abs(np.asarray(g(grid), dtype=float))
+    i = int(np.argmax(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    if not b > a:
+        return float(vals[i])
+
+    def h(x):
+        return abs(float(g(np.array([x]))[0]))
+
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = h(c), h(d)
+    for _ in range(40):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = h(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = h(d)
+    return max(float(vals[i]), fc, fd)
+
+
+def _operator_diff(f, params):
+    def diff(xs):
+        return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
+
+    return diff
+
+
+class TestSupRefinement:
+    # golden section's final bracket, 0.618^40, of the opening bracket
+    TARGET = 4.3e-9
+
+    def test_calls_stay_batched(self):
+        calls = []
+
+        def g(xs):
+            calls.append(len(xs))
+            return np.sin(3.0 * xs)
+
+        sup_abs_on_interval(g, 0.0, 2.0, 201)
+        rounds = math.ceil(math.log(1.0 / self.TARGET) / math.log((_REFINE_POINTS + 1) / 2))
+        assert len(calls) <= 1 + rounds
+        assert calls[0] == 201
+
+    def test_bracket_reaches_golden_width(self):
+        # the final bracket spans two of the last round's point spacings;
+        # the opening bracket is two grid steps, 0.02
+        seen = []
+
+        def g(xs):
+            seen.append(np.array(xs))
+            return 1.0 - (xs - 0.7071234) ** 2
+
+        sup_abs_on_interval(g, 0.0, 2.0, 201)
+        last = seen[-1]
+        assert 2.0 * (last[1] - last[0]) <= self.TARGET * 0.02
+
+    def test_off_grid_smooth_maximum(self):
+        def g(xs):
+            return np.exp(-((xs - 0.7071234) ** 2) / 0.01)
+
+        value = sup_abs_on_interval(g, 0.0, 2.0, 201)
+        assert abs(value - 1.0) <= 4 * np.finfo(float).eps
+
+    def test_monotone_maximum_at_endpoint(self):
+        value = sup_abs_on_interval(np.exp, 0.0, 2.0, 201)
+        assert value == float(np.exp(np.array([2.0]))[0])
+
+    def test_declared_kink_maximum(self):
+        def g(xs):
+            return 1.0 - np.abs(xs - 0.3137)
+
+        assert sup_abs_on_interval(g, 0.0, 1.0, 101, kinks=(0.3137,)) == 1.0
+
+    def test_one_point_interval(self):
+        assert sup_abs_on_interval(lambda xs: xs + 1.0, 0.5, 0.5) == 1.5
+
+
+class TestSupGoldenParity:
+    @pytest.mark.parametrize(
+        "f, params",
+        [
+            (TestFunction.abs_shift(1.0), OperatorParams(40.0, 0.0, 0.0)),
+            (TestFunction.sin_scaled(2.0), OperatorParams(80.0, 0.5, 1.0)),
+            (TestFunction.sqrt(), OperatorParams(20.0, -0.5, 0.25)),
+        ],
+    )
+    def test_operator_sup_error(self, f, params):
+        value = operator_sup_error(f, params, 2.0)
+        oracle = _golden_sup(_operator_diff(f, params), 0.0, 2.0, 2001, f.kinks)
+        assert value == pytest.approx(oracle, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [10.0, 40.0])
+    def test_weighted_phi_norm(self, n):
+        f = TestFunction.sin_scaled(2.0)
+        diff = _operator_diff(f, OperatorParams(n, 0.0, 0.0))
+        value = weighted_phi_norm(diff, 5.0)
+        oracle = _golden_sup(lambda xs: diff(xs) / (1.0 + xs**2), 0.0, 5.0)
+        assert value == pytest.approx(oracle, rel=1e-11)
 
 
 class TestModulus:
@@ -67,6 +179,12 @@ class TestWeightedPhiNorm:
 
     def test_zero(self):
         assert weighted_phi_norm(lambda x: np.zeros_like(np.asarray(x, float)), 5.0) == 0.0
+
+    @pytest.mark.parametrize("x_max", [math.inf, math.nan, 0.0])
+    def test_interval_domain(self, x_max):
+        with pytest.raises(ParameterError) as err:
+            weighted_phi_norm(lambda x: np.asarray(x, dtype=float), x_max)
+        assert err.value.code == "norm_interval"
 
 
 class TestKorovkin:
@@ -116,6 +234,12 @@ class TestKorovkin:
 
 
 class TestCompactEstimate:
+    @pytest.mark.parametrize("a", [math.inf, math.nan, 0.0, -1.0])
+    def test_interval_domain(self, a):
+        with pytest.raises(ParameterError) as err:
+            operator_sup_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0, 0.0, 0.0), a)
+        assert err.value.code == "norm_interval"
+
     def test_constant_error_zero(self):
         err = operator_sup_error(TestFunction.monomial(0), OperatorParams(10.0, 0.0, 1.0), 2.0,
                                  grid_points=201)
@@ -166,6 +290,28 @@ class TestLpErrors:
         with pytest.raises(ParameterError) as err:
             weighted_lp_error(f, OperatorParams(10.0, 0.0, 0.0), 1.0, 0.0, r_max)
         assert err.value.code == "norm_interval"
+
+    @pytest.mark.parametrize(
+        "p, gamma, r_max, code",
+        [
+            (math.inf, 0.0, 2.0, "norm_p"),
+            (math.nan, 0.0, 2.0, "norm_p"),
+            (1.0, math.nan, 2.0, "norm_gamma"),
+            (1.0, math.inf, 2.0, "norm_gamma"),
+            (1.0, 0.0, math.inf, "norm_interval"),
+            (1.0, 0.0, math.nan, "norm_interval"),
+        ],
+    )
+    def test_weighted_non_finite(self, p, gamma, r_max, code):
+        f = TestFunction.sin_scaled(2.0)
+        with pytest.raises(ParameterError) as err:
+            weighted_lp_error(f, OperatorParams(10.0, 0.0, 0.0), p, gamma, r_max)
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("p, r_cut", [(math.inf, 2.0), (1.0, math.inf)])
+    def test_plain_non_finite(self, p, r_cut):
+        with pytest.raises(ParameterError):
+            lp_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0, 0.0, 0.0), p, r_cut)
 
     def test_hypothesis_flag(self):
         f = TestFunction.monomial(0)
@@ -260,6 +406,25 @@ class TestNormSpec:
         NormSpec.weighted_phi(30.0)
         NormSpec.lp(2.0, 1.5)
         NormSpec.weighted_lp(1.0, 0.5, 10.0)
+
+    @pytest.mark.parametrize(
+        "kwargs, code",
+        [
+            (dict(kind="sup_compact", a=math.inf), "norm_interval"),
+            (dict(kind="sup_compact", a=math.nan), "norm_interval"),
+            (dict(kind="weighted_phi", x_max=math.inf), "norm_interval"),
+            (dict(kind="lp", p=math.inf, r_cut=2.0), "norm_p"),
+            (dict(kind="lp", p=math.nan, r_cut=2.0), "norm_p"),
+            (dict(kind="lp", p=1.0, r_cut=math.inf), "norm_interval"),
+            (dict(kind="weighted_lp", p=1.0, gamma=math.nan, r_max=2.0), "norm_gamma"),
+            (dict(kind="weighted_lp", p=1.0, gamma=math.inf, r_max=2.0), "norm_gamma"),
+            (dict(kind="weighted_lp", p=1.0, gamma=0.0, r_max=math.nan), "norm_interval"),
+        ],
+    )
+    def test_non_finite(self, kwargs, code):
+        with pytest.raises(ParameterError) as exc:
+            NormSpec(**kwargs)
+        assert exc.value.code == code
 
     def test_invalid(self):
         with pytest.raises(ParameterError):

@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import pytest
 
@@ -126,6 +127,27 @@ class TestParseConfig:
         assert "parameters must be finite" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "norm, code",
+        [
+            ("lp:inf,2", "norm_p"),
+            ("lp:nan,2", "norm_p"),
+            ("wlp:1,nan,2", "norm_gamma"),
+            ("phi:inf", "norm_interval"),
+            ("lp:1,inf", "norm_interval"),
+        ],
+    )
+    def test_non_finite_norm_parameter(self, norm, code, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["converge", "--f", "sin:2", "--norm", norm, "--n-grid", "10,20,40"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"smld: error: {code}: " in captured.err
+
+
 class TestEmit:
     def test_empty_table_header_only(self):
         buf = io.StringIO()
@@ -217,7 +239,7 @@ class TestRun:
         assert float(rows[0][3]) == pytest.approx(-1.0, abs=0.02)
 
     def test_converge_phi_cells_are_plain_floats(self, capsys):
-        # the golden-section refinement wins at n = 40; its value is written
+        # at n = 40 a refined point beats the grid max; its value is written
         # as a plain float, not as a numpy scalar's repr
         code = main(["converge", "--f", "sin:2", "--norm", "phi:5", "--n-grid", "10,40"])
         assert code == 0
