@@ -65,6 +65,14 @@ def _finite_above(value: float | None, lo: float, inclusive: bool = False) -> bo
     return value >= lo if inclusive else value > lo
 
 
+def _check_grid_points(points) -> None:
+    """A sup-norm grid has an integer number of points, at least its two ends."""
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
+        raise ParameterError(
+            "norm_grid_points", f"grid_points must be an integer >= 2, got {points!r}"
+        )
+
+
 @dataclass(frozen=True)
 class NormSpec:
     """Which error norm a convergence experiment uses.
@@ -87,6 +95,7 @@ class NormSpec:
         kinds = ("sup_compact", "weighted_phi", "lp", "weighted_lp")
         if self.kind not in kinds:
             raise ParameterError("norm_kind", f"kind must be one of {kinds}, got {self.kind!r}")
+        _check_grid_points(self.grid_points)
         if self.kind == "sup_compact" and not _finite_above(self.a, 0.0):
             raise ParameterError("norm_interval", f"sup_compact needs finite a > 0, got {self.a}")
         if self.kind == "weighted_phi" and not _finite_above(self.x_max, 0.0):
@@ -160,6 +169,7 @@ def sup_abs_on_interval(
     points and keeps the neighbours of their argmax.  The result is the
     largest value seen, never below the grid max.
     """
+    _check_grid_points(grid_points)
     grid = _grid_with_kinks(lo, hi, grid_points, kinks)
     vals = np.abs(np.asarray(g(grid), dtype=float))
     i = int(np.argmax(vals))
@@ -186,6 +196,7 @@ def modulus_of_continuity(
     """
     if not (0 < delta <= a):
         raise ParameterError("modulus_delta", f"requires 0 < delta <= a, got {delta}")
+    _check_grid_points(grid_points)
     kinks = f.kinks if isinstance(f, TestFunction) else ()
     grid = _grid_with_kinks(0.0, a, grid_points, kinks)
     vals = np.asarray(f(grid), dtype=float)

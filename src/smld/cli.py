@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -107,7 +108,10 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(v) for v in text.split(","))
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process and reused: building it costs more
+    than parsing, and ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="smld",
         description="Szasz-Mirakyan-Laguerre-Durrmeyer operators: "

@@ -51,7 +51,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import eval_jacobi, gammaln
 
 from ..errors import QuadratureError
 from ..special import _first, _log_gamma_excess, _log_psi, _log_tail
@@ -72,10 +71,15 @@ def _gl_rule(m: int):
 @lru_cache(maxsize=64)
 def _gj_rules(m: int, b: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights (one row per b) of the m-point Gauss-Jacobi rules
-    with weight (1+x)^b on [-1, 1], all at once: the eigenvalues of each
-    Jacobi matrix polished by one Newton step, as scipy's ``roots_jacobi``
-    does one rule at a time, and weights scaled to the exact total mass
-    2^(b+1) / (b+1)."""
+    with weight (1+x)^b on [-1, 1], all at once.
+
+    The eigenvalues of each Jacobi matrix are polished by one Newton step
+    on P_m^(0,b).  The weights are the Christoffel numbers 1 / sum_{k<m}
+    (2k+b+1) P_k^(0,b)(x)^2, a sum of positive terms, taken at the polished
+    nodes to first order in the Newton step and scaled to the exact total
+    mass 2^(b+1) / (b+1).  One three-term recurrence at the eigenvalues
+    gives every P_k, and each P_k' follows from P_k and P_{k-1}.
+    """
     b = np.array(b)[:, None]
     k = np.arange(1.0, m)
     s = 2.0 * k + b
@@ -87,17 +91,32 @@ def _gj_rules(m: int, b: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
     off[:, 1:] *= np.sqrt(k[1:] * (k[1:] + b) / (s[:, 1:] - 1.0))
     jac[:, i[1:], i[:-1]] = off
     x = np.linalg.eigvalsh(jac)
-    dp = 0.5 * (m + b + 1.0) * eval_jacobi(m - 1, 1.0, b + 1.0, x)
-    x -= eval_jacobi(m, 0.0, b, x) / dp
-    w = 1.0 / (_log_centred(eval_jacobi(m - 1, 0.0, b, x)) * _log_centred(dp))
+    p = _jacobi_p(m, b, x)
+    # P_k' for k = 1..m: (2k+b)(1-x^2) P_k' = -k (b + (2k+b) x) P_k + 2k (k+b) P_{k-1}
+    k = np.arange(1.0, m + 1)[:, None, None]
+    s = 2.0 * k + b
+    dp = k * (2.0 * (k + b) * p[:-1] - (b + s * x) * p[1:]) / (s * (1.0 - x * x))
+    dx = -p[m] / dp[-1]
+    # sum_k (2k+b+1) P_k^2 at x + dx, the k = 0 term being b + 1
+    w = 1.0 / (((s[:-1] + 1.0) * p[1:m] * (p[1:m] + 2.0 * dx * dp[:-1])).sum(axis=0) + b + 1.0)
     w *= 2.0 ** (b + 1.0) / (b + 1.0) / w.sum(axis=1, keepdims=True)
-    return x, w
+    return x + dx, w
 
 
-def _log_centred(v: np.ndarray) -> np.ndarray:
-    """Each row of v over the geometric mean of its extreme magnitudes."""
-    lv = np.log(np.abs(v))
-    return v / np.exp(0.5 * (lv.max(axis=1, keepdims=True) + lv.min(axis=1, keepdims=True)))
+def _jacobi_p(top: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P_k^(0,b)(x) for k = 0..top (top >= 1), stacked on a new first axis,
+    for a column of b against the rows of x, by the three-term recurrence
+    (DLMF 18.9.2) 2(k+1)(k+b+1)(2k+b) P_{k+1}
+    = (2k+b+1)((2k+b+2)(2k+b) x - b^2) P_k - 2k(k+b)(2k+b+2) P_{k-1}."""
+    k = np.arange(1.0, top)[:, None, None]
+    s = 2.0 * k + b
+    den = 2.0 * (k + 1.0) * (k + b + 1.0) * s
+    lead = (s + 1.0) * ((s + 2.0) * s * x - b * b) / den
+    back = 2.0 * k * (k + b) * (s + 2.0) / den
+    p = [np.ones(x.shape), 0.5 * ((b + 2.0) * x - b)]
+    for ld, bk in zip(lead, back):
+        p.append(ld * p[-1] - bk * p[-2])
+    return np.array(p)
 
 
 def _window(shape: float, eps_win: float, tilt: float, env_k: float) -> tuple[float, float]:
@@ -237,7 +256,7 @@ def gamma_mean(
         ]
     front = shapes[jacobi]  # the Jacobi rows' shapes, their ln Gamma and rules
     if len(front):
-        front_log_gamma = gammaln(front)
+        front_log_gamma = np.array([math.lgamma(v) for v in front.tolist()])
         jx, jw = _gj_rules(nodes, tuple((front + endpoint_power - 1.0).tolist()))
         if len(edges) > 2 and edges[2] - edges[1] > 2.0 * edges[1]:
             # a kink close to u = 0 ends the Jacobi panel early: grade the

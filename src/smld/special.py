@@ -6,7 +6,9 @@ argument >= 0), and the implementations target exactly that range:
 
 * ``pochhammer`` -- rising factorial,
 * ``reg_lower_gamma`` -- regularized lower incomplete gamma P(s, z),
-  scipy's ``gammainc`` behind a domain check,
+  scipy's ``gammainc`` behind a domain check; scipy is imported on the
+  first call (``_scipy_special``), so ``import smld`` and the operator
+  never load it,
 * ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
   the only case the closed-form raw moments need, as an exact finite sum,
 * ``log_poisson_weights`` -- ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1)
@@ -34,9 +36,9 @@ three-logarithm form of psi: a truncation edge needs no more digits.
 from __future__ import annotations
 
 import math
+from functools import cache
 
 import numpy as np
-from scipy.special import gammainc, gammaln, xlogy
 
 from .errors import ParameterError
 
@@ -69,6 +71,18 @@ def _log_tail(j: float, lam: float, ratio: float) -> float:
     return j * math.log(lam) - lam - math.lgamma(j + 1.0) - math.log1p(-ratio)
 
 
+@cache
+def _scipy_special():
+    """``scipy.special``, imported once per process on first use.
+
+    Only the incomplete gamma and beta functions come from scipy; importing
+    it costs several times the arithmetic of a one-shot ``smld apply``.
+    """
+    import scipy.special
+
+    return scipy.special
+
+
 def pochhammer(a: float, r: int) -> float:
     """Rising factorial (a)_r = a (a+1) ... (a+r-1), with (a)_0 = 1."""
     if r < 0 or r != int(r):
@@ -88,7 +102,7 @@ def reg_lower_gamma(s: float, z: float) -> float:
         raise ParameterError("reg_gamma_shape", f"requires s > 0, got {s}")
     if z < 0:
         raise ParameterError("reg_gamma_argument", f"requires z >= 0, got {z}")
-    return float(gammainc(s, z))
+    return float(_scipy_special().gammainc(s, z))
 
 
 def kummer_scaled(a: float, b: float, z: float) -> float:
@@ -150,11 +164,17 @@ def poisson_weight_log(n: float, x: float, k: int) -> float:
 
 def _log_gamma_excess(a: np.ndarray) -> np.ndarray:
     """g(a) = ln Gamma(a + 1) - a ln a + a for an array of orders a >= 0, with
-    g(0) = 0 and the Stirling series from a = 16: the order-only part of
-    ``_log_psi``, which a caller with fixed orders computes once."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(a < 16, gammaln(a + 1.0) - xlogy(a, a) + a,
-                        _stirling(a) + 0.5 * np.log(2.0 * math.pi * a))
+    g(0) = 0: the order-only part of ``_log_psi``, which a caller with fixed
+    orders computes once.  The Stirling series serves a >= 16; the few
+    orders below take ``math.lgamma`` one at a time."""
+    a = np.asarray(a, dtype=float)
+    small = a < 16
+    g = np.empty(a.shape)
+    big = a[~small]
+    g[~small] = _stirling(big) + 0.5 * np.log(2.0 * math.pi * big)
+    g[small] = [math.lgamma(v + 1.0) - (v * math.log(v) if v else 0.0) + v
+                for v in a[small].tolist()]
+    return g
 
 
 def _log_psi(lam, a, g):

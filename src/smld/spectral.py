@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .errors import ParameterError, TruncationError
 from .operator import (
@@ -33,7 +32,7 @@ from .operator import (
     validate,
 )
 from .operator.core import _poisson_sum
-from .special import log_poisson_weights
+from .special import _scipy_special, log_poisson_weights
 
 __all__ = [
     "TruncatedP",
@@ -141,11 +140,12 @@ def build_P(params: OperatorParams, K: int) -> TruncatedP:
 def row_deficit_tail(params: OperatorParams, k: int, K: int) -> float:
     """Row-k deficit computed independently of the matrix: the
     negative-binomial mass beyond column K, I_{q2}(K + 1, k + alpha + 1)
-    as a regularized incomplete beta function.
+    as a regularized incomplete beta function (scipy's ``betainc``, which
+    the first call imports).
     """
     validate(params)
     q2 = params.n / (2.0 * params.n - params.beta)
-    return float(betainc(K + 1.0, k + params.alpha + 1.0, q2))
+    return float(_scipy_special().betainc(K + 1.0, k + params.alpha + 1.0, q2))
 
 
 def adaptive_K(

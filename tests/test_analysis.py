@@ -111,6 +111,38 @@ class TestSupRefinement:
         assert sup_abs_on_interval(lambda xs: xs + 1.0, 0.5, 0.5) == 1.5
 
 
+class TestGridPoints:
+    # a sup-norm grid needs both ends of its interval: fewer points used to
+    # raise a bare ValueError or IndexError, or return the value at 0 alone
+    @pytest.mark.parametrize("points", [0, 1, -5, 2.5, 2001.0, True])
+    def test_sup_abs_on_interval(self, points):
+        with pytest.raises(ParameterError) as exc:
+            sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, points)
+        assert exc.value.code == "norm_grid_points"
+
+    @pytest.mark.parametrize("points", [0, 1])
+    def test_operator_sup_error(self, points):
+        with pytest.raises(ParameterError) as exc:
+            operator_sup_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 2.0,
+                               grid_points=points)
+        assert exc.value.code == "norm_grid_points"
+
+    def test_modulus_of_continuity(self):
+        with pytest.raises(ParameterError) as exc:
+            modulus_of_continuity(TestFunction.sin_scaled(2.0), 0.1, 2.0, grid_points=1)
+        assert exc.value.code == "norm_grid_points"
+
+    @pytest.mark.parametrize("make", [NormSpec.sup_compact, NormSpec.weighted_phi])
+    def test_norm_spec(self, make):
+        with pytest.raises(ParameterError) as exc:
+            make(2.0, grid_points=-5)
+        assert exc.value.code == "norm_grid_points"
+
+    def test_two_points_are_the_ends(self):
+        assert sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, np.int64(2)) == 1.0
+        assert modulus_of_continuity(TestFunction.monomial(1), 2.0, 2.0, grid_points=2) == 2.0
+
+
 class TestSupGoldenParity:
     @pytest.mark.parametrize(
         "f, params",

@@ -52,6 +52,14 @@ class TestParseConfig:
         assert cfg.norm.kind == "lp"
         assert cfg.norm.p == 2.0
 
+    def test_parser_keeps_no_state(self):
+        # one parser serves every call; no flag of one call reaches the next
+        first = parse_config(["apply", "--n", "10", "--f", "sin:2", "--x-grid", "1",
+                              "--format", "json", "--eps-quad", "1e-10"])
+        second = parse_config(["apply", "--n", "20", "--f", "abs:1"])
+        assert (first.fmt, first.policy.eps_quad, first.x_grid) == ("json", 1e-10, (1.0,))
+        assert (second.fmt, second.policy.eps_quad, second.x_grid) == ("csv", 1e-12, (0.0, 1.0, 2.0))
+
     def test_descending_n_grid(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["asymptotics", "--r", "2", "--n-grid", "100,10"])

@@ -353,19 +353,34 @@ class TestCoarseOpening:
         assert len(calls) == (2 if alpha % 1 else 1)  # one round, with its Jacobi panel
 
 
-def test_batched_gauss_jacobi_matches_scipy():
-    # one eigenproblem per rule, all at once, against scipy's one-rule routine
-    # (whose b = 0 rule is its Legendre routine, 2.5e-13 away in the smallest
-    # weight); the total mass is the exact 2^(b+1)/(b+1), not scipy's
-    # beta-function value
-    from scipy.special import roots_jacobi
+def _mp_gauss_jacobi(m: int, b: float, dps: int = 40):
+    """Golub-Welsch at ``dps`` digits: the eigenvalues of the Jacobi matrix of
+    the weight (1+x)^b, and the mass 2^(b+1)/(b+1) times each eigenvector's
+    squared first component, sorted by node."""
+    with mp.workdps(dps):
+        b = mp.mpf(b)
+        jac = mp.zeros(m, m)
+        jac[0, 0] = b / (b + 2)
+        for k in range(1, m):
+            s = 2 * k + b
+            jac[k, k] = b * b / (s * (s + 2))
+            jac[k, k - 1] = jac[k - 1, k] = 2 * k * (k + b) / (s * mp.sqrt((s - 1) * (s + 1)))
+        nodes, vecs = mp.eigsy(jac)
+        mass = mp.mpf(2) ** (b + 1) / (b + 1)
+        order = sorted(range(m), key=lambda i: nodes[i])
+        return (np.array([float(nodes[i]) for i in order]),
+                np.array([float(mass * vecs[0, i] ** 2) for i in order]))
 
+
+def test_batched_gauss_jacobi_matches_mpmath():
+    # one eigenproblem per rule, all at once, against a 40-digit rule; the
+    # total mass is the exact 2^(b+1)/(b+1)
     bs = (-0.5, -0.25, 0.0, 0.3, *(k + 0.37 for k in range(1, 160, 7)))
     x, w = _gj_rules(16, bs)
     for xi, wi, b in zip(x, w, bs):
-        ref_x, ref_w = roots_jacobi(16, 0.0, b)
+        ref_x, ref_w = _mp_gauss_jacobi(16, b)
         np.testing.assert_allclose(xi, ref_x, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(wi / wi.sum(), ref_w / ref_w.sum(), rtol=5e-13)
+        np.testing.assert_allclose(wi, ref_w, rtol=2e-13)
         assert wi.sum() == pytest.approx(float(mp.mpf(2) ** (b + 1) / (b + 1)), rel=4e-16)
 
 
