@@ -8,18 +8,25 @@ The Korovkin differences for the test set {1, t, t^2} have exact
 rational/sqrt closed forms, so those norms are evaluated without any
 quadrature.  None of the bound constants are assumed anywhere: reports
 carry measured values along with the n grid that produced them.
+
+The L_p-family norms of one operator share one evaluation: |M f - f| on
+the panel grid of [0, R] is kept in a bounded LRU cache keyed by (f,
+params, policy, R, panels, nodes), and each norm only applies its p and
+gamma to the cached read-only arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
 from .operator import (
+    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
     TruncationPolicy,
@@ -57,6 +64,8 @@ __all__ = [
 _REFINE_POINTS = 31
 _REFINE_ROUNDS = 7
 
+_PANEL_ERRORS = 8  # |M f - f| panel grids kept per process, ~14 KB each at 48 x 12 nodes
+
 
 def _finite_above(value: float | None, lo: float, inclusive: bool = False) -> bool:
     """value is finite and > lo (>= lo if inclusive); False for None and NaN."""
@@ -71,6 +80,13 @@ def _check_grid_points(points) -> None:
         raise ParameterError(
             "norm_grid_points", f"grid_points must be an integer >= 2, got {points!r}"
         )
+
+
+def _check_panel_rule(panels, nodes) -> None:
+    """A panel rule has an integer number >= 1 of panels and of nodes per panel."""
+    for code, name, value in (("norm_panels", "panels", panels), ("norm_nodes", "nodes", nodes)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ParameterError(code, f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -169,6 +185,8 @@ def sup_abs_on_interval(
     points and keeps the neighbours of their argmax.  The result is the
     largest value seen, never below the grid max.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        raise ParameterError("norm_interval", f"requires finite lo <= hi, got [{lo}, {hi}]")
     _check_grid_points(grid_points)
     grid = _grid_with_kinks(lo, hi, grid_points, kinks)
     vals = np.abs(np.asarray(g(grid), dtype=float))
@@ -194,6 +212,8 @@ def modulus_of_continuity(
 
     Grid pairs plus a local fine scan around the maximizing pair.
     """
+    if not _finite_above(a, 0.0):
+        raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
     if not (0 < delta <= a):
         raise ParameterError("modulus_delta", f"requires 0 < delta <= a, got {delta}")
     _check_grid_points(grid_points)
@@ -366,7 +386,12 @@ def weighted_lp_error(
 ) -> tuple[float, bool]:
     """(integral_0^Rmax |M f - f|^p e^(gamma x) dx)^(1/p), plus the flag
     gamma <= p beta (the weighted-convergence hypothesis; the value is
-    computed either way and the flag reports applicability)."""
+    computed either way and the flag reports applicability).
+
+    |M f - f| on the panel grid comes from a bounded cache shared by every
+    p and gamma, so the L_p norms of one (f, params, policy, R, panels,
+    nodes) evaluate the operator once.
+    """
     if not _finite_above(gamma, 0.0, inclusive=True):
         raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
     if not _finite_above(p, 1.0, inclusive=True):
@@ -374,11 +399,30 @@ def weighted_lp_error(
     if not _finite_above(r_max, 0.0):
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
     validate(params, f)
+    _check_panel_rule(panels, nodes)
+    policy = policy or DEFAULT_TRUNCATION
+    xs, ws, dev = _panel_error(f, params, policy, float(r_max), panels, nodes)
+    value = float(np.dot(ws, dev**p * np.exp(gamma * xs)) ** (1.0 / p))
+    return value, gamma <= p * params.beta + 1e-15
+
+
+@lru_cache(maxsize=_PANEL_ERRORS)
+def _panel_error(
+    f: TestFunction,
+    params: OperatorParams,
+    policy: TruncationPolicy,
+    r_max: float,
+    panels: int,
+    nodes: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (xs, ws, |M f - f|) on the panel rule of [0, r_max], kinks
+    of f added as panel edges."""
     edges = _grid_with_kinks(0.0, r_max, panels + 1, f.kinks)
     xs, ws = panel_rule(edges, nodes)
-    diff = apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
-    value = float(np.dot(ws, np.abs(diff) ** p * np.exp(gamma * xs)) ** (1.0 / p))
-    return value, gamma <= p * params.beta + 1e-15
+    dev = np.abs(apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float))
+    for a in (xs, ws, dev):
+        a.flags.writeable = False
+    return xs, ws, dev
 
 
 # -- Schur-test quantities ------------------------------------------------------
@@ -458,6 +502,7 @@ def schur_second_integral(
     the comparison is the caller's to draw.
     """
     validate(params)
+    _check_panel_rule(panels, nodes)
     if not t > 0:
         raise ParameterError("schur_t_nonpositive", f"requires t > 0, got {t}")
     if gamma < 0:
@@ -485,9 +530,16 @@ def schur_second_integral(
 
 
 def rate_slope(rows: Sequence[tuple[float, float]] | ConvergenceReport) -> float:
-    """Least-squares slope of log(error) against log(n); zero errors excluded."""
+    """Least-squares slope of log(error) against log(n); zero errors excluded.
+
+    Every n must be finite and > 0 and every error finite, or there is no
+    log to fit (:class:`DegenerateDataError`).
+    """
     if isinstance(rows, ConvergenceReport):
         rows = rows.rows
+    bad = [(n, e) for n, e in rows if not (_finite_above(n, 0.0) and math.isfinite(e))]
+    if bad:
+        raise DegenerateDataError(f"needs finite n > 0 and finite errors, got {bad[0]}")
     usable = [(n, e) for n, e in rows if e > 0.0]
     if len(usable) < 3:
         raise DegenerateDataError(

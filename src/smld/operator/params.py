@@ -19,8 +19,8 @@ class OperatorParams:
     """The triple (n, alpha, beta) indexing one operator.
 
     n is a positive real (nothing requires it to be an integer); beta may be
-    negative.  Validity (n > beta, alpha > -1, and compatibility with a
-    function's growth class) is checked by :func:`validate`, not at
+    negative.  Validity (n > 0, n > beta, alpha > -1, and compatibility
+    with a function's growth class) is checked by :func:`validate`, not at
     construction, so invalid triples can be reported with precise codes.
     """
 
@@ -65,11 +65,11 @@ def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:
     """Check that the operator is well defined (and applicable to ``f``).
 
     Raises :class:`ParameterError` with a distinct code per violated
-    constraint: ``params_not_finite``, ``n_le_beta``, ``alpha_le_minus_one``,
-    ``growth_not_finite`` (f's envelope |f(t)| <= K e^(A t) has a
-    non-finite A or K, as an overflowing polynomial's K is), or
-    ``growth_incompatible`` (n <= beta + A, so the coefficient integrals of
-    a function with growth rate A would diverge).
+    constraint: ``params_not_finite``, ``n_nonpositive``, ``n_le_beta``,
+    ``alpha_le_minus_one``, ``growth_not_finite`` (f's envelope
+    |f(t)| <= K e^(A t) has a non-finite A or K, as an overflowing
+    polynomial's K is), or ``growth_incompatible`` (n <= beta + A, so the
+    coefficient integrals of a function with growth rate A would diverge).
     """
     if not all(math.isfinite(v) for v in (params.n, params.alpha, params.beta)):
         raise ParameterError(
@@ -77,6 +77,8 @@ def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:
             f"requires finite n, alpha and beta, got n = {params.n}, "
             f"alpha = {params.alpha}, beta = {params.beta}",
         )
+    if not params.n > 0.0:
+        raise ParameterError("n_nonpositive", f"requires n > 0, got n = {params.n}")
     if not params.n > params.beta:
         raise ParameterError(
             "n_le_beta", f"requires n > beta, got n = {params.n}, beta = {params.beta}"

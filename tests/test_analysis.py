@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from smld import analysis, verification
 from smld.analysis import (
+    _PANEL_ERRORS,
     _REFINE_POINTS,
     NormSpec,
     _grid_with_kinks,
@@ -22,7 +24,13 @@ from smld.analysis import (
     weighted_phi_norm,
 )
 from smld.errors import DegenerateDataError, ParameterError
-from smld.operator import OperatorParams, TestFunction, apply_operator_grid
+from smld.operator import (
+    DEFAULT_TRUNCATION,
+    OperatorParams,
+    TestFunction,
+    TruncationPolicy,
+    apply_operator_grid,
+)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -137,6 +145,20 @@ class TestGridPoints:
         with pytest.raises(ParameterError) as exc:
             make(2.0, grid_points=-5)
         assert exc.value.code == "norm_grid_points"
+
+    # an infinite end used to warn in linspace
+    @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
+                                        (1.0, 0.0)])
+    def test_sup_abs_interval(self, lo, hi):
+        with pytest.raises(ParameterError) as exc:
+            sup_abs_on_interval(lambda xs: xs, lo, hi)
+        assert exc.value.code == "norm_interval"
+
+    @pytest.mark.parametrize("a", [math.inf, math.nan, 0.0, -1.0])
+    def test_modulus_interval(self, a):
+        with pytest.raises(ParameterError) as exc:
+            modulus_of_continuity(TestFunction.sin_scaled(2.0), 0.1, a)
+        assert exc.value.code == "norm_interval"
 
     def test_two_points_are_the_ends(self):
         assert sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, np.int64(2)) == 1.0
@@ -353,6 +375,103 @@ class TestLpErrors:
         assert ok
 
 
+class TestPanelRule:
+    # panels = 0 used to return 0.0 (the true L_1 error is 0.3904); other bad
+    # counts raised a bare ValueError or TypeError
+    @pytest.mark.parametrize(
+        "kwargs, code",
+        [
+            (dict(panels=0), "norm_panels"),
+            (dict(panels=-3), "norm_panels"),
+            (dict(panels=4.0), "norm_panels"),
+            (dict(panels=True), "norm_panels"),
+            (dict(nodes=0), "norm_nodes"),
+            (dict(nodes=2.5), "norm_nodes"),
+        ],
+    )
+    def test_lp_error(self, kwargs, code):
+        with pytest.raises(ParameterError) as exc:
+            lp_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 1.0, 2.0, **kwargs)
+        assert exc.value.code == code
+
+    def test_schur_second_integral(self):
+        with pytest.raises(ParameterError) as exc:
+            schur_second_integral(OperatorParams(10.0, 0.0, 1.0), 1.0, 1.0, 1.0, nodes=0)
+        assert exc.value.code == "norm_nodes"
+
+    def test_smallest_rule(self):
+        value = lp_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 1.0, 2.0,
+                         panels=np.int64(1), nodes=1)
+        assert math.isfinite(value) and value > 0.0
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """Counts the operator grid evaluations made through analysis, cache cold."""
+    calls = []
+
+    def counted(f, xs, params, policy=None):
+        calls.append(len(xs))
+        return apply_operator_grid(f, xs, params, policy)
+
+    analysis._panel_error.cache_clear()
+    monkeypatch.setattr(analysis, "apply_operator_grid", counted)
+    yield calls
+    analysis._panel_error.cache_clear()
+
+
+class TestSharedPanelError:
+    def test_lp_family_evaluates_once(self, grid_calls):
+        f = TestFunction.abs_shift(1.0)
+        params = OperatorParams(20.0, 0.5, 1.0)
+        lp_error(f, params, 1.0, 2.0)
+        lp_error(f, params, 2.0, 2.0)
+        weighted_lp_error(f, params, 1.0, params.beta, 2.0)
+        assert len(grid_calls) == 1
+
+    def test_check_11_evaluates_each_n_once(self, grid_calls):
+        verification.check_11_local_lp()
+        assert len(grid_calls) == 4
+
+    def test_cached_values_match_cold(self):
+        f = TestFunction.sin_scaled(2.0)
+        params = OperatorParams(15.0, -0.5, 2.0)
+        norms = [(1.0, 0.0), (2.0, 0.0), (1.0, 2.0), (3.5, 1.0)]
+        analysis._panel_error.cache_clear()
+        warm = [weighted_lp_error(f, params, p, g, 2.5)[0] for p, g in norms]
+        cold = []
+        for p, g in norms:
+            analysis._panel_error.cache_clear()
+            cold.append(weighted_lp_error(f, params, p, g, 2.5)[0])
+        assert warm == cold
+
+    def test_arrays_read_only(self):
+        f = TestFunction.sqrt()
+        params = OperatorParams(10.0)
+        lp_error(f, params, 1.0, 2.0)
+        for a in analysis._panel_error(f, params, DEFAULT_TRUNCATION, 2.0, 48, 12):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+
+    def test_default_policy_shares_entry(self, grid_calls):
+        f = TestFunction.sin_scaled(2.0)
+        params = OperatorParams(10.0)
+        first = lp_error(f, params, 1.0, 2.0)
+        assert lp_error(f, params, 1.0, 2, DEFAULT_TRUNCATION) == first
+        assert lp_error(f, params, 1.0, 2.0, TruncationPolicy()) == first
+        info = analysis._panel_error.cache_info()
+        assert (info.currsize, info.hits, len(grid_calls)) == (1, 2, 1)
+
+    def test_size_bounded(self, grid_calls):
+        f = TestFunction.monomial(1)
+        params = OperatorParams(10.0)
+        for i in range(_PANEL_ERRORS + 3):
+            lp_error(f, params, 1.0, 1.0 + i, panels=2, nodes=3)
+        assert analysis._panel_error.cache_info().currsize == _PANEL_ERRORS
+        assert len(grid_calls) == _PANEL_ERRORS + 3
+
+
 class TestSchur:
     def test_alpha_zero_closed_form(self):
         params = OperatorParams(10.0, 0.0, 2.0)
@@ -430,6 +549,16 @@ class TestRateSlope:
     def test_degenerate(self):
         with pytest.raises(DegenerateDataError):
             rate_slope([(10.0, 0.0), (20.0, 0.0), (40.0, 1e-3)])
+
+    # these used to warn in log and then raise LinAlgError
+    @pytest.mark.parametrize("n", [0.0, -10.0, math.inf, math.nan])
+    def test_bad_n(self, n):
+        with pytest.raises(DegenerateDataError):
+            rate_slope([(n, 1.0), (20.0, 0.5), (40.0, 0.25)])
+
+    def test_non_finite_error(self):
+        with pytest.raises(DegenerateDataError):
+            rate_slope([(10.0, math.inf), (20.0, 0.5), (40.0, 0.25)])
 
 
 class TestNormSpec:

@@ -206,6 +206,20 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "" and f"smld: {code}:" in captured.err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--f", "sin:1", "--n", "0", "--beta=-1", "--x-grid", "0,1"],
+            ["apply", "--f", "sin:1", "--n=-1", "--beta=-3", "--x-grid", "0"],
+            ["apply", "--f", "sin:1", "--n=-1", "--beta=-3", "--x-grid", "1"],
+            ["moments", "--n", "0", "--beta=-2", "--x", "1"],
+        ],
+    )
+    def test_n_nonpositive_exit_2(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: n_nonpositive:" in captured.err
+
     def test_eigen_contains_lambda2(self, capsys):
         code = main(["eigen", "--n", "10", "--beta", "2", "--alpha", "0"])
         assert code == 0

@@ -40,6 +40,13 @@ class TestValidate:
             validate(OperatorParams(2.0, 0.0, 3.0))
         assert err.value.code == "n_le_beta"
 
+    # n <= 0 with beta < n used to pass: n = 0, beta = -1 gave M f = 0.5 for sin
+    @pytest.mark.parametrize("n, beta", [(0.0, -1.0), (-1.0, -3.0), (0.0, 0.0), (-0.0, -2.0)])
+    def test_n_nonpositive(self, n, beta):
+        with pytest.raises(ParameterError) as err:
+            validate(OperatorParams(n, 0.0, beta), TestFunction.sin_scaled(1.0))
+        assert err.value.code == "n_nonpositive"
+
     def test_alpha_low(self):
         with pytest.raises(ParameterError) as err:
             validate(OperatorParams(5.0, -1.0, 0.0))
