@@ -1,18 +1,19 @@
 """Empirical convergence lab: sup norms, weighted norms, L_p errors, Schur
 quantities, and rate fitting.
 
-Sup norms over intervals are grid maxima (default 2001 points, declared
-kinks added as grid points), refined around the grid argmax by a few
-rounds that each evaluate the function once on a small batch of points.
+Sup norms over intervals are grid maxima (``_GRID_POINTS`` = 2001 points,
+declared kinks added as grid points), refined around the grid argmax by a
+few rounds that each evaluate the function once on a small batch of
+points.
 The Korovkin differences for the test set {1, t, t^2} have exact
 rational/sqrt closed forms, so those norms are evaluated without any
 quadrature.  None of the bound constants are assumed anywhere: reports
 carry measured values along with the n grid that produced them.
 
 The L_p-family norms of one operator share one evaluation: |M f - f| on
-the panel grid of [0, R] is kept in a bounded LRU cache keyed by (f,
-params, policy, R, panels, nodes), and each norm only applies its p and
-gamma to the cached read-only arrays.
+the fixed panel grid of [0, R] (48 panels of 12 Gauss-Legendre nodes) is
+kept in a bounded LRU cache keyed by (f, params, policy, R), and each norm
+only applies its p and gamma to the cached read-only arrays.
 """
 
 from __future__ import annotations
@@ -64,6 +65,10 @@ __all__ = [
 _REFINE_POINTS = 31
 _REFINE_ROUNDS = 7
 
+_GRID_POINTS = 2001  # sup-norm and modulus grids
+_LP_PANELS, _LP_NODES = 48, 12  # Gauss-Legendre panel rule of the L_p norms on [0, R]
+_SCHUR_PANELS, _SCHUR_NODES = 24, 10  # the same for the Schur x-integral
+
 _PANEL_ERRORS = 8  # |M f - f| panel grids kept per process, ~14 KB each at 48 x 12 nodes
 
 
@@ -72,21 +77,6 @@ def _finite_above(value: float | None, lo: float, inclusive: bool = False) -> bo
     if value is None or not math.isfinite(value):
         return False
     return value >= lo if inclusive else value > lo
-
-
-def _check_grid_points(points) -> None:
-    """A sup-norm grid has an integer number of points, at least its two ends."""
-    if isinstance(points, bool) or not isinstance(points, (int, np.integer)) or points < 2:
-        raise ParameterError(
-            "norm_grid_points", f"grid_points must be an integer >= 2, got {points!r}"
-        )
-
-
-def _check_panel_rule(panels, nodes) -> None:
-    """A panel rule has an integer number >= 1 of panels and of nodes per panel."""
-    for code, name, value in (("norm_panels", "panels", panels), ("norm_nodes", "nodes", nodes)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ParameterError(code, f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +95,11 @@ class NormSpec:
     r_cut: float | None = None
     gamma: float | None = None
     r_max: float | None = None
-    grid_points: int = 2001
 
     def __post_init__(self):
         kinds = ("sup_compact", "weighted_phi", "lp", "weighted_lp")
         if self.kind not in kinds:
             raise ParameterError("norm_kind", f"kind must be one of {kinds}, got {self.kind!r}")
-        _check_grid_points(self.grid_points)
         if self.kind == "sup_compact" and not _finite_above(self.a, 0.0):
             raise ParameterError("norm_interval", f"sup_compact needs finite a > 0, got {self.a}")
         if self.kind == "weighted_phi" and not _finite_above(self.x_max, 0.0):
@@ -132,12 +120,12 @@ class NormSpec:
                 )
 
     @classmethod
-    def sup_compact(cls, a: float, grid_points: int = 2001) -> "NormSpec":
-        return cls("sup_compact", a=a, grid_points=grid_points)
+    def sup_compact(cls, a: float) -> "NormSpec":
+        return cls("sup_compact", a=a)
 
     @classmethod
-    def weighted_phi(cls, x_max: float, grid_points: int = 2001) -> "NormSpec":
-        return cls("weighted_phi", x_max=x_max, grid_points=grid_points)
+    def weighted_phi(cls, x_max: float) -> "NormSpec":
+        return cls("weighted_phi", x_max=x_max)
 
     @classmethod
     def lp(cls, p: float, r_cut: float) -> "NormSpec":
@@ -175,7 +163,6 @@ def sup_abs_on_interval(
     g: Callable[[np.ndarray], np.ndarray],
     lo: float,
     hi: float,
-    grid_points: int = 2001,
     kinks: Sequence[float] = (),
 ) -> float:
     """sup |g| on [lo, hi]: the grid max, refined around the grid argmax.
@@ -187,8 +174,7 @@ def sup_abs_on_interval(
     """
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
         raise ParameterError("norm_interval", f"requires finite lo <= hi, got [{lo}, {hi}]")
-    _check_grid_points(grid_points)
-    grid = _grid_with_kinks(lo, hi, grid_points, kinks)
+    grid = _grid_with_kinks(lo, hi, _GRID_POINTS, kinks)
     vals = np.abs(np.asarray(g(grid), dtype=float))
     i = int(np.argmax(vals))
     best = float(vals[i])
@@ -205,9 +191,7 @@ def sup_abs_on_interval(
     return best
 
 
-def modulus_of_continuity(
-    f, delta: float, a: float, grid_points: int = 2001
-) -> float:
+def modulus_of_continuity(f, delta: float, a: float) -> float:
     """omega(f, delta) = sup { |f(t) - f(x)| : x, t in [0, a], |t - x| <= delta }.
 
     Grid pairs plus a local fine scan around the maximizing pair.
@@ -216,11 +200,10 @@ def modulus_of_continuity(
         raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
     if not (0 < delta <= a):
         raise ParameterError("modulus_delta", f"requires 0 < delta <= a, got {delta}")
-    _check_grid_points(grid_points)
     kinks = f.kinks if isinstance(f, TestFunction) else ()
-    grid = _grid_with_kinks(0.0, a, grid_points, kinks)
+    grid = _grid_with_kinks(0.0, a, _GRID_POINTS, kinks)
     vals = np.asarray(f(grid), dtype=float)
-    # rows in blocks of 128, so no grid_points^2 array is built; a later
+    # rows in blocks of 128, so no grid-squared array is built; a later
     # block must be strictly larger, which keeps the first maximal pair
     best, i, j = -1.0, 0, 0
     for r in range(0, len(grid), 128):
@@ -247,7 +230,6 @@ def operator_sup_error(
     params: OperatorParams,
     a: float,
     policy: TruncationPolicy | None = None,
-    grid_points: int = 2001,
 ) -> float:
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
     if not _finite_above(a, 0.0):
@@ -257,7 +239,7 @@ def operator_sup_error(
     def diff(xs):
         return apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
 
-    return sup_abs_on_interval(diff, 0.0, a, grid_points, f.kinks)
+    return sup_abs_on_interval(diff, 0.0, a, f.kinks)
 
 
 def compact_estimate_check(
@@ -267,7 +249,6 @@ def compact_estimate_check(
     beta: float,
     a: float,
     policy: TruncationPolicy | None = None,
-    grid_points: int = 2001,
 ) -> ConvergenceReport:
     """Sup error on [0, a] per n plus the measured ratio E_n / omega(f, 1/sqrt n).
 
@@ -278,8 +259,8 @@ def compact_estimate_check(
     ratios = []
     for n in n_grid:
         params = OperatorParams(float(n), alpha, beta)
-        e_n = operator_sup_error(f, params, a, policy, grid_points)
-        omega = modulus_of_continuity(f, 1.0 / math.sqrt(n), a, grid_points)
+        e_n = operator_sup_error(f, params, a, policy)
+        omega = modulus_of_continuity(f, 1.0 / math.sqrt(n), a)
         rows.append((float(n), e_n))
         ratios.append(e_n / omega if omega > 0 else math.inf)
     slope = None
@@ -287,7 +268,7 @@ def compact_estimate_check(
         slope = rate_slope(rows)
     return ConvergenceReport(
         f_label=f.label,
-        norm=NormSpec.sup_compact(a, grid_points),
+        norm=NormSpec.sup_compact(a),
         rows=tuple(rows),
         fitted_slope=slope,
         bound_constant=max(ratios),
@@ -295,7 +276,7 @@ def compact_estimate_check(
     )
 
 
-def weighted_phi_norm(g: Callable, x_max: float, grid_points: int = 2001) -> float:
+def weighted_phi_norm(g: Callable, x_max: float) -> float:
     """sup over [0, x_max] of |g(x)| / (1 + x^2).
 
     The tail beyond x_max is the caller's responsibility: for the Korovkin
@@ -308,7 +289,7 @@ def weighted_phi_norm(g: Callable, x_max: float, grid_points: int = 2001) -> flo
     def ratio(xs):
         return np.asarray(g(xs), dtype=float) / (1.0 + xs**2)
 
-    return sup_abs_on_interval(ratio, 0.0, x_max, grid_points)
+    return sup_abs_on_interval(ratio, 0.0, x_max)
 
 
 # -- Korovkin test functions: exact weighted norms ----------------------------
@@ -367,11 +348,9 @@ def lp_error(
     p: float,
     r_cut: float,
     policy: TruncationPolicy | None = None,
-    panels: int = 48,
-    nodes: int = 12,
 ) -> float:
     """(integral_0^R |M f - f|^p dx)^(1/p): the weighted L_p error at gamma = 0."""
-    return weighted_lp_error(f, params, p, 0.0, r_cut, policy, panels, nodes)[0]
+    return weighted_lp_error(f, params, p, 0.0, r_cut, policy)[0]
 
 
 def weighted_lp_error(
@@ -381,16 +360,14 @@ def weighted_lp_error(
     gamma: float,
     r_max: float,
     policy: TruncationPolicy | None = None,
-    panels: int = 48,
-    nodes: int = 12,
 ) -> tuple[float, bool]:
     """(integral_0^Rmax |M f - f|^p e^(gamma x) dx)^(1/p), plus the flag
     gamma <= p beta (the weighted-convergence hypothesis; the value is
     computed either way and the flag reports applicability).
 
     |M f - f| on the panel grid comes from a bounded cache shared by every
-    p and gamma, so the L_p norms of one (f, params, policy, R, panels,
-    nodes) evaluate the operator once.
+    p and gamma, so the L_p norms of one (f, params, policy, R) evaluate
+    the operator once.
     """
     if not _finite_above(gamma, 0.0, inclusive=True):
         raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
@@ -399,26 +376,20 @@ def weighted_lp_error(
     if not _finite_above(r_max, 0.0):
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
     validate(params, f)
-    _check_panel_rule(panels, nodes)
     policy = policy or DEFAULT_TRUNCATION
-    xs, ws, dev = _panel_error(f, params, policy, float(r_max), panels, nodes)
+    xs, ws, dev = _panel_error(f, params, policy, float(r_max))
     value = float(np.dot(ws, dev**p * np.exp(gamma * xs)) ** (1.0 / p))
     return value, gamma <= p * params.beta + 1e-15
 
 
 @lru_cache(maxsize=_PANEL_ERRORS)
 def _panel_error(
-    f: TestFunction,
-    params: OperatorParams,
-    policy: TruncationPolicy,
-    r_max: float,
-    panels: int,
-    nodes: int,
+    f: TestFunction, params: OperatorParams, policy: TruncationPolicy, r_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (xs, ws, |M f - f|) on the panel rule of [0, r_max], kinks
     of f added as panel edges."""
-    edges = _grid_with_kinks(0.0, r_max, panels + 1, f.kinks)
-    xs, ws = panel_rule(edges, nodes)
+    edges = _grid_with_kinks(0.0, r_max, _LP_PANELS + 1, f.kinks)
+    xs, ws = panel_rule(edges, _LP_NODES)
     dev = np.abs(apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float))
     for a in (xs, ws, dev):
         a.flags.writeable = False
@@ -491,18 +462,16 @@ def schur_second_integral(
     p: float,
     t: float,
     policy: TruncationPolicy | None = None,
-    panels: int = 24,
-    nodes: int = 10,
 ) -> SchurSecondResult:
     """x-integral of the conjugated kernel at fixed t, against its stated bound.
 
     direct = e^(-gamma t / p) * integral_0^inf e^(gamma x / p) K_n(x, t) dx
-    (by quadrature over a certified x range); bound is the stated majorant
+    (by quadrature on [0, x_hi], an x cut placed by a fixed heuristic past
+    the active k, not certified); bound is the stated majorant
     (1 - gamma/(np))^(-1) E_n(t (1 - gamma/(np))^(-1)).  Both are returned;
     the comparison is the caller's to draw.
     """
     validate(params)
-    _check_panel_rule(panels, nodes)
     if not t > 0:
         raise ParameterError("schur_t_nonpositive", f"requires t > 0, got {t}")
     if gamma < 0:
@@ -519,8 +488,8 @@ def schur_second_integral(
     k_top = u + 12.0 * math.sqrt(u + 1.0) + 40.0
     decay = params.n - gamma / p
     x_hi = (k_top + 12.0 * math.sqrt(k_top) + 60.0) / decay
-    edges = np.linspace(0.0, x_hi, panels + 1)
-    xs, ws = panel_rule(edges, nodes)
+    edges = np.linspace(0.0, x_hi, _SCHUR_PANELS + 1)
+    xs, ws = panel_rule(edges, _SCHUR_NODES)
     kern = kernel_on_x_grid(xs, t, params, policy)
     direct = math.exp(-gamma * t / p) * float(np.dot(ws, np.exp(gamma * xs / p) * kern))
     return SchurSecondResult(bound=bound, direct=direct, hypothesis_ok=gamma <= p * params.beta + 1e-15)

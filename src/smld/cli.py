@@ -30,6 +30,7 @@ from .operator import (
     apply_operator_grid,
     apply_szasz,
     load_sampled,
+    validate,
 )
 
 __all__ = ["RunConfig", "Table", "parse_config", "run", "emit", "main"]
@@ -200,15 +201,13 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
         parser.error("--x, --x-grid: requires finite x >= 0")
     if hasattr(ns, "alpha"):
-        if not ns.alpha > -1.0:
-            parser.error("--alpha: requires alpha > -1")
         cfg.alpha, cfg.beta = ns.alpha, ns.beta
-        n_val = getattr(ns, "n", None)
-        if n_val is not None:
-            if not n_val > ns.beta:
-                parser.error("--beta: requires n > beta")
-            cfg.params = OperatorParams(n_val, ns.alpha, ns.beta)
     try:
+        if hasattr(ns, "n"):
+            cfg.params = OperatorParams(ns.n, ns.alpha, ns.beta)
+            validate(cfg.params)
+        for n in getattr(ns, "n_grid", ()):
+            validate(OperatorParams(n, ns.alpha, ns.beta))
         if hasattr(ns, "f"):
             cfg.f = _parse_function(ns.f)
         if hasattr(ns, "norm"):
@@ -228,8 +227,6 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
     if cfg.command in ("asymptotics", "converge"):
         if any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
             parser.error("--n-grid: values must be strictly ascending")
-        if any(n <= ns.beta for n in cfg.n_grid):
-            parser.error("--n-grid: requires n > beta for every n")
     return cfg
 
 
@@ -286,9 +283,7 @@ def _run_converge(cfg: RunConfig) -> Table:
     norm = cfg.norm
     al, b = cfg.alpha, cfg.beta
     if norm.kind == "sup_compact":
-        report = analysis.compact_estimate_check(
-            cfg.f, cfg.n_grid, al, b, norm.a, cfg.policy, norm.grid_points
-        )
+        report = analysis.compact_estimate_check(cfg.f, cfg.n_grid, al, b, norm.a, cfg.policy)
         rows = [
             (n, err, ratio, report.fitted_slope)
             for (n, err), ratio in zip(report.rows, report.ratios)
@@ -310,7 +305,7 @@ def _run_converge(cfg: RunConfig) -> Table:
                     cfg.f(xs), dtype=float
                 )
 
-            errors.append(analysis.weighted_phi_norm(diff, norm.x_max, norm.grid_points))
+            errors.append(analysis.weighted_phi_norm(diff, norm.x_max))
     slope = None
     if len([e for e in errors if e > 0]) >= 3:
         slope = analysis.rate_slope(list(zip(cfg.n_grid, errors)))

@@ -33,16 +33,16 @@ shape is a batch of one.  The batch shares everything but its densities:
   mass on the leading panel takes that panel as a Gauss-Jacobi rule with
   weight u^(shape-1), which integrates the fractional endpoint power
   exactly instead of fighting it;
-* all panels are halved until two successive refinements of a row agree,
-  and the finer of the two is returned.  For the smooth catalog that is
-  the second round, on panels ~ 2 sqrt(shape) wide, where 16 nodes already
-  integrate the Gaussian-like density to rounding; the coarse opening
-  round only confirms it.  A row that has agreed leaves the density
-  matrix, and one that does not converge in ``_MAX_ROUNDS`` rounds (the
-  finest panel ~ 4 sqrt(shape) / 2^10) raises ``QuadratureError``.  A
-  round whose totals are not finite (f overflowed or returned inf or nan
-  on the window; one such value reaches every row, as 0 * inf is nan)
-  raises it at once, with code ``integrand_not_finite``.
+* all panels are halved until two successive rounds agree on every row of
+  the batch, and the finer of the two is returned.  For the smooth catalog
+  that is the second round, on panels ~ 2 sqrt(shape) wide, where
+  ``_NODES`` = 16 nodes already integrate the Gaussian-like density to
+  rounding; the coarse opening round only confirms it.  A batch that does
+  not converge in ``_MAX_ROUNDS`` rounds (the finest panel ~ 4 sqrt(shape)
+  / 2^10) raises ``QuadratureError``.  A round whose totals are not finite
+  (f overflowed or returned inf or nan on the window; one such value
+  reaches every row, as 0 * inf is nan) raises it at once, with code
+  ``integrand_not_finite``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from ..special import _first, _log_gamma_excess, _log_psi, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
 
+_NODES = 16  # Gauss-Legendre nodes per panel, and of the Gauss-Jacobi front rule
 _MAX_ROUNDS = 11
 _MAX_KINK_PANELS = 64
 _SLAB_CELLS = 1 << 14  # density-matrix entries built at once: 128 kB of floats
@@ -151,14 +152,14 @@ def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, wt
 
 
-def _panel_values(f, order, g, small, jacobi, edges, nodes):
+def _panel_values(f, order, g, small, jacobi, edges):
     """GL panel integrals of f(u) * gamma_pdf(u) for each row's prepared
     density: (signed values, absolute masses).  Row i's density is
     psi_{order_i}(u), times order_i / u where ``small`` (shape < 1, order =
     shape), with g = g(order) from ``special._log_gamma_excess``.  Rows
     flagged in ``jacobi`` leave out the first panel, which their
     Gauss-Jacobi rule covers."""
-    u, wt = panel_rule(edges, nodes)
+    u, wt = panel_rule(edges, _NODES)
     vals = np.asarray(f(u), dtype=float)
     signed, mass = wt * vals, wt * np.abs(vals)
     total, absolute = np.empty(len(order)), np.empty(len(order))
@@ -169,7 +170,7 @@ def _panel_values(f, order, g, small, jacobi, edges, nodes):
         if small[rows].any():
             np.multiply(dens, order[rows] / u, out=dens, where=small[rows])
         if jacobi[rows].any():
-            dens[jacobi[rows], :nodes] = 0.0
+            dens[jacobi[rows], :_NODES] = 0.0
         total[rows] = dens @ signed
         absolute[rows] = dens @ mass
     return total, absolute
@@ -206,7 +207,6 @@ def gamma_mean(
     kinks: tuple[float, ...] = (),
     tilt: float = 0.0,
     env_k: float = 1.0,
-    nodes: int = 16,
     endpoint_power: float = 0.0,
 ):
     """Mean of f under Gamma(s, 1) for each s in ``shape``, to relative
@@ -216,8 +216,9 @@ def gamma_mean(
     shapes (the result is an array of means, one per shape): the batch
     shares one window, one set of panels and one evaluation of f per node.
     The panels open about 4 sqrt(min shape) wide and are halved until two
-    successive rounds of a row agree; the finer round is returned, which
-    for smooth f is the second, on panels about 2 sqrt(min shape) wide.
+    successive rounds agree on every row; the finer round is returned,
+    which for smooth f is the second, on panels about 2 sqrt(min shape)
+    wide.
     Each row's density order, its g(order) and a Jacobi row's ln Gamma(s)
     are computed once per batch, not per round.  ``kinks`` are
     u-locations where f is not smooth (they become panel edges); ``tilt``
@@ -257,7 +258,7 @@ def gamma_mean(
     front = shapes[jacobi]  # the Jacobi rows' shapes, their ln Gamma and rules
     if len(front):
         front_log_gamma = np.array([math.lgamma(v) for v in front.tolist()])
-        jx, jw = _gj_rules(nodes, tuple((front + endpoint_power - 1.0).tolist()))
+        jx, jw = _gj_rules(_NODES, tuple((front + endpoint_power - 1.0).tolist()))
         if len(edges) > 2 and edges[2] - edges[1] > 2.0 * edges[1]:
             # a kink close to u = 0 ends the Jacobi panel early: grade the
             # next panel geometrically so no panel is wider than its
@@ -273,14 +274,12 @@ def gamma_mean(
     order = np.where(small, shapes[:, None], shapes[:, None] - 1.0)
     g = _log_gamma_excess(order)
 
-    out = np.empty(len(shapes))
-    rows = np.arange(len(shapes))  # the rows still refining
     previous = None
     for _ in range(_MAX_ROUNDS):
         # f and its products with the weights may overflow; that leaves a
         # total that is not finite, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            total, mass = _panel_values(f, order, g, small, jacobi, edges, nodes)
+            total, mass = _panel_values(f, order, g, small, jacobi, edges)
             if len(front):
                 jt, jm = _jacobi_panel(f, front, front_log_gamma, (jx, jw), float(edges[1]),
                                        endpoint_power)
@@ -294,18 +293,8 @@ def gamma_mean(
             )
         if previous is not None:
             thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
-            done = np.abs(total - previous) <= thresh
-            out[rows[done]] = total[done]
-            if done.all():
-                return float(out[0]) if np.ndim(shape) == 0 else out
-            if done.any():  # the accepted rows leave the density matrix
-                if len(front):
-                    keep = ~done[jacobi]
-                    front, front_log_gamma = front[keep], front_log_gamma[keep]
-                    jx, jw = jx[keep], jw[keep]
-                keep = ~done
-                rows, total = rows[keep], total[keep]
-                order, g, small, jacobi = order[keep], g[keep], small[keep], jacobi[keep]
+            if (np.abs(total - previous) <= thresh).all():
+                return float(total[0]) if np.ndim(shape) == 0 else total
         previous = total
         edges = _halve(edges)
     raise QuadratureError(

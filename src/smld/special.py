@@ -179,7 +179,7 @@ def _log_gamma_excess(a: np.ndarray) -> np.ndarray:
 
 def _log_psi(lam, a, g):
     """The deviance kernel: ln psi_a(lam) = (a - lam) - a log1p((a - lam)/lam) - g
-    for g = g(a), broadcast, with no checks.
+    for an array of orders a and g = g(a), broadcast, with no checks.
 
     Near the mean its error is a few eps |a - lam|, not the eps lam ln(lam)
     of three large logarithms.  An order a = 0 stays out of log1p(-1); lam
@@ -188,7 +188,7 @@ def _log_psi(lam, a, g):
     """
     dev = a - lam
     alog = dev / lam
-    if not isinstance(a, np.ndarray) or a.all():  # a scalar order is > 0
+    if a.all():
         alog = np.log1p(alog)
     else:
         alog = np.log1p(alog, out=np.zeros(alog.shape), where=a > 0)
@@ -202,16 +202,9 @@ def log_poisson_weights(lam, a) -> np.ndarray:
     """ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1), broadcast, for lam >= 0 and real a >= 0.
 
     The deviance kernel ``_log_psi`` behind a domain check.  At lam = 0 it
-    is 0 for a = 0 and -inf above.  One positive order over positive lam
-    takes g(a) in scalar ``math``.
+    is 0 for a = 0 and -inf above.
     """
     lam = np.asarray(lam, dtype=float)
-    if isinstance(a, (int, float)) and a > 0 and lam.min(initial=1.0) > 0:
-        if a < 16:
-            g = math.lgamma(a + 1.0) - a * math.log(a) + a
-        else:
-            g = _stirling(a) + 0.5 * math.log(2.0 * math.pi * a)
-        return _log_psi(lam, a, g)
     a = np.asarray(a, dtype=float)
     if (lam < 0).any() or (a < 0).any():
         raise ParameterError("poisson_domain", "requires lam >= 0 and a >= 0")

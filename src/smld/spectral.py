@@ -18,7 +18,6 @@ ratio of real-order Poisson weights) and filled by its term recurrence.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +49,11 @@ __all__ = [
 ]
 
 _WHICH = ("constant", "exponential")
+
+# adaptive_K: the upper-row deficit it targets, the first K it tries, its cap
+_DEFICIT_TOL = 1e-12
+_K_START = 512
+_K_CAP = 40_000
 
 
 @dataclass(frozen=True)
@@ -148,28 +152,24 @@ def row_deficit_tail(params: OperatorParams, k: int, K: int) -> float:
     return float(_scipy_special().betainc(K + 1.0, k + params.alpha + 1.0, q2))
 
 
-def adaptive_K(
-    params: OperatorParams, deficit_tol: float = 1e-12, start: int = 512, cap: int = 40_000
-) -> int:
-    """Smallest tried K whose worst upper row (k = K//2) has deficit <= tol.
+def adaptive_K(params: OperatorParams) -> int:
+    """Smallest tried K whose worst upper row (k = K//2) has deficit <= 1e-12.
 
     Deficits grow with the row index, so checking the last row of the
     upper half suffices.  Uses the analytic tail, no matrix build.
     """
     validate(params)
-    K = start
+    K = _K_START
     while True:
-        if row_deficit_tail(params, K // 2, K) <= deficit_tol:
+        if row_deficit_tail(params, K // 2, K) <= _DEFICIT_TOL:
             return K
         K = int(K * 1.4) + 16
-        if K > cap:
-            raise TruncationError(f"adaptive K exceeded cap = {cap}")
+        if K > _K_CAP:
+            raise TruncationError(f"adaptive K exceeded cap = {_K_CAP}")
 
 
-def build_P_adaptive(
-    params: OperatorParams, deficit_tol: float = 1e-12, start: int = 512
-) -> TruncatedP:
-    return build_P(params, adaptive_K(params, deficit_tol, start))
+def build_P_adaptive(params: OperatorParams) -> TruncatedP:
+    return build_P(params, adaptive_K(params))
 
 
 def _eigen_pair(params: OperatorParams, which: str) -> tuple[TestFunction, float, float]:
@@ -231,17 +231,12 @@ def lift(v, x: float, n: float) -> float:
     return float(_poisson_sum(n, np.array([float(x)]), v, 0)[0])
 
 
-def iterate_decay(
-    params: OperatorParams,
-    r: int,
-    x_grid,
-    K: int | None = None,
-    deficit_tol: float = 1e-12,
-) -> IterateDecayReport:
+def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     """Push the geometric eigenvector through P r times and lift each iterate.
 
     The m-th lift must track lam^m e^(-beta x); successive sup-amplitudes
-    over the grid must contract by exactly lam.
+    over the grid must contract by exactly lam.  P is the adaptive
+    truncation, whose upper rows k <= K/2 lose at most 1e-12 of their mass.
     """
     validate(params)
     if not 0 < params.beta < params.n:
@@ -251,13 +246,7 @@ def iterate_decay(
     if r < 0:
         raise ParameterError("iterate_steps", f"requires r >= 0, got {r}")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    p_mat = build_P(params, K) if K is not None else build_P_adaptive(params, deficit_tol)
-    upper_deficit = float(np.max(p_mat.row_deficits[: p_mat.K // 2 + 1]))
-    if upper_deficit > 1e-8:
-        warnings.warn(
-            f"iterate_decay: truncation-dominated regime, upper-row deficit {upper_deficit:.2e}",
-            stacklevel=2,
-        )
+    p_mat = build_P_adaptive(params)
     _, z, lam = _eigen_pair(params, "exponential")
     v = z ** np.arange(p_mat.K + 1.0)
     deviations = []

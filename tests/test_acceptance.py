@@ -176,6 +176,22 @@ def test_criterion_14_interpolation_at_zero(verify_runs):
     _assert_checks(verify_runs, "14", ["14_interpolation_at_zero"])
 
 
+def test_check_14_sees_a_wrong_c0(monkeypatch):
+    # check 14 holds M f(0) against the closed-form c_0, not against the
+    # chunk that computes it: a chunk 0 off by 1e-9 relative must fail it
+    core = importlib.import_module("smld.operator.core")
+    verification = importlib.import_module("smld.verification")
+    cached = core._coefficient_cached
+
+    def scaled(f, j, params, policy):
+        chunk = cached(f, j, params, policy)
+        return chunk * (1.0 + 1e-9) if j == 0 else chunk
+
+    monkeypatch.setattr(core, "_coefficient_cached", scaled)
+    (result,) = verification.check_14_interpolation_at_zero()
+    assert not result.passed and result.measured > result.tolerance
+
+
 def test_criterion_15_determinism(verify_runs):
     (code1, bytes1), (code2, bytes2) = verify_runs["runs"]
     identical = bytes1 == bytes2 and code1 == code2

@@ -80,71 +80,67 @@ class TestSupRefinement:
             calls.append(len(xs))
             return np.sin(3.0 * xs)
 
-        sup_abs_on_interval(g, 0.0, 2.0, 201)
+        sup_abs_on_interval(g, 0.0, 2.0)
         rounds = math.ceil(math.log(1.0 / self.TARGET) / math.log((_REFINE_POINTS + 1) / 2))
         assert len(calls) <= 1 + rounds
-        assert calls[0] == 201
+        assert calls[0] == 2001
 
     def test_bracket_reaches_golden_width(self):
         # the final bracket spans two of the last round's point spacings;
-        # the opening bracket is two grid steps, 0.02
+        # the opening bracket is two grid steps, 0.002
         seen = []
 
         def g(xs):
             seen.append(np.array(xs))
             return 1.0 - (xs - 0.7071234) ** 2
 
-        sup_abs_on_interval(g, 0.0, 2.0, 201)
+        sup_abs_on_interval(g, 0.0, 2.0)
         last = seen[-1]
-        assert 2.0 * (last[1] - last[0]) <= self.TARGET * 0.02
+        assert 2.0 * (last[1] - last[0]) <= self.TARGET * 0.002
 
     def test_off_grid_smooth_maximum(self):
         def g(xs):
             return np.exp(-((xs - 0.7071234) ** 2) / 0.01)
 
-        value = sup_abs_on_interval(g, 0.0, 2.0, 201)
+        value = sup_abs_on_interval(g, 0.0, 2.0)
         assert abs(value - 1.0) <= 4 * np.finfo(float).eps
 
     def test_monotone_maximum_at_endpoint(self):
-        value = sup_abs_on_interval(np.exp, 0.0, 2.0, 201)
+        value = sup_abs_on_interval(np.exp, 0.0, 2.0)
         assert value == float(np.exp(np.array([2.0]))[0])
 
     def test_declared_kink_maximum(self):
         def g(xs):
             return 1.0 - np.abs(xs - 0.3137)
 
-        assert sup_abs_on_interval(g, 0.0, 1.0, 101, kinks=(0.3137,)) == 1.0
+        assert sup_abs_on_interval(g, 0.0, 1.0, kinks=(0.3137,)) == 1.0
 
     def test_one_point_interval(self):
         assert sup_abs_on_interval(lambda xs: xs + 1.0, 0.5, 0.5) == 1.5
 
 
 class TestGridPoints:
-    # a sup-norm grid needs both ends of its interval: fewer points used to
-    # raise a bare ValueError or IndexError, or return the value at 0 alone
+    # the sup-norm grid is the module constant _GRID_POINTS = 2001: no
+    # function or NormSpec takes a grid_points keyword, whatever its value
     @pytest.mark.parametrize("points", [0, 1, -5, 2.5, 2001.0, True])
     def test_sup_abs_on_interval(self, points):
-        with pytest.raises(ParameterError) as exc:
-            sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, points)
-        assert exc.value.code == "norm_grid_points"
+        with pytest.raises(TypeError):
+            sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, grid_points=points)
 
     @pytest.mark.parametrize("points", [0, 1])
     def test_operator_sup_error(self, points):
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(TypeError):
             operator_sup_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 2.0,
                                grid_points=points)
-        assert exc.value.code == "norm_grid_points"
 
     def test_modulus_of_continuity(self):
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(TypeError):
             modulus_of_continuity(TestFunction.sin_scaled(2.0), 0.1, 2.0, grid_points=1)
-        assert exc.value.code == "norm_grid_points"
 
     @pytest.mark.parametrize("make", [NormSpec.sup_compact, NormSpec.weighted_phi])
     def test_norm_spec(self, make):
-        with pytest.raises(ParameterError) as exc:
+        with pytest.raises(TypeError):
             make(2.0, grid_points=-5)
-        assert exc.value.code == "norm_grid_points"
 
     # an infinite end used to warn in linspace
     @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 1.0), (0.0, math.nan),
@@ -161,8 +157,7 @@ class TestGridPoints:
         assert exc.value.code == "norm_interval"
 
     def test_two_points_are_the_ends(self):
-        assert sup_abs_on_interval(lambda xs: xs, 0.0, 1.0, np.int64(2)) == 1.0
-        assert modulus_of_continuity(TestFunction.monomial(1), 2.0, 2.0, grid_points=2) == 2.0
+        assert modulus_of_continuity(TestFunction.monomial(1), 2.0, 2.0) == 2.0
 
 
 class TestSupGoldenParity:
@@ -205,13 +200,13 @@ class TestModulus:
     def test_nondecreasing_in_delta(self):
         f = TestFunction.sin_scaled(3.0)
         deltas = [0.1, 0.2, 0.4, 0.8]
-        vals = [modulus_of_continuity(f, d, 2.0, grid_points=801) for d in deltas]
+        vals = [modulus_of_continuity(f, d, 2.0) for d in deltas]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_subadditive(self):
         f = TestFunction.sqrt()
-        w1 = modulus_of_continuity(f, 0.25, 3.0, grid_points=801)
-        w2 = modulus_of_continuity(f, 0.5, 3.0, grid_points=801)
+        w1 = modulus_of_continuity(f, 0.25, 3.0)
+        w2 = modulus_of_continuity(f, 0.5, 3.0)
         assert w2 <= 2.0 * w1 + 1e-9
 
     def test_delta_domain(self):
@@ -279,8 +274,8 @@ class TestKorovkin:
                 + (al + 1.0) * (al + 2.0) / rate**2
             )
 
-        assert e1 == pytest.approx(weighted_phi_norm(d1, 100.0, 4001), rel=1e-8)
-        assert e2 == pytest.approx(weighted_phi_norm(d2, 100.0, 4001), rel=1e-8)
+        assert e1 == pytest.approx(weighted_phi_norm(d1, 100.0), rel=1e-8)
+        assert e2 == pytest.approx(weighted_phi_norm(d2, 100.0), rel=1e-8)
 
     def test_beta_negative_rejected(self):
         with pytest.raises(ParameterError):
@@ -295,19 +290,17 @@ class TestCompactEstimate:
         assert err.value.code == "norm_interval"
 
     def test_constant_error_zero(self):
-        err = operator_sup_error(TestFunction.monomial(0), OperatorParams(10.0, 0.0, 1.0), 2.0,
-                                 grid_points=201)
+        err = operator_sup_error(TestFunction.monomial(0), OperatorParams(10.0, 0.0, 1.0), 2.0)
         assert err <= 1e-12
 
     def test_linear_exact_error(self):
         # M t - t = (alpha + 1 + beta x)/(n - beta); beta = 0 -> constant 1/n
-        err = operator_sup_error(TestFunction.monomial(1), OperatorParams(100.0, 0.0, 0.0), 2.0,
-                                 grid_points=201)
+        err = operator_sup_error(TestFunction.monomial(1), OperatorParams(100.0, 0.0, 0.0), 2.0)
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_ratio_bounded(self):
         rep = compact_estimate_check(
-            TestFunction.abs_shift(1.0), (25.0, 100.0, 400.0), 0.0, 0.0, 2.0, grid_points=401
+            TestFunction.abs_shift(1.0), (25.0, 100.0, 400.0), 0.0, 0.0, 2.0
         )
         assert max(rep.ratios) / min(rep.ratios) <= 3.0
         assert rep.bound_constant == max(rep.ratios)
@@ -375,36 +368,6 @@ class TestLpErrors:
         assert ok
 
 
-class TestPanelRule:
-    # panels = 0 used to return 0.0 (the true L_1 error is 0.3904); other bad
-    # counts raised a bare ValueError or TypeError
-    @pytest.mark.parametrize(
-        "kwargs, code",
-        [
-            (dict(panels=0), "norm_panels"),
-            (dict(panels=-3), "norm_panels"),
-            (dict(panels=4.0), "norm_panels"),
-            (dict(panels=True), "norm_panels"),
-            (dict(nodes=0), "norm_nodes"),
-            (dict(nodes=2.5), "norm_nodes"),
-        ],
-    )
-    def test_lp_error(self, kwargs, code):
-        with pytest.raises(ParameterError) as exc:
-            lp_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 1.0, 2.0, **kwargs)
-        assert exc.value.code == code
-
-    def test_schur_second_integral(self):
-        with pytest.raises(ParameterError) as exc:
-            schur_second_integral(OperatorParams(10.0, 0.0, 1.0), 1.0, 1.0, 1.0, nodes=0)
-        assert exc.value.code == "norm_nodes"
-
-    def test_smallest_rule(self):
-        value = lp_error(TestFunction.sin_scaled(2.0), OperatorParams(10.0), 1.0, 2.0,
-                         panels=np.int64(1), nodes=1)
-        assert math.isfinite(value) and value > 0.0
-
-
 @pytest.fixture
 def grid_calls(monkeypatch):
     """Counts the operator grid evaluations made through analysis, cache cold."""
@@ -449,7 +412,7 @@ class TestSharedPanelError:
         f = TestFunction.sqrt()
         params = OperatorParams(10.0)
         lp_error(f, params, 1.0, 2.0)
-        for a in analysis._panel_error(f, params, DEFAULT_TRUNCATION, 2.0, 48, 12):
+        for a in analysis._panel_error(f, params, DEFAULT_TRUNCATION, 2.0):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
@@ -467,7 +430,7 @@ class TestSharedPanelError:
         f = TestFunction.monomial(1)
         params = OperatorParams(10.0)
         for i in range(_PANEL_ERRORS + 3):
-            lp_error(f, params, 1.0, 1.0 + i, panels=2, nodes=3)
+            lp_error(f, params, 1.0, 1.0 + i)
         assert analysis._panel_error.cache_info().currsize == _PANEL_ERRORS
         assert len(grid_calls) == _PANEL_ERRORS + 3
 
@@ -596,3 +559,26 @@ class TestNormSpec:
             NormSpec("weighted_lp", p=1.0, gamma=-0.5, r_max=2.0)
         with pytest.raises(ParameterError):
             NormSpec("unknown")
+
+
+_SIN, _P10 = TestFunction.sin_scaled(2.0), OperatorParams(10.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "fn, args, keyword",
+    [
+        (NormSpec, ("sup_compact", 2.0), "grid_points"),
+        (compact_estimate_check, (_SIN, (10.0,), 0.0, 1.0, 2.0), "grid_points"),
+        (weighted_phi_norm, (np.abs, 2.0), "grid_points"),
+        (lp_error, (_SIN, _P10, 1.0, 2.0), "panels"),
+        (lp_error, (_SIN, _P10, 1.0, 2.0), "nodes"),
+        (weighted_lp_error, (_SIN, _P10, 1.0, 0.0, 2.0), "panels"),
+        (weighted_lp_error, (_SIN, _P10, 1.0, 0.0, 2.0), "nodes"),
+        (schur_second_integral, (_P10, 1.0, 1.0, 1.0), "panels"),
+        (schur_second_integral, (_P10, 1.0, 1.0, 1.0), "nodes"),
+    ],
+)
+def test_fixed_discretisation_takes_no_keyword(fn, args, keyword):
+    # the grids and panel rules are module constants, not options
+    with pytest.raises(TypeError):
+        fn(*args, **{keyword: 2})

@@ -26,13 +26,33 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse_config(["moments", "--beta", "12", "--n", "10"])
         assert exc.value.code == 2
-        assert "requires n > beta" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "requires n > beta" in err
+        assert "smld: error: n_le_beta: " in err
 
     def test_alpha_too_low(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["moments", "--n", "10", "--alpha", "-1.5"])
         assert exc.value.code == 2
-        assert "requires alpha > -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "requires alpha > -1" in err
+        assert "smld: error: alpha_le_minus_one: " in err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["asymptotics", "--n-grid", "0,10", "--beta=-1"], "n_nonpositive"),
+            (["asymptotics", "--n-grid", "1,2", "--beta", "1.5"], "n_le_beta"),
+            (["converge", "--f", "sin:1", "--norm", "lp:1,2", "--n-grid", "5,10",
+              "--alpha=-2"], "alpha_le_minus_one"),
+        ],
+    )
+    def test_n_grid_params_validated(self, argv, code, capsys):
+        # every (n, alpha, beta) of the grid is checked at parse time
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert f"smld: error: {code}: " in capsys.readouterr().err
 
     def test_unknown_flag_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -198,13 +218,16 @@ class TestRun:
             (["--n", "inf"], "params_not_finite"),
             (["--n", "10", "--alpha", "inf"], "params_not_finite"),
             (["--n", "10", "--beta=-inf"], "params_not_finite"),
-            (["--n", "inf", "--operator", "szasz"], "szasz_n"),
+            (["--n", "inf", "--operator", "szasz"], "params_not_finite"),
         ],
     )
     def test_apply_non_finite_params_exit_2(self, extra, code, capsys):
-        assert main(["apply", "--f", "exp:-1", "--x-grid", "1", *extra]) == 2
+        # (n, alpha, beta) is validated at parse time, whichever operator
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--f", "exp:-1", "--x-grid", "1", *extra])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"smld: {code}:" in captured.err
+        assert captured.out == "" and f"smld: error: {code}:" in captured.err
 
     @pytest.mark.parametrize(
         "argv",
@@ -216,9 +239,11 @@ class TestRun:
         ],
     )
     def test_n_nonpositive_exit_2(self, argv, capsys):
-        assert main(argv) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "smld: n_nonpositive:" in captured.err
+        assert captured.out == "" and "smld: error: n_nonpositive:" in captured.err
 
     def test_eigen_contains_lambda2(self, capsys):
         code = main(["eigen", "--n", "10", "--beta", "2", "--alpha", "0"])

@@ -7,6 +7,7 @@ import pytest
 
 from smld.errors import FileFormatError, ParameterError, QuadratureError, TruncationError
 from smld.operator import (
+    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
     TruncationPolicy,
@@ -24,6 +25,7 @@ from smld.operator import (
 
 from smld.moments import raw_moment_closed
 from smld.operator.core import _coefficient_cached, _k_window
+from smld.operator import quadrature
 from smld.operator.quadrature import _gj_rules, _window, gamma_mean
 
 from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_szasz
@@ -269,6 +271,33 @@ class TestCoefficientChunks:
             assert isinstance(scalar, float)
             assert scalar == gamma_mean(f, shapes[i : i + 1], 1e-12, endpoint_power=power)[0]
             assert scalar == pytest.approx(batch[i], rel=1e-13, abs=0.0)
+
+
+class TestBatchAcceptance:
+    def test_mixed_batch_refines_every_row(self, monkeypatch):
+        # chunk 4 of (t - 5)^3 at n = 5: its rows pass the acceptance test in
+        # different rounds (2, 3, 2, ...), so the whole batch takes round 3,
+        # every row in it, and returns that round's totals
+        rows = []
+
+        def spy(f, order, *rest):
+            rows.append(len(order))
+            return panel_values(f, order, *rest)
+
+        panel_values = quadrature._panel_values
+        monkeypatch.setattr(quadrature, "_panel_values", spy)
+        f, params = TestFunction.centered_power(5.0, 3), OperatorParams(5.0)
+        chunk = _coefficient_cached.__wrapped__(f, 4, params, DEFAULT_TRUNCATION)
+        assert rows == [9, 9, 9]
+        for k, got in zip(range(16, 25), chunk):
+            s, r = Fraction(k + 1), Fraction(5)
+            m1, m2, m3 = s / r, s * (s + 1) / r**2, s * (s + 1) * (s + 2) / r**3
+            exact = float(m3 - 15 * m2 + 75 * m1 - 125)  # E(T - 5)^3
+            assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_node_count_is_fixed(self):
+        with pytest.raises(TypeError):
+            gamma_mean(np.sqrt, 2.5, 1e-12, nodes=8)
 
 
 class TestCoarseOpening:

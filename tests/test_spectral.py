@@ -159,10 +159,6 @@ class TestIterateDecay:
         with pytest.raises(ParameterError):
             iterate_decay(OperatorParams(10.0, 0.0, 0.0), 2, [1.0])
 
-    def test_truncation_warning_when_K_too_small(self):
-        with pytest.warns(UserWarning, match="truncation-dominated"):
-            iterate_decay(OperatorParams(10.0, 0.0, 2.0), 1, [1.0], K=16)
-
 
 class TestSemigroupIdentity:
     def test_apply_equals_lifted_matvec(self):
@@ -194,3 +190,21 @@ class TestSemigroupIdentity:
             lhs = apply_operator(f, x, params)
             rhs = lift(pv, x, params.n)
             assert lhs == pytest.approx(rhs, abs=1e-7)
+
+
+@pytest.mark.parametrize(
+    "fn, args, keyword",
+    [
+        (adaptive_K, (), "deficit_tol"),
+        (adaptive_K, (), "start"),
+        (adaptive_K, (), "cap"),
+        (build_P_adaptive, (), "deficit_tol"),
+        (build_P_adaptive, (), "start"),
+        (iterate_decay, (1, [1.0]), "K"),
+        (iterate_decay, (1, [1.0]), "deficit_tol"),
+    ],
+)
+def test_adaptive_truncation_takes_no_keyword(fn, args, keyword):
+    # the adaptive K's tolerance, start and cap are module constants
+    with pytest.raises(TypeError):
+        fn(OperatorParams(10.0, 0.0, 2.0), *args, **{keyword: 16})
