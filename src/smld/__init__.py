@@ -28,10 +28,8 @@ from .operator import (
     apply_szasz,
     coefficient,
     growth_bound,
-    kernel,
     load_sampled,
     validate,
-    value_at_zero,
 )
 
 __version__ = "0.1.0"
@@ -47,8 +45,6 @@ __all__ = [
     "apply_szasz",
     "coefficient",
     "growth_bound",
-    "kernel",
     "load_sampled",
     "validate",
-    "value_at_zero",
 ]

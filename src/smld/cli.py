@@ -3,9 +3,9 @@
 Commands: moments, central-moments, asymptotics, apply, converge, eigen,
 schur, verify-all.  Output is deterministic: identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 verification failure,
-2 usage error (bad flags, or parameters outside an operator's domain, such
-as n <= beta + A for a function of growth class A), 3 numerical failure
-(for example a certified k window wider than --k-max).
+2 usage error (bad flags, an unwritable --output, or parameters outside an
+operator's domain, such as n <= beta + A for a function of growth class A),
+3 numerical failure (for example a certified k window wider than --k-max).
 """
 
 from __future__ import annotations
@@ -216,12 +216,9 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         parser.error(f"{exc.code}: {exc}")
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    for name in ("x", "max_r", "r", "p", "gamma", "operator"):
+    for name in ("x", "max_r", "r", "p", "gamma", "operator", "n_grid", "x_grid", "t_grid"):
         if hasattr(ns, name):
             setattr(cfg, name, getattr(ns, name))
-    for name, attr in (("n_grid", "n_grid"), ("x_grid", "x_grid"), ("t_grid", "t_grid")):
-        if hasattr(ns, name):
-            setattr(cfg, attr, tuple(getattr(ns, name)))
     if hasattr(ns, "k"):
         cfg.k_trunc = ns.k
     if cfg.command in ("asymptotics", "converge"):
@@ -252,10 +249,7 @@ def _run_central_moments(cfg: RunConfig) -> Table:
         binom = moments.central_moment_binomial(r, cfg.x, cfg.params)
         quad = apply_operator(TestFunction.centered_power(cfg.x, r), cfg.x, cfg.params, cfg.policy)
         present = [v for v in (explicit, binom, quad) if v is not None]
-        resid = max(
-            abs(a - b) / max(abs(a), abs(b), 1.0) for a in present for b in present
-        )
-        rows.append((r, cfg.x, explicit, binom, quad, resid))
+        rows.append((r, cfg.x, explicit, binom, quad, moments._cross_residual(present)))
     return Table(["r", "x", "explicit", "binomial", "quadrature", "max_residual"], rows)
 
 
@@ -408,7 +402,12 @@ def run(config: RunConfig) -> int:
     # only verify-all reports a pass/fail verdict along with its table
     table, all_ok = result if isinstance(result, tuple) else (result, True)
     if config.output:
-        with open(config.output, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(config.output, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            print(f"smld: output_unwritable: {exc}", file=sys.stderr)
+            return 2
+        with fh:
             emit(table, config.fmt, fh)
     else:
         emit(table, config.fmt, sys.stdout)

@@ -36,7 +36,6 @@ from .special import kummer_scaled, pochhammer
 
 __all__ = [
     "MomentReport",
-    "AsymptoticCase",
     "AsymptoticRow",
     "raw_moment_closed",
     "raw_moment_recurrence",
@@ -46,7 +45,6 @@ __all__ = [
     "central_moment_explicit",
     "central_moment_binomial",
     "asymptotic_prediction",
-    "asymptotic_case",
     "asymptotic_ratio_table",
     "moment_report",
 ]
@@ -207,33 +205,6 @@ def asymptotic_prediction(r: int, x: float, params: OperatorParams) -> float:
     if r == 1:
         return (params.alpha + 1.0 + params.beta * x) / params.n
     return r * (r - 1) * params.beta ** (r - 2) * x ** (r - 1) / params.n ** (r - 1)
-
-
-@dataclass(frozen=True)
-class AsymptoticCase:
-    """Leading-term prediction plus the A = n/(n-b), z = nx diagnostics."""
-
-    r: int
-    x: float
-    params: OperatorParams
-    predicted_leading: float
-    a_factor: float
-    z: float
-    delta: float
-
-
-def asymptotic_case(r: int, x: float, params: OperatorParams) -> AsymptoticCase:
-    validate(params)
-    a_factor = params.n / params.rate
-    return AsymptoticCase(
-        r=r,
-        x=x,
-        params=params,
-        predicted_leading=asymptotic_prediction(r, x, params),
-        a_factor=a_factor,
-        z=params.n * x,
-        delta=a_factor - 1.0,
-    )
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,7 @@ from .core import (
     apply_szasz,
     coefficient,
     growth_bound,
-    kernel,
     kernel_on_x_grid,
-    value_at_zero,
 )
 from .functions import TestFunction, load_sampled
 from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
@@ -25,8 +23,6 @@ __all__ = [
     "apply_operator",
     "apply_operator_grid",
     "apply_szasz",
-    "value_at_zero",
-    "kernel",
     "kernel_on_x_grid",
     "growth_bound",
     "gamma_mean",

@@ -10,8 +10,8 @@ and f(k/n) for the Szasz operator.  Its ingredients:
 * ``coefficient`` -- one certified gamma-density mean, read out of its
   chunk: chunk j holds c_k for k in [j^2, (j+1)^2), computed by one batched
   ``gamma_mean`` call and kept in a bounded LRU cache keyed by (f, j,
-  params, policy); chunk 0 is {c_0}, so ``value_at_zero`` runs one
-  quadrature, and the read-only chunks are safe to share,
+  params, policy); chunk 0 is {c_0}, and the read-only chunks are safe
+  to share,
 * one certified two-sided k window per block of up to 128 x
   (``_k_window``): through the growth envelope of f, the terms below and
   above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
@@ -41,8 +41,6 @@ __all__ = [
     "coefficient",
     "apply_operator",
     "apply_operator_grid",
-    "value_at_zero",
-    "kernel",
     "kernel_on_x_grid",
     "apply_szasz",
     "growth_bound",
@@ -101,15 +99,6 @@ def coefficient(
     validate(params, f)
     j = math.isqrt(int(k))
     return float(_coefficient_cached(f, j, params, policy)[int(k) - j * j])
-
-
-def value_at_zero(
-    f: TestFunction, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> float:
-    """Operator value at x = 0 (the interpolation point): exactly c_0(f), chunk 0."""
-    policy = policy or DEFAULT_TRUNCATION
-    validate(params, f)
-    return float(_coefficient_cached(f, 0, params, policy)[0])
 
 
 def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
@@ -226,25 +215,6 @@ def apply_operator_grid(
     smallest and largest x; a one-point grid is :func:`apply_operator`.
     """
     return _operator_values(f, xs, params, policy)
-
-
-def kernel(
-    x: float, t: float, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> float:
-    """Kernel K_n(x, t): for each x a probability density in t."""
-    validate(params)
-    if not (math.isfinite(x) and math.isfinite(t)):
-        raise ParameterError("kernel_not_finite", f"requires finite x, t, got x = {x}, t = {t}")
-    if x < 0 or t < 0:
-        raise ParameterError("kernel_domain", f"requires x, t >= 0, got x = {x}, t = {t}")
-    if t == 0.0:
-        # only the k = 0 term can contribute; t^alpha at t = 0
-        if params.alpha > 0:
-            return 0.0
-        if params.alpha == 0:
-            return params.rate * math.exp(-params.n * x)
-        return math.inf
-    return float(kernel_on_x_grid([x], t, params, policy)[0])
 
 
 def kernel_on_x_grid(

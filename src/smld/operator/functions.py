@@ -66,10 +66,6 @@ class TestFunction:
         return cls("monomial", (r,), 1.0, k, f"t^{r}")
 
     @classmethod
-    def constant(cls, c: float = 1.0) -> "TestFunction":
-        return cls.polynomial((c,))
-
-    @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "TestFunction":
         coeffs = tuple(float(c) for c in coeffs)
         _require_finite("polynomial", coeffs)
@@ -175,11 +171,6 @@ class TestFunction:
     def endpoint_power(self) -> float:
         """p such that f(t) = t^p * (smooth near 0); quadrature absorbs it."""
         return 0.5 if self.kind == "sqrt" else 0.0
-
-    def growth_bound_holds(self, t_max: float = 100.0, points: int = 2001) -> bool:
-        """Check |f(t)| <= K exp(A t) on a sample grid (declared-class sanity)."""
-        t = np.linspace(0.0, t_max, points)
-        return bool(np.all(np.abs(self(t)) <= self.growth_k * np.exp(self.growth_a * t) * (1 + 1e-12)))
 
 
 def load_sampled(path) -> TestFunction:

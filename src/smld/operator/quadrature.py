@@ -6,8 +6,8 @@ rate) law.  After the substitution u = rate * t this is
     integral f(u / rate) u^(shape-1) e^(-u) du / Gamma(shape),
 
 and :func:`gamma_mean` computes it for a batch of nearby shapes at once
-(the operator's coefficient layer hands it runs of consecutive k); a scalar
-shape is a batch of one.  The batch shares everything but its densities:
+(the operator's coefficient layer hands it runs of consecutive k).  The
+batch shares everything but its densities:
 
 * one integration window [u_lo, u_hi], from the lower edge of the smallest
   shape to the upper edge of the largest, chosen so that both neglected
@@ -212,9 +212,9 @@ def gamma_mean(
     """Mean of f under Gamma(s, 1) for each s in ``shape``, to relative
     accuracy ~eps for smooth f.
 
-    ``shape`` is one shape (the result is a float) or an array of nearby
-    shapes (the result is an array of means, one per shape): the batch
-    shares one window, one set of panels and one evaluation of f per node.
+    ``shape`` is an array of nearby shapes and the result is an array of
+    means, one per shape: the batch shares one window, one set of panels
+    and one evaluation of f per node.
     The panels open about 4 sqrt(min shape) wide and are halved until two
     successive rounds agree on every row; the finer round is returned,
     which for smooth f is the second, on panels about 2 sqrt(min shape)
@@ -294,7 +294,7 @@ def gamma_mean(
         if previous is not None:
             thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
             if (np.abs(total - previous) <= thresh).all():
-                return float(total[0]) if np.ndim(shape) == 0 else total
+                return total
         previous = total
         edges = _halve(edges)
     raise QuadratureError(

@@ -44,13 +44,13 @@ __all__ = [
     "eigen_vector_check",
     "eigen_operator_check",
     "iterate_decay",
-    "lift",
     "lambda2",
 ]
 
 _WHICH = ("constant", "exponential")
 
-# adaptive_K: the upper-row deficit it targets, the first K it tries, its cap
+# adaptive_K: the upper-row deficit it targets and the first K it tries; the
+# largest K that it tries and that build_P accepts
 _DEFICIT_TOL = 1e-12
 _K_START = 512
 _K_CAP = 40_000
@@ -123,8 +123,8 @@ def _nb_row(s: float, q2: float, K: int, mode: int, anchor: float) -> np.ndarray
 def build_P(params: OperatorParams, K: int) -> TruncatedP:
     """Leading (K+1) x (K+1) block of P with per-row truncation deficits."""
     validate(params)
-    if K < 1:
-        raise ParameterError("matrix_order", f"requires K >= 1, got {K}")
+    if not 1 <= K <= _K_CAP:
+        raise ParameterError("matrix_order", f"requires 1 <= K <= {_K_CAP}, got {K}")
     n, al, b = params.n, params.alpha, params.beta
     denom = 2.0 * n - b
     q1 = (n - b) / denom
@@ -213,22 +213,6 @@ def eigen_operator_check(
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params, policy) - lam * phi(xs))))
     return EigenCheck(which, lam, operator_residual=residual)
-
-
-def lift(v, x: float, n: float) -> float:
-    """Poisson-basis lift Phi_v(x) = sum_j v_j psi_{n,j}(x) of a finite vector.
-
-    The operator's own k-sum with the vector entries in place of the
-    coefficients c_k(f); the vector's length is the truncation.
-    """
-    v = np.asarray(v, dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ParameterError("unbounded_coefficients", "coefficient vector must be finite")
-    if not n > 0:
-        raise ParameterError("poisson_n", f"requires n > 0, got {n}")
-    if x < 0:
-        raise ParameterError("x_negative", f"requires x >= 0, got {x}")
-    return float(_poisson_sum(n, np.array([float(x)]), v, 0)[0])
 
 
 def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:

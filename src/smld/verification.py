@@ -40,7 +40,6 @@ from .operator import (
     TestFunction,
     TruncationPolicy,
     apply_operator,
-    value_at_zero,
 )
 from .special import reg_lower_gamma
 from .spectral import (
@@ -244,7 +243,7 @@ def check_07_eigenpairs() -> list[CheckResult]:
             worst_op = max(worst_op, chk.operator_residual)
         lam = lambda2(params)
         phi = TestFunction.exp_scaled(-params.beta)
-        ratio0 = value_at_zero(phi, params, tight)
+        ratio0 = apply_operator(phi, 0.0, params, tight)
         worst_lam = max(worst_lam, abs(ratio0 - lam))
         ratios = [
             apply_operator(phi, float(x), params, tight) * math.exp(params.beta * float(x))

@@ -252,6 +252,22 @@ class TestRun:
         expo = [row for row in rows if row[0] == "exponential"][0]
         assert float(expo[1]) == pytest.approx(0.8, rel=1e-14)
 
+    def test_eigen_order_above_cap_exit_2(self, capsys):
+        from smld.spectral import _K_CAP
+
+        code = main(["eigen", "--n", "10", "--k", str(_K_CAP + 1)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: matrix_order:" in captured.err
+
+    def test_unwritable_output_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code = main(["moments", "--n", "10", "--max-r", "1", "--output", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: output_unwritable:" in captured.err
+        assert not target.parent.exists()
+
     def test_determinism_byte_identical(self, tmp_path):
         args = ["central-moments", "--n", "10", "--beta", "1", "--alpha", "0.5", "--x", "2",
                 "--max-r", "4"]

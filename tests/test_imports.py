@@ -4,11 +4,13 @@ Importing scipy.special costs several times the arithmetic of a one-shot
 ``smld apply``, so only the two functions that need it, the incomplete
 gamma and beta functions, load it, on their first call.  A fresh
 interpreter checks this: a module-level scipy import anywhere under
-``smld`` fails the test.
+``smld`` fails the test.  Every name a module exports must also exist.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -52,3 +54,19 @@ def test_operator_and_cli_load_no_scipy():
         rel=1e-14,
     )
     assert out["after"]
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks ``from smld.<module> import *``
+    modules = [smld] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(smld.__path__, "smld.")
+    ]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert len(modules) >= 10
+    assert missing == []

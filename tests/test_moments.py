@@ -2,7 +2,6 @@ import pytest
 
 from smld.errors import ParameterError, UnsupportedOrderError
 from smld.moments import (
-    asymptotic_case,
     asymptotic_prediction,
     asymptotic_ratio_table,
     central_moment_binomial,
@@ -178,12 +177,6 @@ class TestAsymptotics:
 
     def test_prediction_vanishes(self):
         assert asymptotic_prediction(3, 1.0, OperatorParams(10.0, 0.0, 0.0)) == 0.0
-
-    def test_case_diagnostics(self):
-        case = asymptotic_case(2, 1.0, OperatorParams(10.0, 0.0, 2.0))
-        assert case.a_factor == pytest.approx(1.25, rel=1e-15)
-        assert case.delta == pytest.approx(0.25, rel=1e-12)
-        assert case.z == 10.0
 
     def test_ratio_r1_approaches_one(self):
         rows = asymptotic_ratio_table(1, 1.0, 0.5, 1.0, (10.0, 100.0, 1000.0))

@@ -16,11 +16,9 @@ from smld.operator import (
     apply_szasz,
     coefficient,
     growth_bound,
-    kernel,
     kernel_on_x_grid,
     load_sampled,
     validate,
-    value_at_zero,
 )
 
 from smld.moments import raw_moment_closed
@@ -116,7 +114,8 @@ class TestTestFunction:
         ],
     )
     def test_growth_bound_holds(self, f):
-        assert f.growth_bound_holds()
+        t = np.linspace(0.0, 100.0, 2001)
+        assert np.all(np.abs(f(t)) <= f.growth_k * np.exp(f.growth_a * t) * (1 + 1e-12))
 
     def test_sampled_interp_and_extrapolation(self):
         f = TestFunction.sampled((0.0, 1.0, 2.0), (0.0, 1.0, 0.5))
@@ -267,10 +266,9 @@ class TestCoefficientChunks:
         shapes = np.arange(36, 49) + alpha + 1.0
         batch = gamma_mean(f, shapes, 1e-12, endpoint_power=power)
         for i in (0, 6, 12):
-            scalar = gamma_mean(f, float(shapes[i]), 1e-12, endpoint_power=power)
-            assert isinstance(scalar, float)
-            assert scalar == gamma_mean(f, shapes[i : i + 1], 1e-12, endpoint_power=power)[0]
-            assert scalar == pytest.approx(batch[i], rel=1e-13, abs=0.0)
+            one = gamma_mean(f, shapes[i : i + 1], 1e-12, endpoint_power=power)
+            assert one.shape == (1,)
+            assert one[0] == pytest.approx(batch[i], rel=1e-13, abs=0.0)
 
 
 class TestBatchAcceptance:
@@ -535,7 +533,7 @@ class TestTruncationCap:
 
     def test_kernel(self):
         with pytest.raises(TruncationError):
-            kernel(3.0, 3.0, self.PARAMS, self.POLICY)
+            kernel_on_x_grid([3.0], 3.0, self.PARAMS, self.POLICY)
 
     def test_kernel_on_x_grid(self):
         with pytest.raises(TruncationError):
@@ -577,23 +575,24 @@ class TestQuadratureWindow:
 
 
 class TestValueAtZero:
+    # M f(0) = c_0(f), the mean of f under Gamma(alpha + 1, n - beta)
     def test_constant(self):
-        assert value_at_zero(TestFunction.monomial(0), OperatorParams(9.0, 0.3, 0.7)) == (
+        assert apply_operator(TestFunction.monomial(0), 0.0, OperatorParams(9.0, 0.3, 0.7)) == (
             pytest.approx(1.0, abs=1e-13)
         )
 
     def test_gamma_mean_examples(self):
-        assert value_at_zero(
-            TestFunction.monomial(1), OperatorParams(10.0, 0.0, 0.0)
+        assert apply_operator(
+            TestFunction.monomial(1), 0.0, OperatorParams(10.0, 0.0, 0.0)
         ) == pytest.approx(0.1, rel=1e-12)
-        assert value_at_zero(
-            TestFunction.monomial(1), OperatorParams(10.0, 1.0, 2.0)
+        assert apply_operator(
+            TestFunction.monomial(1), 0.0, OperatorParams(10.0, 1.0, 2.0)
         ) == pytest.approx(0.25, rel=1e-12)
 
     def test_matches_apply_at_zero(self):
         params = OperatorParams(10.0, -0.25, 1.0)
         for f in (TestFunction.sqrt(), TestFunction.abs_shift(1.0), TestFunction.monomial(2)):
-            assert abs(value_at_zero(f, params) - apply_operator(f, 0.0, params)) <= 1e-10
+            assert abs(coefficient(f, 0, params) - apply_operator(f, 0.0, params)) <= 1e-10
 
 
 class TestGrowthBound:
@@ -624,9 +623,8 @@ class TestGrowthBound:
 class TestKernel:
     def test_nonnegative(self):
         params = OperatorParams(10.0, 0.5, 1.0)
-        for x in (0.0, 0.5, 2.0):
-            for t in (0.1, 1.0, 3.0):
-                assert kernel(x, t, params) >= 0.0
+        for t in (0.1, 1.0, 3.0):
+            assert np.all(kernel_on_x_grid([0.0, 0.5, 2.0], t, params) >= 0.0)
 
     def test_density_normalization(self):
         # integral over t of K_n(x, t) = 1 (probability density)
@@ -636,7 +634,7 @@ class TestKernel:
         total = 0.0
         for a, b in zip(np.linspace(0, 12, 49)[:-1], np.linspace(0, 12, 49)[1:]):
             ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            vals = [kernel(x, float(t), params) for t in ts]
+            vals = [kernel_on_x_grid([x], float(t), params)[0] for t in ts]
             total += 0.5 * (b - a) * float(np.dot(weights, vals))
         assert total == pytest.approx(1.0, abs=1e-8)
 
@@ -644,7 +642,9 @@ class TestKernel:
         # at x = 0 with alpha = 0 the kernel is the plain exponential density
         params = OperatorParams(5.0, 0.0, 0.0)
         for t in (0.1, 0.5, 2.0):
-            assert kernel(0.0, t, params) == pytest.approx(5.0 * math.exp(-5.0 * t), rel=1e-13)
+            assert kernel_on_x_grid([0.0], t, params)[0] == pytest.approx(
+                5.0 * math.exp(-5.0 * t), rel=1e-13
+            )
 
     def test_consistency_with_operator(self):
         # apply_operator(f, x) = integral K_n(x, t) f(t) dt for smooth f
@@ -655,7 +655,7 @@ class TestKernel:
         total = 0.0
         for a, b in zip(np.linspace(0, 14, 57)[:-1], np.linspace(0, 14, 57)[1:]):
             ts = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-            vals = [kernel(x, float(t), params) * math.exp(-t) for t in ts]
+            vals = [kernel_on_x_grid([x], float(t), params)[0] * math.exp(-t) for t in ts]
             total += 0.5 * (b - a) * float(np.dot(weights, vals))
         assert total == pytest.approx(apply_operator(f, x, params), abs=1e-7)
 
@@ -665,19 +665,19 @@ class TestKernel:
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_x_or_t(self, bad):
         params = OperatorParams(10.0)
-        for call in (lambda: kernel(bad, 1.0, params), lambda: kernel(1.0, bad, params),
-                     lambda: kernel_on_x_grid([1.0, bad], 1.0, params),
+        for call in (lambda: kernel_on_x_grid([1.0, bad], 1.0, params),
                      lambda: kernel_on_x_grid([1.0], bad, params)):
             with pytest.raises(ParameterError) as err:
                 call()
             assert err.value.code == "kernel_not_finite"
 
     def test_grid_matches_scalar(self):
+        # a block's shared k window gives each row its one-point value
         params = OperatorParams(7.0, -0.25, 0.5)
         xs = np.array([0.0, 0.4, 1.1, 3.0])
         grid = kernel_on_x_grid(xs, 0.8, params)
         for x, gv in zip(xs, grid):
-            assert gv == pytest.approx(kernel(float(x), 0.8, params), rel=1e-10)
+            assert gv == pytest.approx(kernel_on_x_grid([x], 0.8, params)[0], rel=1e-10)
 
 
 class TestSzasz:

@@ -6,6 +6,7 @@ import pytest
 from smld.errors import ParameterError
 from smld.operator import OperatorParams, TestFunction, apply_operator
 from smld.spectral import (
+    _K_CAP,
     adaptive_K,
     build_P,
     build_P_adaptive,
@@ -13,14 +14,21 @@ from smld.spectral import (
     eigen_vector_check,
     iterate_decay,
     lambda2,
-    lift,
     row_deficit_tail,
 )
+from smld.operator.core import _poisson_sum
 
 import mpmath as mp
 
 
 class TestBuildP:
+    @pytest.mark.parametrize("K", [0, _K_CAP + 1])
+    def test_order_out_of_range(self, K):
+        # refused before the (K+1) x (K+1) block is allocated
+        with pytest.raises(ParameterError) as err:
+            build_P(OperatorParams(10.0), K)
+        assert err.value.code == "matrix_order"
+
     def test_first_entry(self):
         p_mat = build_P(OperatorParams(2.0, 0.0, 0.0), 8)
         assert p_mat.entries[0, 0] == pytest.approx(0.5, rel=1e-14)
@@ -119,22 +127,22 @@ class TestEigenOperator:
 
 
 class TestLift:
+    # the Poisson-basis lift Phi_v(x) = sum_j v_j psi_{n,j}(x) that
+    # iterate_decay applies to each iterate
+    @staticmethod
+    def lift(v, x, n):
+        return float(_poisson_sum(n, np.array([x]), v, 0)[0])
+
     def test_all_ones(self):
         v = np.ones(600)
-        assert lift(v, 1.0, 10.0) == pytest.approx(1.0, abs=1e-12)
+        assert self.lift(v, 1.0, 10.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_geometric_gives_exponential(self):
         v = (1.0 - 0.2) ** np.arange(600.0)
-        assert lift(v, 1.0, 10.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
+        assert self.lift(v, 1.0, 10.0) == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_unit_vector_at_origin(self):
-        assert lift(np.array([1.0, 0.0, 0.0]), 0.0, 5.0) == 1.0
-
-    def test_rejects_unbounded(self):
-        with pytest.raises(ParameterError):
-            lift(np.array([1.0, math.inf]), 1.0, 5.0)
-        with pytest.raises(ParameterError):
-            lift(np.array([1.0, math.nan]), 1.0, 5.0)
+        assert self.lift(np.array([1.0, 0.0, 0.0]), 0.0, 5.0) == 1.0
 
 
 class TestIterateDecay:
@@ -171,24 +179,27 @@ class TestSemigroupIdentity:
         p_mat = build_P(params, 320)
         v = np.zeros(p_mat.K + 1)
         v[:64] = rng.uniform(-1.0, 1.0, size=64)
-        kk = np.arange(64.0)
 
-        def phi(t):
+        def series(coeffs, t):
+            # Phi_coeffs(t) = sum_j coeffs_j psi_{n,j}(t), term by term in logs
             t = np.atleast_1d(np.asarray(t, dtype=float))
+            kk = np.arange(len(coeffs), dtype=float)
             out = np.empty_like(t)
             pos = t > 0
             if np.any(pos):
                 lam = params.n * t[pos]
                 logw = kk[None, :] * np.log(lam)[:, None] - lam[:, None] - gammaln(kk + 1.0)
-                out[pos] = np.exp(logw) @ v[:64]
-            out[~pos] = v[0]
+                out[pos] = np.exp(logw) @ coeffs
+            out[~pos] = coeffs[0]
             return out
 
-        f = TestFunction.from_callable(phi, growth_a=0.0, growth_k=1.0, label="poisson-series")
+        f = TestFunction.from_callable(
+            lambda t: series(v[:64], t), growth_a=0.0, growth_k=1.0, label="poisson-series"
+        )
         pv = p_mat.entries @ v
         for x in (0.0, 0.5, 1.5):
             lhs = apply_operator(f, x, params)
-            rhs = lift(pv, x, params.n)
+            rhs = float(series(pv, x)[0])
             assert lhs == pytest.approx(rhs, abs=1e-7)
 
 
