@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from smld.cli import Table, emit, main, parse_config
+from smld.spectral import _K_CAP
 
 
 def _csv_rows(text: str):
@@ -253,8 +254,6 @@ class TestRun:
         assert float(expo[1]) == pytest.approx(0.8, rel=1e-14)
 
     def test_eigen_order_above_cap_exit_2(self, capsys):
-        from smld.spectral import _K_CAP
-
         code = main(["eigen", "--n", "10", "--k", str(_K_CAP + 1)])
         assert code == 2
         captured = capsys.readouterr()
