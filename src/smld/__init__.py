@@ -7,8 +7,9 @@ Library layout:
   weights),
 * :mod:`smld.operator` -- operator application, kernel, certified k-sum
   truncation and coefficient quadrature,
-* :mod:`smld.moments` -- raw/central moments by four cross-checking routes
-  plus leading-order predictions,
+* :mod:`smld.moments` -- raw/central moments in closed form, by recurrence,
+  as explicit polynomials and as an exact binomial sum, plus leading-order
+  predictions (the quadrature route is the operator's own),
 * :mod:`smld.spectral` -- the coefficient matrix P and its two closed-form
   eigenpairs,
 * :mod:`smld.analysis` -- convergence experiments in sup, weighted, and

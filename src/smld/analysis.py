@@ -7,8 +7,8 @@ few rounds that each evaluate the function once on a small batch of
 points.
 The Korovkin differences for the test set {1, t, t^2} have exact
 rational/sqrt closed forms, so those norms are evaluated without any
-quadrature.  None of the bound constants are assumed anywhere: reports
-carry measured values along with the n grid that produced them.
+quadrature.  None of the bound constants are assumed anywhere: the
+functions return measured values, per n of the grid they are given.
 
 The L_p-family norms of one operator share one evaluation: |M f - f| on
 the fixed panel grid of [0, R] (48 panels of 12 Gauss-Legendre nodes) is
@@ -40,7 +40,6 @@ from .special import reg_lower_gamma
 
 __all__ = [
     "NormSpec",
-    "ConvergenceReport",
     "SchurSecondResult",
     "modulus_of_continuity",
     "sup_abs_on_interval",
@@ -134,18 +133,6 @@ class NormSpec:
     @classmethod
     def weighted_lp(cls, p: float, gamma: float, r_max: float) -> "NormSpec":
         return cls("weighted_lp", p=p, gamma=gamma, r_max=r_max)
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-n errors in one norm plus the fitted log-log slope."""
-
-    f_label: str
-    norm: NormSpec
-    rows: tuple[tuple[float, float], ...]
-    fitted_slope: float | None
-    bound_constant: float | None = None
-    ratios: tuple[float, ...] | None = None
 
 
 # -- sup norms ---------------------------------------------------------------
@@ -249,31 +236,21 @@ def compact_estimate_check(
     beta: float,
     a: float,
     policy: TruncationPolicy | None = None,
-) -> ConvergenceReport:
-    """Sup error on [0, a] per n plus the measured ratio E_n / omega(f, 1/sqrt n).
+) -> tuple[list[float], list[float]]:
+    """Sup errors E_n on [0, a] and the measured ratios E_n / omega(f, 1/sqrt n), per n.
 
     The max ratio over the grid is the measured stand-in for the
     quantitative-estimate constant; no value is assumed for it.
     """
-    rows = []
+    errors = []
     ratios = []
     for n in n_grid:
         params = OperatorParams(float(n), alpha, beta)
         e_n = operator_sup_error(f, params, a, policy)
         omega = modulus_of_continuity(f, 1.0 / math.sqrt(n), a)
-        rows.append((float(n), e_n))
+        errors.append(e_n)
         ratios.append(e_n / omega if omega > 0 else math.inf)
-    slope = None
-    if len(rows) >= 3 and all(e > 0 for _, e in rows):
-        slope = rate_slope(rows)
-    return ConvergenceReport(
-        f_label=f.label,
-        norm=NormSpec.sup_compact(a),
-        rows=tuple(rows),
-        fitted_slope=slope,
-        bound_constant=max(ratios),
-        ratios=tuple(ratios),
-    )
+    return errors, ratios
 
 
 def weighted_phi_norm(g: Callable, x_max: float) -> float:
@@ -498,14 +475,12 @@ def schur_second_integral(
 # -- rate fitting ----------------------------------------------------------------
 
 
-def rate_slope(rows: Sequence[tuple[float, float]] | ConvergenceReport) -> float:
+def rate_slope(rows: Sequence[tuple[float, float]]) -> float:
     """Least-squares slope of log(error) against log(n); zero errors excluded.
 
     Every n must be finite and > 0 and every error finite, or there is no
     log to fit (:class:`DegenerateDataError`).
     """
-    if isinstance(rows, ConvergenceReport):
-        rows = rows.rows
     bad = [(n, e) for n, e in rows if not (_finite_above(n, 0.0) and math.isfinite(e))]
     if bad:
         raise DegenerateDataError(f"needs finite n > 0 and finite errors, got {bad[0]}")

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -33,30 +33,7 @@ from .operator import (
     validate,
 )
 
-__all__ = ["RunConfig", "Table", "parse_config", "run", "emit", "main"]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: OperatorParams | None = None
-    alpha: float = 0.0
-    beta: float = 0.0
-    policy: TruncationPolicy = field(default_factory=TruncationPolicy)
-    fmt: str = "csv"
-    output: str | None = None
-    x: float = 1.0
-    max_r: int = 4
-    r: int = 2
-    f: TestFunction | None = None
-    n_grid: tuple[float, ...] = ()
-    x_grid: tuple[float, ...] = ()
-    t_grid: tuple[float, ...] = ()
-    norm: analysis.NormSpec | None = None
-    p: float = 1.0
-    gamma: float = 0.0
-    operator: str = "mn"
-    k_trunc: int | None = None
+__all__ = ["Table", "parse_config", "run", "emit", "main"]
 
 
 @dataclass
@@ -121,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--format", choices=("csv", "json"), default="csv",
+    out.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv",
                      help="output format (default csv)")
     out.add_argument("--output", default=None, help="output path (default stdout)")
 
@@ -182,16 +159,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: Sequence[str]) -> RunConfig:
-    """Parse and validate argv into a RunConfig; exits with code 2 on usage errors."""
+def parse_config(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse and validate argv; exits with code 2 on usage errors.
+
+    Returns the argparse namespace of the command's flags, with ``policy``
+    (a TruncationPolicy) and ``params`` (OperatorParams) attached where the
+    command takes their flags, and ``f`` and ``norm`` parsed in place.
+    """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    cfg.fmt = ns.format
-    cfg.output = ns.output
     if hasattr(ns, "eps_tail"):
         try:
-            cfg.policy = TruncationPolicy(
+            ns.policy = TruncationPolicy(
                 eps_tail=ns.eps_tail, eps_quad=ns.eps_quad, k_max=ns.k_max
             )
         except SmldError as exc:
@@ -200,60 +179,64 @@ def parse_config(argv: Sequence[str]) -> RunConfig:
         parser.error("--max-r: requires max_r >= 0")
     if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
         parser.error("--x, --x-grid: requires finite x >= 0")
-    if hasattr(ns, "alpha"):
-        cfg.alpha, cfg.beta = ns.alpha, ns.beta
+    n_grid = getattr(ns, "n_grid", ())
     try:
         if hasattr(ns, "n"):
-            cfg.params = OperatorParams(ns.n, ns.alpha, ns.beta)
-            validate(cfg.params)
-        for n in getattr(ns, "n_grid", ()):
+            ns.params = OperatorParams(ns.n, ns.alpha, ns.beta)
+            validate(ns.params)
+        for n in n_grid:
             validate(OperatorParams(n, ns.alpha, ns.beta))
         if hasattr(ns, "f"):
-            cfg.f = _parse_function(ns.f)
+            ns.f = _parse_function(ns.f)
         if hasattr(ns, "norm"):
-            cfg.norm = _parse_norm(ns.norm)
+            ns.norm = _parse_norm(ns.norm)
     except SmldError as exc:
         parser.error(f"{exc.code}: {exc}")
     except (ValueError, OSError) as exc:
         parser.error(str(exc))
-    for name in ("x", "max_r", "r", "p", "gamma", "operator", "n_grid", "x_grid", "t_grid"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if hasattr(ns, "k"):
-        cfg.k_trunc = ns.k
-    if cfg.command in ("asymptotics", "converge"):
-        if any(b <= a for a, b in zip(cfg.n_grid, cfg.n_grid[1:])):
-            parser.error("--n-grid: values must be strictly ascending")
-    return cfg
+    if any(b <= a for a, b in zip(n_grid, n_grid[1:])):
+        parser.error("--n-grid: values must be strictly ascending")
+    return ns
 
 
 # -- dispatch -------------------------------------------------------------------
 
 
-def _run_moments(cfg: RunConfig) -> Table:
+def _cross_residual(values: list[float]) -> float:
+    """Largest pairwise |a - b| / max(|a|, |b|, 1) among the routes' values."""
+    worst = 0.0
+    for i in range(len(values)):
+        for j in range(i + 1, len(values)):
+            denom = max(abs(values[i]), abs(values[j]), 1.0)
+            worst = max(worst, abs(values[i] - values[j]) / denom)
+    return worst
+
+
+def _run_moments(cfg: argparse.Namespace) -> Table:
+    recurrence = moments.raw_moments_recurrence(cfg.max_r, cfg.x, cfg.params)
     rows = []
     for r in range(cfg.max_r + 1):
-        rep = moments.moment_report(r, cfg.x, cfg.params, cfg.policy)
-        rows.append(
-            (r, cfg.x, rep.value_closed, rep.value_recurrence, rep.value_explicit,
-             rep.value_quadrature, rep.max_cross_residual)
-        )
+        closed = moments.raw_moment_closed(r, cfg.x, cfg.params)
+        explicit = moments.raw_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
+        quad = apply_operator(TestFunction.monomial(r), cfg.x, cfg.params, cfg.policy)
+        present = [v for v in (closed, recurrence[r], explicit, quad) if v is not None]
+        rows.append((r, cfg.x, closed, recurrence[r], explicit, quad, _cross_residual(present)))
     return Table(["r", "x", "closed", "recurrence", "explicit", "quadrature", "max_residual"],
                  rows)
 
 
-def _run_central_moments(cfg: RunConfig) -> Table:
+def _run_central_moments(cfg: argparse.Namespace) -> Table:
     rows = []
     for r in range(cfg.max_r + 1):
         explicit = moments.central_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
         binom = moments.central_moment_binomial(r, cfg.x, cfg.params)
         quad = apply_operator(TestFunction.centered_power(cfg.x, r), cfg.x, cfg.params, cfg.policy)
         present = [v for v in (explicit, binom, quad) if v is not None]
-        rows.append((r, cfg.x, explicit, binom, quad, moments._cross_residual(present)))
+        rows.append((r, cfg.x, explicit, binom, quad, _cross_residual(present)))
     return Table(["r", "x", "explicit", "binomial", "quadrature", "max_residual"], rows)
 
 
-def _run_asymptotics(cfg: RunConfig) -> Table:
+def _run_asymptotics(cfg: argparse.Namespace) -> Table:
     table = moments.asymptotic_ratio_table(cfg.r, cfg.x, cfg.alpha, cfg.beta, cfg.n_grid)
     rows = [
         (row.n, row.exact, row.predicted, row.two_term, row.ratio, row.flagged)
@@ -262,7 +245,7 @@ def _run_asymptotics(cfg: RunConfig) -> Table:
     return Table(["n", "exact", "predicted", "two_term", "ratio", "flagged"], rows)
 
 
-def _run_apply(cfg: RunConfig) -> Table:
+def _run_apply(cfg: argparse.Namespace) -> Table:
     rows = []
     for x in cfg.x_grid:
         if cfg.operator == "szasz":
@@ -273,44 +256,43 @@ def _run_apply(cfg: RunConfig) -> Table:
     return Table(["x", "operator_value", "f_value"], rows)
 
 
-def _run_converge(cfg: RunConfig) -> Table:
-    norm = cfg.norm
-    al, b = cfg.alpha, cfg.beta
+def _run_converge(cfg: argparse.Namespace) -> Table:
+    norm, f, policy = cfg.norm, cfg.f, cfg.policy
     if norm.kind == "sup_compact":
-        report = analysis.compact_estimate_check(cfg.f, cfg.n_grid, al, b, norm.a, cfg.policy)
-        rows = [
-            (n, err, ratio, report.fitted_slope)
-            for (n, err), ratio in zip(report.rows, report.ratios)
-        ]
-        return Table(["n", "error", "omega_ratio", "fitted_slope"], rows)
-    errors = []
-    for n in cfg.n_grid:
-        params = OperatorParams(n, al, b)
-        if norm.kind == "lp":
-            errors.append(analysis.lp_error(cfg.f, params, norm.p, norm.r_cut, cfg.policy))
-        elif norm.kind == "weighted_lp":
-            val, _ok = analysis.weighted_lp_error(
-                cfg.f, params, norm.p, norm.gamma, norm.r_max, cfg.policy
-            )
-            errors.append(val)
-        else:  # weighted_phi
-            def diff(xs, params=params):
-                return apply_operator_grid(cfg.f, xs, params, cfg.policy) - np.asarray(
-                    cfg.f(xs), dtype=float
-                )
+        errors, ratios = analysis.compact_estimate_check(
+            f, cfg.n_grid, cfg.alpha, cfg.beta, norm.a, policy
+        )
+    else:
+        errors = []
+        for n in cfg.n_grid:
+            params = OperatorParams(n, cfg.alpha, cfg.beta)
+            if norm.kind == "lp":
+                errors.append(analysis.lp_error(f, params, norm.p, norm.r_cut, policy))
+            elif norm.kind == "weighted_lp":
+                errors.append(analysis.weighted_lp_error(
+                    f, params, norm.p, norm.gamma, norm.r_max, policy
+                )[0])
+            else:  # weighted_phi
+                def diff(xs, params=params):
+                    return apply_operator_grid(f, xs, params, policy) - np.asarray(
+                        f(xs), dtype=float
+                    )
 
-            errors.append(analysis.weighted_phi_norm(diff, norm.x_max))
+                errors.append(analysis.weighted_phi_norm(diff, norm.x_max))
     slope = None
-    if len([e for e in errors if e > 0]) >= 3:
+    if sum(e > 0 for e in errors) >= 3:  # what rate_slope needs
         slope = analysis.rate_slope(list(zip(cfg.n_grid, errors)))
+    if norm.kind == "sup_compact":
+        rows = [(n, e, q, slope) for n, e, q in zip(cfg.n_grid, errors, ratios)]
+        return Table(["n", "error", "omega_ratio", "fitted_slope"], rows)
     rows = [(n, e, slope) for n, e in zip(cfg.n_grid, errors)]
     return Table(["n", "error", "fitted_slope"], rows)
 
 
-def _run_eigen(cfg: RunConfig) -> Table:
+def _run_eigen(cfg: argparse.Namespace) -> Table:
     params = cfg.params
-    if cfg.k_trunc is not None:
-        p_mat = spectral.build_P(params, cfg.k_trunc)
+    if cfg.k is not None:
+        p_mat = spectral.build_P(params, cfg.k)
     else:
         p_mat = spectral.build_P_adaptive(params)
     upper_deficit = float(p_mat.row_deficits[: p_mat.K // 2 + 1].max())
@@ -327,7 +309,7 @@ def _run_eigen(cfg: RunConfig) -> Table:
     )
 
 
-def _run_schur(cfg: RunConfig) -> Table:
+def _run_schur(cfg: argparse.Namespace) -> Table:
     params = cfg.params
     rows = []
     hyp = cfg.gamma <= cfg.p * params.beta + 1e-15
@@ -344,7 +326,7 @@ def _run_schur(cfg: RunConfig) -> Table:
     return Table(["quantity", "arg", "value", "hypothesis_ok"], rows)
 
 
-def _run_verify_all(cfg: RunConfig) -> tuple[Table, bool]:
+def _run_verify_all(cfg: argparse.Namespace) -> tuple[Table, bool]:
     results = verification.run_all()
     rows = [(r.name, r.measured, r.tolerance, r.passed, r.detail) for r in results]
     return Table(["check", "measured", "tolerance", "passed", "detail"], rows), all(
@@ -391,7 +373,7 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Dispatch a parsed config; returns the process exit code."""
     try:
         result = _HANDLERS[config.command](config)

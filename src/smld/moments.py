@@ -16,6 +16,10 @@ others:
   recurrence runs on ``fractions.Fraction`` copies of the (binary) inputs,
   so the r-1 leading orders the expansion cancels cost no digits, and the
   exact sum is rounded once.
+
+None of them calls the operator.  The quadrature column of the moment
+tables, M applied to t^r or (t-x)^r, comes from :mod:`smld.cli`, and
+checks 02c and 05b hold that route against these closed forms.
 """
 
 from __future__ import annotations
@@ -25,20 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, UnsupportedOrderError
-from .operator import (
-    OperatorParams,
-    TestFunction,
-    TruncationPolicy,
-    apply_operator,
-    validate,
-)
+from .operator import OperatorParams, validate
 from .special import kummer_scaled, pochhammer
 
 __all__ = [
-    "MomentReport",
     "AsymptoticRow",
     "raw_moment_closed",
-    "raw_moment_recurrence",
     "raw_moments_recurrence",
     "raw_moment_explicit",
     "diff_recurrence_residual",
@@ -46,7 +42,6 @@ __all__ = [
     "central_moment_binomial",
     "asymptotic_prediction",
     "asymptotic_ratio_table",
-    "moment_report",
 ]
 
 
@@ -80,15 +75,10 @@ def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list
     return _recurrence(r_max, params.n * x, params.alpha, params.rate)
 
 
-def raw_moment_recurrence(r: int, x: float, params: OperatorParams) -> float:
-    return raw_moments_recurrence(r, x, params)[r]
-
-
 def raw_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit polynomial-in-nx raw moments, available for r <= 4."""
     validate(params)
-    if r < 0 or r != int(r):
-        raise ParameterError("moment_order", f"r must be a nonnegative integer, got {r}")
+    _check_order(r)
     if r > 4:
         raise UnsupportedOrderError(f"explicit raw moments exist for r <= 4, got {r}")
     al = params.alpha
@@ -130,18 +120,17 @@ def diff_recurrence_residual(
     if not x - h > 0:
         raise ParameterError("diff_step", f"requires x - h > 0, got x = {x}, h = {h}")
     validate(params)
-    left = raw_moment_recurrence(r, x - h, params)
-    right = raw_moment_recurrence(r, x + h, params)
+    left = raw_moments_recurrence(r, x - h, params)[r]
+    right = raw_moments_recurrence(r, x + h, params)[r]
     shifted = OperatorParams(params.n, params.alpha + 1.0, params.beta)
-    rhs = params.n * r / params.rate * raw_moment_recurrence(r - 1, x, shifted)
+    rhs = params.n * r / params.rate * raw_moments_recurrence(r - 1, x, shifted)[r - 1]
     return abs((right - left) / (2.0 * h) - rhs)
 
 
 def central_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit central moments for r <= 4."""
     validate(params)
-    if r < 0 or r != int(r):
-        raise ParameterError("moment_order", f"r must be a nonnegative integer, got {r}")
+    _check_order(r)
     if r > 4:
         raise UnsupportedOrderError(f"explicit central moments exist for r <= 4, got {r}")
     al = params.alpha
@@ -245,43 +234,6 @@ def asymptotic_ratio_table(
         ratio = None if flagged else exact / predicted
         rows.append(AsymptoticRow(n, exact, predicted, two_term, ratio, flagged))
     return rows
-
-
-@dataclass(frozen=True)
-class MomentReport:
-    """One (r, x) row with every computed route and the worst disagreement."""
-
-    r: int
-    x: float
-    value_closed: float
-    value_recurrence: float
-    value_explicit: float | None
-    value_quadrature: float
-    max_cross_residual: float
-
-
-def _cross_residual(values: list[float]) -> float:
-    worst = 0.0
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            denom = max(abs(values[i]), abs(values[j]), 1.0)
-            worst = max(worst, abs(values[i] - values[j]) / denom)
-    return worst
-
-
-def moment_report(
-    r: int,
-    x: float,
-    params: OperatorParams,
-    policy: TruncationPolicy | None = None,
-) -> MomentReport:
-    """Compute mu_r(x) by every route and report the max pairwise residual."""
-    closed = raw_moment_closed(r, x, params)
-    recur = raw_moment_recurrence(r, x, params)
-    explicit = raw_moment_explicit(r, x, params) if r <= 4 else None
-    quad = apply_operator(TestFunction.monomial(r), x, params, policy)
-    present = [closed, recur, quad] + ([explicit] if explicit is not None else [])
-    return MomentReport(r, x, closed, recur, explicit, quad, _cross_residual(present))
 
 
 def _check_order(r: int) -> None:

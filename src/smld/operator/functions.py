@@ -22,10 +22,6 @@ from ..errors import FileFormatError, ParameterError
 
 __all__ = ["TestFunction", "load_sampled"]
 
-_KINDS = ("monomial", "polynomial", "exp_scaled", "abs_shift", "sqrt", "sin_scaled",
-          "sampled", "callable")
-
-
 def _require_finite(kind: str, values: tuple) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(

@@ -120,24 +120,31 @@ def _jacobi_p(top: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.array(p)
 
 
-def _window(shape: float, eps_win: float, tilt: float, env_k: float) -> tuple[float, float]:
-    """Certified integration window [u_lo, u_hi] for a Gamma(shape, 1) mean.
-
-    Upper: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= eps_win, with
+def _window_hi(shape: float, eps_win: float, tilt: float, env_k: float) -> float:
+    """Upper edge u_hi of a certified integration window for a Gamma(shape, 1)
+    mean: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= eps_win, with
     Q(s, w) <= psi_{s-1}(w) / (1 - max(s-1, 0)/w) for w > s - 1 (for s < 1 the
-    density ratio is at most 1, so the ratio is 0).  Lower: env_k P(shape,
-    u_lo) <= eps_win (the growth factor is ~1 near 0), with P(s, w) <=
-    psi_s(w) / (1 - w/(s+1)) for w < s + 1.  Each edge is one search in
-    strides of sqrt(shape) from shape +- (10 sqrt(shape) + 30).  At a fixed
-    edge the upper bound rises and the lower bound falls with the shape.
+    density ratio is at most 1, so the ratio is 0).  One search in strides of
+    sqrt(shape) from shape + 10 sqrt(shape) + 30.  At a fixed edge the bound
+    rises with the shape, so a batch takes the edge of its largest shape.
     """
     root = math.sqrt(shape)
     log_hi = math.log(eps_win) + shape * math.log1p(-tilt) - math.log(env_k)
     upper_ok = lambda w: _log_tail(shape - 1.0, w, max(shape - 1.0, 0.0) / w) <= log_hi
-    u_hi = _first(upper_ok, shape + 10.0 * root + 30.0, root) / (1.0 - tilt)
+    return _first(upper_ok, shape + 10.0 * root + 30.0, root) / (1.0 - tilt)
+
+
+def _window_lo(shape: float, eps_win: float, env_k: float) -> float:
+    """Lower edge u_lo of the same window: env_k P(shape, u_lo) <= eps_win
+    (the growth factor is ~1 near 0), with P(s, w) <= psi_s(w) / (1 - w/(s+1))
+    for w < s + 1.  One search in strides of sqrt(shape) down from
+    shape - (10 sqrt(shape) + 30).  At a fixed edge the bound falls with the
+    shape, so a batch takes the edge of its smallest shape.
+    """
+    root = math.sqrt(shape)
     log_lo = math.log(eps_win / env_k)
     lower_ok = lambda w: w <= 0.0 or _log_tail(shape, w, w / (shape + 1.0)) <= log_lo
-    return max(0.0, _first(lower_ok, shape - 10.0 * root - 30.0, -root)), u_hi
+    return max(0.0, _first(lower_ok, shape - 10.0 * root - 30.0, -root))
 
 
 def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -228,8 +235,8 @@ def gamma_mean(
     shapes = np.atleast_1d(np.asarray(shape, dtype=float))
     eps_win = 0.01 * eps
     s_min, s_max = float(shapes.min()), float(shapes.max())
-    u_lo = _window(s_min, eps_win, tilt, env_k)[0]
-    u_hi = _window(s_max, eps_win, tilt, env_k)[1]
+    u_lo = _window_lo(s_min, eps_win, env_k)
+    u_hi = _window_hi(s_max, eps_win, tilt, env_k)
 
     inner = sorted({k for k in kinks if u_lo < k < u_hi})
     if len(inner) > _MAX_KINK_PANELS:

@@ -287,8 +287,7 @@ def check_08_iterate_decay() -> list[CheckResult]:
 
 def check_09_compact_estimate() -> list[CheckResult]:
     f = TestFunction.abs_shift(1.0)
-    report = compact_estimate_check(f, (25.0, 100.0, 400.0, 1600.0), 0.0, 0.0, 2.0)
-    ratios = report.ratios
+    _errors, ratios = compact_estimate_check(f, (25.0, 100.0, 400.0, 1600.0), 0.0, 0.0, 2.0)
     spread = max(ratios) / min(ratios)
     detail = "ratios E_n/omega(f, n^-1/2): " + ", ".join(f"{r:.4f}" for r in ratios)
     return [_result("09_compact_estimate", spread, 3.0, detail)]

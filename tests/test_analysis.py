@@ -299,12 +299,10 @@ class TestCompactEstimate:
         assert err == pytest.approx(0.01, rel=1e-9)
 
     def test_ratio_bounded(self):
-        rep = compact_estimate_check(
-            TestFunction.abs_shift(1.0), (25.0, 100.0, 400.0), 0.0, 0.0, 2.0
-        )
-        assert max(rep.ratios) / min(rep.ratios) <= 3.0
-        assert rep.bound_constant == max(rep.ratios)
-        assert rep.fitted_slope == pytest.approx(-0.5, abs=0.1)
+        ns = (25.0, 100.0, 400.0)
+        errors, ratios = compact_estimate_check(TestFunction.abs_shift(1.0), ns, 0.0, 0.0, 2.0)
+        assert max(ratios) / min(ratios) <= 3.0
+        assert rate_slope(list(zip(ns, errors))) == pytest.approx(-0.5, abs=0.1)
 
 
 class TestLpErrors:

@@ -1,11 +1,17 @@
 import io
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 
-from smld.cli import Table, emit, main, parse_config
+from smld.analysis import rate_slope, weighted_lp_error
+from smld.cli import _HANDLERS, Table, emit, main, parse_config
+from smld.operator import OperatorParams, TestFunction, TruncationPolicy
 from smld.spectral import _K_CAP
+
+_README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def _csv_rows(text: str):
@@ -300,6 +306,31 @@ class TestRun:
         assert float(rows[0][1]) == pytest.approx(1.0 / 25.0, rel=1e-8)
         assert float(rows[0][3]) == pytest.approx(-1.0, abs=0.02)
 
+    def test_converge_weighted_lp(self, capsys):
+        n_grid = (10.0, 20.0, 40.0)
+        code = main(["converge", "--f", "sin:2", "--norm", "wlp:1,0.5,3", "--beta", "1",
+                     "--n-grid", "10,20,40", "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [row["n"] for row in payload] == list(n_grid)
+        f, policy = TestFunction.sin_scaled(2.0), TruncationPolicy()
+        want = [weighted_lp_error(f, OperatorParams(n, 0.0, 1.0), 1.0, 0.5, 3.0, policy)[0]
+                for n in n_grid]
+        assert [row["error"] for row in payload] == want
+        slope = rate_slope(list(zip(n_grid, want)))
+        assert all(row["fitted_slope"] == slope for row in payload)
+
+    def test_asymptotics_flags_vanishing_prediction(self, capsys):
+        # at beta = 0 the stated leading term of the r = 3 moment is 0: no ratio
+        code = main(["asymptotics", "--r", "3", "--beta", "0", "--x", "1", "--n-grid", "10,100"])
+        assert code == 0
+        header, rows = _csv_rows(capsys.readouterr().out)
+        assert header == ["n", "exact", "predicted", "two_term", "ratio", "flagged"]
+        assert [row[0] for row in rows] == ["10.0", "100.0"]
+        for row in rows:
+            assert float(row[1]) > 0.0 and float(row[2]) == 0.0
+            assert (row[4], row[5]) == ("", "true")
+
     def test_converge_phi_cells_are_plain_floats(self, capsys):
         # at n = 40 a refined point beats the grid max; its value is written
         # as a plain float, not as a numpy scalar's repr
@@ -362,3 +393,24 @@ class TestRun:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload[1]["closed"] == pytest.approx(1.1, rel=1e-12)
+
+
+def _readme_commands() -> list[str]:
+    """The ``smld ...`` lines of the fenced block in the README's CLI section."""
+    text = _README.read_text(encoding="utf-8")
+    section = text[text.index("\n## CLI\n"):]
+    block = section[section.index("```sh\n") + len("```sh\n"):]
+    block = block[: block.index("```")]
+    return [line for line in block.splitlines() if line.startswith("smld ")]
+
+
+def test_readme_cli_block_runs(capsys):
+    # every documented command parses and succeeds; test_acceptance.py runs verify-all
+    lines = _readme_commands()
+    assert {shlex.split(line)[1] for line in lines} == set(_HANDLERS)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        if argv[0] == "verify-all":
+            continue
+        assert main(argv) == 0, line
+        assert len(capsys.readouterr().out.splitlines()) >= 2, line

@@ -1,5 +1,6 @@
 import pytest
 
+from smld.cli import main
 from smld.errors import ParameterError, UnsupportedOrderError
 from smld.moments import (
     asymptotic_prediction,
@@ -7,10 +8,8 @@ from smld.moments import (
     central_moment_binomial,
     central_moment_explicit,
     diff_recurrence_residual,
-    moment_report,
     raw_moment_closed,
     raw_moment_explicit,
-    raw_moment_recurrence,
     raw_moments_recurrence,
 )
 from smld.operator import OperatorParams, TestFunction, apply_operator
@@ -23,7 +22,7 @@ P_DEFAULT = OperatorParams(10.0, 0.0, 0.0)
 class TestRawMoments:
     def test_zeroth(self):
         assert raw_moment_closed(0, 1.0, P_DEFAULT) == 1.0
-        assert raw_moment_recurrence(0, 1.0, P_DEFAULT) == 1.0
+        assert raw_moments_recurrence(0, 1.0, P_DEFAULT)[0] == 1.0
 
     def test_first(self):
         # (alpha + 1 + nx) / (n - beta)
@@ -31,7 +30,7 @@ class TestRawMoments:
 
     def test_second(self):
         assert raw_moment_closed(2, 1.0, P_DEFAULT) == pytest.approx(1.42, rel=1e-14)
-        assert raw_moment_recurrence(2, 1.0, P_DEFAULT) == pytest.approx(1.42, rel=1e-14)
+        assert raw_moments_recurrence(2, 1.0, P_DEFAULT)[2] == pytest.approx(1.42, rel=1e-14)
         assert raw_moment_explicit(2, 1.0, P_DEFAULT) == pytest.approx(1.42, rel=1e-14)
 
     def test_third_and_fourth_explicit(self):
@@ -225,12 +224,23 @@ class TestSecondMomentEnvelope:
 
 
 class TestMomentReport:
-    def test_cross_residual_small(self):
-        rep = moment_report(3, 1.0, OperatorParams(10.0, 0.5, 1.0))
-        assert rep.value_explicit is not None
-        assert rep.max_cross_residual <= 1e-11
+    # the ``smld moments`` table: every route per r and their worst disagreement
+    @staticmethod
+    def _rows(x, capsys):
+        argv = ["moments", "--n", "10", "--alpha", "0.5", "--beta", "1", "--x", x,
+                "--max-r", "6"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        return [dict(zip(header, line.split(","))) for line in lines[1:]]
 
-    def test_no_explicit_above_four(self):
-        rep = moment_report(6, 0.5, OperatorParams(10.0, 0.5, 1.0))
-        assert rep.value_explicit is None
-        assert rep.max_cross_residual <= 1e-9
+    def test_cross_residual_small(self, capsys):
+        row = self._rows("1", capsys)[3]
+        assert row["explicit"] != ""
+        assert float(row["max_residual"]) <= 1e-11
+
+    def test_no_explicit_above_four(self, capsys):
+        rows = self._rows("0.5", capsys)
+        for row in rows[5:]:
+            assert row["explicit"] == ""
+            assert float(row["max_residual"]) <= 1e-9
