@@ -22,6 +22,7 @@ from ..errors import FileFormatError, ParameterError
 
 __all__ = ["TestFunction", "load_sampled"]
 
+
 def _require_finite(kind: str, values: tuple) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(
