@@ -20,10 +20,8 @@ Library layout:
 """
 
 from .operator import (
-    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
-    TruncationPolicy,
     apply_operator,
     apply_operator_grid,
     apply_szasz,
@@ -37,10 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "DEFAULT_TRUNCATION",
     "OperatorParams",
     "TestFunction",
-    "TruncationPolicy",
     "apply_operator",
     "apply_operator_grid",
     "apply_szasz",

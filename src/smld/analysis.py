@@ -12,7 +12,7 @@ functions return measured values, per n of the grid they are given.
 
 The L_p-family norms of one operator share one evaluation: |M f - f| on
 the fixed panel grid of [0, R] (48 panels of 12 Gauss-Legendre nodes) is
-kept in a bounded LRU cache keyed by (f, params, policy, R), and each norm
+kept in a bounded LRU cache keyed by (f, params, R), and each norm
 only applies its p and gamma to the cached read-only arrays.
 """
 
@@ -27,10 +27,8 @@ import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
 from .operator import (
-    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
-    TruncationPolicy,
     apply_operator_grid,
     kernel_on_x_grid,
     validate,
@@ -212,19 +210,14 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
     return max(best, float(np.max(local)))
 
 
-def operator_sup_error(
-    f: TestFunction,
-    params: OperatorParams,
-    a: float,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def operator_sup_error(f: TestFunction, params: OperatorParams, a: float) -> float:
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
     if not _finite_above(a, 0.0):
         raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
     validate(params, f)
 
     def diff(xs):
-        return apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float)
+        return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
 
     return sup_abs_on_interval(diff, 0.0, a, f.kinks)
 
@@ -235,7 +228,6 @@ def compact_estimate_check(
     alpha: float,
     beta: float,
     a: float,
-    policy: TruncationPolicy | None = None,
 ) -> tuple[list[float], list[float]]:
     """Sup errors E_n on [0, a] and the measured ratios E_n / omega(f, 1/sqrt n), per n.
 
@@ -246,7 +238,7 @@ def compact_estimate_check(
     ratios = []
     for n in n_grid:
         params = OperatorParams(float(n), alpha, beta)
-        e_n = operator_sup_error(f, params, a, policy)
+        e_n = operator_sup_error(f, params, a)
         omega = modulus_of_continuity(f, 1.0 / math.sqrt(n), a)
         errors.append(e_n)
         ratios.append(e_n / omega if omega > 0 else math.inf)
@@ -319,15 +311,9 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
 # -- L_p errors ----------------------------------------------------------------
 
 
-def lp_error(
-    f: TestFunction,
-    params: OperatorParams,
-    p: float,
-    r_cut: float,
-    policy: TruncationPolicy | None = None,
-) -> float:
+def lp_error(f: TestFunction, params: OperatorParams, p: float, r_cut: float) -> float:
     """(integral_0^R |M f - f|^p dx)^(1/p): the weighted L_p error at gamma = 0."""
-    return weighted_lp_error(f, params, p, 0.0, r_cut, policy)[0]
+    return weighted_lp_error(f, params, p, 0.0, r_cut)[0]
 
 
 def weighted_lp_error(
@@ -336,14 +322,13 @@ def weighted_lp_error(
     p: float,
     gamma: float,
     r_max: float,
-    policy: TruncationPolicy | None = None,
 ) -> tuple[float, bool]:
     """(integral_0^Rmax |M f - f|^p e^(gamma x) dx)^(1/p), plus the flag
     gamma <= p beta (the weighted-convergence hypothesis; the value is
     computed either way and the flag reports applicability).
 
     |M f - f| on the panel grid comes from a bounded cache shared by every
-    p and gamma, so the L_p norms of one (f, params, policy, R) evaluate
+    p and gamma, so the L_p norms of one (f, params, R) evaluate
     the operator once.
     """
     if not _finite_above(gamma, 0.0, inclusive=True):
@@ -353,21 +338,20 @@ def weighted_lp_error(
     if not _finite_above(r_max, 0.0):
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
     validate(params, f)
-    policy = policy or DEFAULT_TRUNCATION
-    xs, ws, dev = _panel_error(f, params, policy, float(r_max))
+    xs, ws, dev = _panel_error(f, params, float(r_max))
     value = float(np.dot(ws, dev**p * np.exp(gamma * xs)) ** (1.0 / p))
     return value, gamma <= p * params.beta + 1e-15
 
 
 @lru_cache(maxsize=_PANEL_ERRORS)
 def _panel_error(
-    f: TestFunction, params: OperatorParams, policy: TruncationPolicy, r_max: float
+    f: TestFunction, params: OperatorParams, r_max: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only (xs, ws, |M f - f|) on the panel rule of [0, r_max], kinks
     of f added as panel edges."""
     edges = _grid_with_kinks(0.0, r_max, _LP_PANELS + 1, f.kinks)
     xs, ws = panel_rule(edges, _LP_NODES)
-    dev = np.abs(apply_operator_grid(f, xs, params, policy) - np.asarray(f(xs), dtype=float))
+    dev = np.abs(apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float))
     for a in (xs, ws, dev):
         a.flags.writeable = False
     return xs, ws, dev
@@ -434,11 +418,7 @@ class SchurSecondResult:
 
 
 def schur_second_integral(
-    params: OperatorParams,
-    gamma: float,
-    p: float,
-    t: float,
-    policy: TruncationPolicy | None = None,
+    params: OperatorParams, gamma: float, p: float, t: float
 ) -> SchurSecondResult:
     """x-integral of the conjugated kernel at fixed t, against its stated bound.
 
@@ -467,7 +447,7 @@ def schur_second_integral(
     x_hi = (k_top + 12.0 * math.sqrt(k_top) + 60.0) / decay
     edges = np.linspace(0.0, x_hi, _SCHUR_PANELS + 1)
     xs, ws = panel_rule(edges, _SCHUR_NODES)
-    kern = kernel_on_x_grid(xs, t, params, policy)
+    kern = kernel_on_x_grid(xs, t, params)
     direct = math.exp(-gamma * t / p) * float(np.dot(ws, np.exp(gamma * xs / p) * kern))
     return SchurSecondResult(bound=bound, direct=direct, hypothesis_ok=gamma <= p * params.beta + 1e-15)
 

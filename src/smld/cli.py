@@ -5,7 +5,7 @@ schur, verify-all.  Output is deterministic: identical invocations produce
 byte-identical files.  Exit codes: 0 success, 1 verification failure,
 2 usage error (bad flags, an unwritable --output, or parameters outside an
 operator's domain, such as n <= beta + A for a function of growth class A),
-3 numerical failure (for example a certified k window wider than --k-max).
+3 numerical failure (for example a certified k window wider than 50,000 terms).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import ParameterError, SmldError
 from .operator import (
     OperatorParams,
     TestFunction,
-    TruncationPolicy,
     apply_operator,
     apply_operator_grid,
     apply_szasz,
@@ -102,25 +101,16 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output format (default csv)")
     out.add_argument("--output", default=None, help="output path (default stdout)")
 
-    # numerical policy: only for the commands that sum or integrate
-    policy = argparse.ArgumentParser(add_help=False, parents=[out])
-    policy.add_argument("--eps-tail", type=float, default=1e-13,
-                        help="k-sum tail tolerance (default 1e-13)")
-    policy.add_argument("--eps-quad", type=float, default=1e-12,
-                        help="target relative quadrature error (default 1e-12)")
-    policy.add_argument("--k-max", type=int, default=50_000,
-                        help="hard cap on the k-window width (default 50000)")
-
     prm = argparse.ArgumentParser(add_help=False)
     prm.add_argument("--n", type=float, required=True, help="operator index n > beta")
     prm.add_argument("--alpha", type=float, default=0.0, help="Laguerre exponent > -1")
     prm.add_argument("--beta", type=float, default=0.0, help="exponential tilt < n")
 
-    p = sub.add_parser("moments", parents=[policy, prm], help="raw moments by every route")
+    p = sub.add_parser("moments", parents=[out, prm], help="raw moments by every route")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--max-r", type=int, default=4)
 
-    p = sub.add_parser("central-moments", parents=[policy, prm], help="central moments")
+    p = sub.add_parser("central-moments", parents=[out, prm], help="central moments")
     p.add_argument("--x", type=float, default=1.0)
     p.add_argument("--max-r", type=int, default=4)
 
@@ -132,24 +122,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-grid", type=_float_list, required=True,
                    help="comma-separated ascending n values")
 
-    p = sub.add_parser("apply", parents=[policy, prm], help="apply the operator to f")
+    p = sub.add_parser("apply", parents=[out, prm], help="apply the operator to f")
     p.add_argument("--f", required=True, help="function spec (monomial:r, poly:..., exp:c, "
                    "abs:c, sqrt, sin:c, file:<path>)")
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 2.0))
     p.add_argument("--operator", choices=("mn", "szasz"), default="mn")
 
-    p = sub.add_parser("converge", parents=[policy], help="error sweep in a chosen norm")
+    p = sub.add_parser("converge", parents=[out], help="error sweep in a chosen norm")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--f", required=True)
     p.add_argument("--norm", required=True, help="sup:a, phi:Xmax, lp:p,R or wlp:p,gamma,Rmax")
     p.add_argument("--n-grid", type=_float_list, required=True)
 
-    p = sub.add_parser("eigen", parents=[policy, prm], help="verify both eigenpairs")
+    p = sub.add_parser("eigen", parents=[out, prm], help="verify both eigenpairs")
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 2.0, 5.0))
     p.add_argument("--k", type=int, default=None, help="matrix truncation (default adaptive)")
 
-    p = sub.add_parser("schur", parents=[policy, prm], help="Schur-test quantities")
+    p = sub.add_parser("schur", parents=[out, prm], help="Schur-test quantities")
     p.add_argument("--p", type=float, default=1.0)
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--x-grid", type=_float_list, default=(0.0, 1.0, 5.0, 20.0))
@@ -162,19 +152,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     """Parse and validate argv; exits with code 2 on usage errors.
 
-    Returns the argparse namespace of the command's flags, with ``policy``
-    (a TruncationPolicy) and ``params`` (OperatorParams) attached where the
-    command takes their flags, and ``f`` and ``norm`` parsed in place.
+    Returns the argparse namespace of the command's flags, with ``params``
+    (OperatorParams) attached where the command takes --n, --alpha and
+    --beta, and ``f`` and ``norm`` parsed in place.
     """
     parser = _build_parser()
     ns = parser.parse_args(argv)
-    if hasattr(ns, "eps_tail"):
-        try:
-            ns.policy = TruncationPolicy(
-                eps_tail=ns.eps_tail, eps_quad=ns.eps_quad, k_max=ns.k_max
-            )
-        except SmldError as exc:
-            parser.error(f"{exc.code}: {exc}")
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
     if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
@@ -218,7 +201,7 @@ def _run_moments(cfg: argparse.Namespace) -> Table:
     for r in range(cfg.max_r + 1):
         closed = moments.raw_moment_closed(r, cfg.x, cfg.params)
         explicit = moments.raw_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
-        quad = apply_operator(TestFunction.monomial(r), cfg.x, cfg.params, cfg.policy)
+        quad = apply_operator(TestFunction.monomial(r), cfg.x, cfg.params)
         present = [v for v in (closed, recurrence[r], explicit, quad) if v is not None]
         rows.append((r, cfg.x, closed, recurrence[r], explicit, quad, _cross_residual(present)))
     return Table(["r", "x", "closed", "recurrence", "explicit", "quadrature", "max_residual"],
@@ -230,7 +213,7 @@ def _run_central_moments(cfg: argparse.Namespace) -> Table:
     for r in range(cfg.max_r + 1):
         explicit = moments.central_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
         binom = moments.central_moment_binomial(r, cfg.x, cfg.params)
-        quad = apply_operator(TestFunction.centered_power(cfg.x, r), cfg.x, cfg.params, cfg.policy)
+        quad = apply_operator(TestFunction.centered_power(cfg.x, r), cfg.x, cfg.params)
         present = [v for v in (explicit, binom, quad) if v is not None]
         rows.append((r, cfg.x, explicit, binom, quad, _cross_residual(present)))
     return Table(["r", "x", "explicit", "binomial", "quadrature", "max_residual"], rows)
@@ -249,34 +232,30 @@ def _run_apply(cfg: argparse.Namespace) -> Table:
     rows = []
     for x in cfg.x_grid:
         if cfg.operator == "szasz":
-            val = apply_szasz(cfg.f, x, cfg.params.n, cfg.policy)
+            val = apply_szasz(cfg.f, x, cfg.params.n)
         else:
-            val = apply_operator(cfg.f, x, cfg.params, cfg.policy)
+            val = apply_operator(cfg.f, x, cfg.params)
         rows.append((x, val, float(cfg.f(x))))
     return Table(["x", "operator_value", "f_value"], rows)
 
 
 def _run_converge(cfg: argparse.Namespace) -> Table:
-    norm, f, policy = cfg.norm, cfg.f, cfg.policy
+    norm, f = cfg.norm, cfg.f
     if norm.kind == "sup_compact":
-        errors, ratios = analysis.compact_estimate_check(
-            f, cfg.n_grid, cfg.alpha, cfg.beta, norm.a, policy
-        )
+        errors, ratios = analysis.compact_estimate_check(f, cfg.n_grid, cfg.alpha, cfg.beta, norm.a)
     else:
         errors = []
         for n in cfg.n_grid:
             params = OperatorParams(n, cfg.alpha, cfg.beta)
             if norm.kind == "lp":
-                errors.append(analysis.lp_error(f, params, norm.p, norm.r_cut, policy))
+                errors.append(analysis.lp_error(f, params, norm.p, norm.r_cut))
             elif norm.kind == "weighted_lp":
-                errors.append(analysis.weighted_lp_error(
-                    f, params, norm.p, norm.gamma, norm.r_max, policy
-                )[0])
+                errors.append(
+                    analysis.weighted_lp_error(f, params, norm.p, norm.gamma, norm.r_max)[0]
+                )
             else:  # weighted_phi
                 def diff(xs, params=params):
-                    return apply_operator_grid(f, xs, params, policy) - np.asarray(
-                        f(xs), dtype=float
-                    )
+                    return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
 
                 errors.append(analysis.weighted_phi_norm(diff, norm.x_max))
     slope = None
@@ -299,7 +278,7 @@ def _run_eigen(cfg: argparse.Namespace) -> Table:
     rows = []
     for which in ("constant", "exponential"):
         vec = spectral.eigen_vector_check(p_mat, which)
-        op = spectral.eigen_operator_check(params, which, cfg.x_grid, cfg.policy)
+        op = spectral.eigen_operator_check(params, which, cfg.x_grid)
         rows.append(
             (which, vec.lam, vec.vector_residual, op.operator_residual, p_mat.K, upper_deficit)
         )
@@ -320,7 +299,7 @@ def _run_schur(cfg: argparse.Namespace) -> Table:
     for t in cfg.t_grid:
         rows.append(("E", t, analysis.schur_E(params, t), lemma_ok))
     for t in cfg.t_grid:
-        res = analysis.schur_second_integral(params, cfg.gamma, cfg.p, t, cfg.policy)
+        res = analysis.schur_second_integral(params, cfg.gamma, cfg.p, t)
         rows.append(("second_direct", t, res.direct, res.hypothesis_ok))
         rows.append(("second_bound", t, res.bound, res.hypothesis_ok))
     return Table(["quantity", "arg", "value", "hypothesis_ok"], rows)
@@ -349,16 +328,24 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _json_cell(value):
+    # strict JSON has no Infinity or NaN: write them as their CSV text
+    if isinstance(value, float) and not math.isfinite(value):
+        return repr(float(value))
+    return value
+
+
 def emit(table: Table, fmt: str, destination) -> None:
-    """Write the table as CSV (header row, '.'-decimal) or JSON (stable keys)."""
+    """Write the table as CSV (header row, '.'-decimal) or strict JSON (stable
+    keys; a non-finite float is the string its CSV cell holds)."""
     if fmt == "csv":
         lines = [",".join(table.columns)]
         for row in table.rows:
             lines.append(",".join(_csv_cell(v) for v in row))
         destination.write("\n".join(lines) + "\n")
     else:
-        payload = [dict(zip(table.columns, row)) for row in table.rows]
-        destination.write(json.dumps(payload, indent=2) + "\n")
+        payload = [dict(zip(table.columns, map(_json_cell, row))) for row in table.rows]
+        destination.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 _HANDLERS = {

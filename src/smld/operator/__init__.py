@@ -9,13 +9,11 @@ from .core import (
     kernel_on_x_grid,
 )
 from .functions import TestFunction, load_sampled
-from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
+from .params import OperatorParams, validate
 from .quadrature import gamma_mean
 
 __all__ = [
     "OperatorParams",
-    "TruncationPolicy",
-    "DEFAULT_TRUNCATION",
     "TestFunction",
     "load_sampled",
     "validate",

@@ -7,16 +7,16 @@ computed by ``_poisson_sum`` on a grid of x: v_k = c_k(f) for the operator
 (a single point is a grid of one), the gamma density at t for the kernel
 and f(k/n) for the Szasz operator.  Its ingredients:
 
-* ``coefficient`` -- one certified gamma-density mean, read out of its
-  chunk: chunk j holds c_k for k in [j^2, (j+1)^2), computed by one batched
-  ``gamma_mean`` call and kept in a bounded LRU cache keyed by (f, j,
-  params, policy); chunk 0 is {c_0}, and the read-only chunks are safe
-  to share,
+* ``coefficient`` -- one gamma-density mean to relative error
+  ``_EPS_QUAD``, read out of its chunk: chunk j holds c_k for k in
+  [j^2, (j+1)^2), computed by one batched ``gamma_mean`` call and kept in a
+  bounded LRU cache keyed by (f, j, params); chunk 0 is {c_0}, and the
+  read-only chunks are safe to share,
 * one certified two-sided k window per block of up to 128 x
   (``_k_window``): through the growth envelope of f, the terms below and
-  above it weigh at most 1% of eps_tail each, bounded by tilted Poisson
-  tails; ``k_max`` caps its width, and a block whose window is wider is
-  split in halves,
+  above it weigh at most 1% of ``_EPS_TAIL`` each, bounded by tilted
+  Poisson tails; ``_K_MAX`` caps its width, and a block whose window is
+  wider is split in halves,
 * ``special.log_poisson_weights``, the one real-order psi_a(lam), for both
   the Poisson weights and the kernel's gamma densities.
 
@@ -34,7 +34,7 @@ import numpy as np
 from ..errors import ParameterError, TruncationError
 from ..special import _first, _log_tail, log_poisson_weights
 from .functions import TestFunction
-from .params import DEFAULT_TRUNCATION, OperatorParams, TruncationPolicy, validate
+from .params import OperatorParams, validate
 from .quadrature import gamma_mean
 
 __all__ = [
@@ -50,11 +50,16 @@ __all__ = [
 _BLOCK = 128  # grid rows per Poisson weight matrix
 _CHUNKS = 4096  # coefficient chunks kept per process
 
+# The fixed tolerances: each neglected k-sum tail weighs at most 1% of
+# _EPS_TAIL, each coefficient quadrature targets relative error _EPS_QUAD,
+# and no certified k window may be wider than _K_MAX terms.
+_EPS_TAIL = 1e-13
+_EPS_QUAD = 1e-12
+_K_MAX = 50_000
+
 
 @lru_cache(maxsize=_CHUNKS)
-def _coefficient_cached(
-    f: TestFunction, j: int, params: OperatorParams, policy: TruncationPolicy
-) -> np.ndarray:
+def _coefficient_cached(f: TestFunction, j: int, params: OperatorParams) -> np.ndarray:
     """Chunk j of the coefficients: c_k for k in [j^2, (j+1)^2), one quadrature
     batch.  A chunk's rows depend only on k, so c_k is the same whichever
     call first computed it."""
@@ -65,7 +70,7 @@ def _coefficient_cached(
     chunk = gamma_mean(
         lambda u: f(u / rate),
         shapes,
-        policy.eps_quad,
+        _EPS_QUAD,
         kinks=kinks_u,
         tilt=tilt,
         env_k=f.growth_k,
@@ -75,9 +80,7 @@ def _coefficient_cached(
     return chunk
 
 
-def _coefficients(
-    f: TestFunction, ks: np.ndarray, params: OperatorParams, policy: TruncationPolicy
-) -> np.ndarray:
+def _coefficients(f: TestFunction, ks: np.ndarray, params: OperatorParams) -> np.ndarray:
     """c_k for each k of the sorted integer array ks, read out of its chunk."""
     js = np.floor(np.sqrt(ks)).astype(np.int64)
     js -= js * js > ks  # floor(sqrt) can round up next to a perfect square
@@ -85,20 +88,17 @@ def _coefficients(
     starts = np.flatnonzero(np.diff(js, prepend=-1))
     for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(ks)]):
         j = int(js[a])
-        out[a:b] = _coefficient_cached(f, j, params, policy)[ks[a:b] - j * j]
+        out[a:b] = _coefficient_cached(f, j, params)[ks[a:b] - j * j]
     return out
 
 
-def coefficient(
-    f: TestFunction, k: int, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> float:
+def coefficient(f: TestFunction, k: int, params: OperatorParams) -> float:
     """c_k(f): the mean of f under Gamma(k + alpha + 1, n - beta)."""
     if k < 0 or k != int(k):
         raise ParameterError("coefficient_index", f"k must be a nonnegative integer, got {k}")
-    policy = policy or DEFAULT_TRUNCATION
     validate(params, f)
     j = math.isqrt(int(k))
-    return float(_coefficient_cached(f, j, params, policy)[int(k) - j * j])
+    return float(_coefficient_cached(f, j, params)[int(k) - j * j])
 
 
 def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
@@ -113,16 +113,14 @@ def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
     )
 
 
-def _k_window(
-    lam_lo: float, lam_hi: float, log_tol: float, policy: TruncationPolicy
-) -> tuple[int, int]:
+def _k_window(lam_lo: float, lam_hi: float, log_tol: float) -> tuple[int, int]:
     """Certified k window [k_lo, k_hi] for Poisson means in [lam_lo, lam_hi].
 
     The Poisson(lam_lo) mass below k_lo and the Poisson(lam_hi) mass above
     k_hi are each at most 1% of e^log_tol.  A tail is bounded by its first
     neglected weight psi_j over one minus the neighbour ratio (psi_{j+1}/psi_j
     = lam/(j+1)), ``special._log_tail``, so each edge is one integer search.
-    Raises TruncationError if the window is wider than k_max.
+    Raises TruncationError if the window is wider than ``_K_MAX``.
     """
     log_target = math.log(0.01) + log_tol
     k_lo = k_hi = 0
@@ -132,8 +130,8 @@ def _k_window(
     if lam_hi > 0.0:
         upper_ok = lambda k: _log_tail(k + 1, lam_hi, lam_hi / (k + 2)) <= log_target
         k_hi = _first(upper_ok, max(k_lo, math.floor(lam_hi)), 1)
-    if k_hi - k_lo + 1 > policy.k_max:
-        raise TruncationError(f"k window [{k_lo}, {k_hi}] is wider than k_max = {policy.k_max}")
+    if k_hi - k_lo + 1 > _K_MAX:
+        raise TruncationError(f"k window [{k_lo}, {k_hi}] is wider than k_max = {_K_MAX}")
     return k_lo, k_hi
 
 
@@ -145,7 +143,7 @@ def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.
 
 def _blocks(xs: np.ndarray, window) -> list:
     """[(block, its window)] for the rows xs: one block, or, while its window
-    is wider than k_max, the blocks of each half; a single row still raises."""
+    is wider than ``_K_MAX``, the blocks of each half; a single row still raises."""
     try:
         return [(xs, window(float(xs.min()), float(xs.max())))]
     except TruncationError:
@@ -159,7 +157,7 @@ def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
     """The one k-sum on a grid, in blocks of up to 128 rows.
 
     Each block sums over its own k window ``window(x_min, x_max)``, and a
-    block whose window is wider than k_max is split in halves (``_blocks``);
+    block whose window is wider than ``_K_MAX`` is split in halves (``_blocks``);
     ``values(ks)`` gives v_k once, on the sorted union ks of the windows.
     """
     if not len(xs):
@@ -175,10 +173,7 @@ def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
     return np.concatenate(sums)
 
 
-def _operator_values(
-    f: TestFunction, xs, params: OperatorParams, policy: TruncationPolicy | None
-) -> np.ndarray:
-    policy = policy or DEFAULT_TRUNCATION
+def _operator_values(f: TestFunction, xs, params: OperatorParams) -> np.ndarray:
     validate(params, f)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(xs)):
@@ -190,38 +185,31 @@ def _operator_values(
     # |c_k| psi_k(x) <= K_f rho^(alpha+1) e^(nx(rho-1)) psi_k(nx rho): tilted
     # Poisson tails, the lower one largest at a block's smallest x and the
     # upper one (and the constant) at its largest
-    log_env = math.log(policy.eps_tail / f.growth_k) - (params.alpha + 1.0) * math.log(rho)
+    log_env = math.log(_EPS_TAIL / f.growth_k) - (params.alpha + 1.0) * math.log(rho)
 
     def window(lo, hi):
-        return _k_window(n * rho * lo, n * rho * hi, log_env - n * hi * (rho - 1.0), policy)
+        return _k_window(n * rho * lo, n * rho * hi, log_env - n * hi * (rho - 1.0))
 
-    return _windowed_sum(n, xs, window, lambda ks: _coefficients(f, ks, params, policy))
+    return _windowed_sum(n, xs, window, lambda ks: _coefficients(f, ks, params))
 
 
-def apply_operator(
-    f: TestFunction, x: float, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> float:
+def apply_operator(f: TestFunction, x: float, params: OperatorParams) -> float:
     """Apply the operator to f at a single point x >= 0: the grid path at one point."""
-    return float(_operator_values(f, x, params, policy)[0])
+    return float(_operator_values(f, x, params)[0])
 
 
-def apply_operator_grid(
-    f: TestFunction, xs, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> np.ndarray:
+def apply_operator_grid(f: TestFunction, xs, params: OperatorParams) -> np.ndarray:
     """Operator values on a grid of x >= 0.
 
     One coefficient vector serves the whole grid.  Rows are summed in
     blocks of 128, each over one certified k window for the block's
     smallest and largest x; a one-point grid is :func:`apply_operator`.
     """
-    return _operator_values(f, xs, params, policy)
+    return _operator_values(f, xs, params)
 
 
-def kernel_on_x_grid(
-    xs, t: float, params: OperatorParams, policy: TruncationPolicy | None = None
-) -> np.ndarray:
+def kernel_on_x_grid(xs, t: float, params: OperatorParams) -> np.ndarray:
     """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
-    policy = policy or DEFAULT_TRUNCATION
     validate(params)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not (math.isfinite(t) and np.all(np.isfinite(xs))):
@@ -243,7 +231,7 @@ def kernel_on_x_grid(
 
     # gamma densities at t are bounded by rate for k + alpha >= 1 and by the
     # k = 0 density below, so plain Poisson tails certify each block's window ...
-    log_eps = math.log(policy.eps_tail)
+    log_eps = math.log(_EPS_TAIL)
     log_tol = log_eps - math.log(rate) - max(0.0, _log_tail(al, u, 0.0))
     # ... intersected with the k range where the gamma density at t is alive
     k_cut = int(max(2.0 * u, u + 12.0 * math.sqrt(u + 1.0)) + 50.0)
@@ -251,17 +239,14 @@ def kernel_on_x_grid(
     k_cut = _first(alive, k_cut, 1)
 
     def window(lo, hi):
-        k_lo, k_hi = _k_window(n * lo, n * hi, log_tol, policy)
+        k_lo, k_hi = _k_window(n * lo, n * hi, log_tol)
         return k_lo, min(k_hi, k_cut)
 
     return _windowed_sum(n, xs, window, densities)
 
 
-def apply_szasz(
-    f: TestFunction, x: float, n: float, policy: TruncationPolicy | None = None
-) -> float:
+def apply_szasz(f: TestFunction, x: float, n: float) -> float:
     """Classical Szasz operator e^(-nx) sum_k (nx)^k/k! f(k/n)."""
-    policy = policy or DEFAULT_TRUNCATION
     if not (n > 0 and math.isfinite(n)):
         raise ParameterError("szasz_n", f"requires finite n > 0, got {n}")
     if not n > f.growth_a:
@@ -274,7 +259,7 @@ def apply_szasz(
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
     # |f(k/n)| <= K_f rho^k with rho = e^(A/n): a tilted Poisson tail on each side
     rho = math.exp(f.growth_a / n)
-    log_tol = math.log(policy.eps_tail / f.growth_k) - n * x * math.expm1(f.growth_a / n)
-    k_lo, k_hi = _k_window(n * x * rho, n * x * rho, log_tol, policy)
+    log_tol = math.log(_EPS_TAIL / f.growth_k) - n * x * math.expm1(f.growth_a / n)
+    k_lo, k_hi = _k_window(n * x * rho, n * x * rho, log_tol)
     vals = np.asarray(f(np.arange(k_lo, k_hi + 1) / n), dtype=float)
     return float(_poisson_sum(n, np.array([float(x)]), vals, k_lo)[0])

@@ -23,6 +23,15 @@ from ..errors import FileFormatError, ParameterError
 __all__ = ["TestFunction", "load_sampled"]
 
 
+def _pow(base: float, exponent: float) -> float:
+    """base ** exponent for base >= 0, or inf where the float overflows (an
+    envelope constant that is inf makes ``validate`` report growth_not_finite)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
+
 def _require_finite(kind: str, values: tuple) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(
@@ -59,7 +68,7 @@ class TestFunction:
         r = int(r)
         if r == 0:
             return cls("monomial", (0,), 0.0, 1.0, "1")
-        k = max(1.0, (r / math.e) ** r)
+        k = max(1.0, _pow(r / math.e, r))
         return cls("monomial", (r,), 1.0, k, f"t^{r}")
 
     @classmethod
@@ -70,7 +79,9 @@ class TestFunction:
             raise ParameterError("polynomial_empty", "need at least one coefficient")
         if len(coeffs) == 1:
             return cls("polynomial", coeffs, 0.0, max(1.0, abs(coeffs[0])), f"poly{coeffs}")
-        k = sum(abs(c) * max(1.0, (j / math.e) ** j) for j, c in enumerate(coeffs))
+        # a zero coefficient adds no growth, even where (j/e)^j overflows; the
+        # zero polynomial keeps K = 1, as a constant does
+        k = sum(abs(c) * max(1.0, _pow(j / math.e, j)) for j, c in enumerate(coeffs) if c) or 1.0
         return cls("polynomial", coeffs, 1.0, k, f"poly{coeffs}")
 
     @classmethod
@@ -122,7 +133,7 @@ class TestFunction:
         return cls.from_callable(
             lambda t: (t - x) ** r,
             growth_a=1.0,
-            growth_k=2.0**r * (max(1.0, (r / math.e) ** r) + x**r),
+            growth_k=_pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(x, r)),
             label=f"(t-{x})^{r}",
         )
 

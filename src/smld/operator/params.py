@@ -1,4 +1,4 @@
-"""Operator parameters, truncation policy, and precondition checks."""
+"""Operator parameters and precondition checks."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from ..errors import ParameterError
 if TYPE_CHECKING:  # pragma: no cover
     from .functions import TestFunction
 
-__all__ = ["OperatorParams", "TruncationPolicy", "DEFAULT_TRUNCATION", "validate"]
+__all__ = ["OperatorParams", "validate"]
 
 
 @dataclass(frozen=True)
@@ -32,33 +32,6 @@ class OperatorParams:
     def rate(self) -> float:
         """Exponential rate n - beta of the coefficient integrals."""
         return self.n - self.beta
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Tolerances for k-sum truncation and coefficient quadrature.
-
-    ``k_max`` caps the width of a certified k window, not the index k.
-    """
-
-    eps_tail: float = 1e-13
-    eps_quad: float = 1e-12
-    k_max: int = 50_000
-
-    def __post_init__(self):
-        if not (0.0 < self.eps_tail <= 1e-8):
-            raise ParameterError(
-                "eps_tail_range", f"eps_tail must lie in (0, 1e-8], got {self.eps_tail}"
-            )
-        if not self.eps_quad > 0:
-            raise ParameterError(
-                "eps_quad_nonpositive", f"eps_quad must be > 0, got {self.eps_quad}"
-            )
-        if self.k_max < 256:
-            raise ParameterError("k_max_too_small", f"k_max must be >= 256, got {self.k_max}")
-
-
-DEFAULT_TRUNCATION = TruncationPolicy()
 
 
 def validate(params: OperatorParams, f: "TestFunction | None" = None) -> None:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, TruncationError
-from .operator import (
-    OperatorParams,
-    TestFunction,
-    TruncationPolicy,
-    apply_operator_grid,
-    validate,
-)
+from .operator import OperatorParams, TestFunction, apply_operator_grid, validate
 from .operator.core import _poisson_sum
 from .special import _scipy_special, log_poisson_weights
 
@@ -201,17 +195,12 @@ def eigen_vector_check(p_mat: TruncatedP, which: str) -> EigenCheck:
     return EigenCheck(which, lam, vector_residual=residual)
 
 
-def eigen_operator_check(
-    params: OperatorParams,
-    which: str,
-    x_grid,
-    policy: TruncationPolicy | None = None,
-) -> EigenCheck:
+def eigen_operator_check(params: OperatorParams, which: str, x_grid) -> EigenCheck:
     """Max |M[phi](x) - lam phi(x)| over the grid, phi = 1 or e^(-beta x)."""
     validate(params)
     phi, _, lam = _eigen_pair(params, which)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
-    residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params, policy) - lam * phi(xs))))
+    residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params) - lam * phi(xs))))
     return EigenCheck(which, lam, operator_residual=residual)
 
 

@@ -35,12 +35,7 @@ from .moments import (
     raw_moment_explicit,
     raw_moments_recurrence,
 )
-from .operator import (
-    OperatorParams,
-    TestFunction,
-    TruncationPolicy,
-    apply_operator,
-)
+from .operator import OperatorParams, TestFunction, apply_operator
 from .special import reg_lower_gamma
 from .spectral import (
     build_P_adaptive,
@@ -231,25 +226,34 @@ def check_06_asymptotics() -> list[CheckResult]:
 # -- 7: eigenpairs -----------------------------------------------------------------
 
 
-def check_07_eigenpairs() -> list[CheckResult]:
+def _eigen_operator_rows() -> list[CheckResult]:
+    """Rows 07a, 07d and 07e: the two eigenfunctions through the operator's
+    coefficient path, on the whole parameter grid."""
     xs = np.linspace(0.0, 5.0, 11)
-    tight = TruncationPolicy(eps_tail=1e-14, eps_quad=1e-13)
     worst_op = 0.0
     worst_lam = 0.0
     worst_flat = 0.0
     for params in _grid_params():
         for which in ("constant", "exponential"):
-            chk = eigen_operator_check(params, which, xs, tight)
+            chk = eigen_operator_check(params, which, xs)
             worst_op = max(worst_op, chk.operator_residual)
         lam = lambda2(params)
         phi = TestFunction.exp_scaled(-params.beta)
-        ratio0 = apply_operator(phi, 0.0, params, tight)
+        ratio0 = apply_operator(phi, 0.0, params)
         worst_lam = max(worst_lam, abs(ratio0 - lam))
         ratios = [
-            apply_operator(phi, float(x), params, tight) * math.exp(params.beta * float(x))
-            for x in xs
+            apply_operator(phi, float(x), params) * math.exp(params.beta * float(x)) for x in xs
         ]
         worst_flat = max(worst_flat, max(abs(r - lam) for r in ratios))
+    return [
+        _result("07a_eigen_operator_residual", worst_op, 1e-8, "phi_1, phi_2 on x in [0,5]"),
+        _result("07d_lambda2_vs_operator_ratio", worst_lam, 1e-12, "at x = 0"),
+        _result("07e_ratio_x_independent", worst_flat, 1e-8, "M[e^-bt](x) e^(bx) flat in x"),
+    ]
+
+
+def check_07_eigenpairs() -> list[CheckResult]:
+    op_residual, lam_ratio, flat_ratio = _eigen_operator_rows()
     worst_deficit = 0.0
     worst_vec = 0.0
     for params in _grid_params():
@@ -260,11 +264,11 @@ def check_07_eigenpairs() -> list[CheckResult]:
             chk = eigen_vector_check(p_mat, which)
             worst_vec = max(worst_vec, chk.vector_residual)
     return [
-        _result("07a_eigen_operator_residual", worst_op, 1e-8, "phi_1, phi_2 on x in [0,5]"),
+        op_residual,
         _result("07b_row_deficits", worst_deficit, 1e-12, "upper rows at adaptive K"),
         _result("07c_eigen_vector_residual", worst_vec, 1e-10, "upper rows"),
-        _result("07d_lambda2_vs_operator_ratio", worst_lam, 1e-12, "at x = 0, tight policy"),
-        _result("07e_ratio_x_independent", worst_flat, 1e-8, "M[e^-bt](x) e^(bx) flat in x"),
+        lam_ratio,
+        flat_ratio,
     ]
 
 

@@ -183,12 +183,28 @@ def test_check_14_sees_a_wrong_c0(monkeypatch):
     verification = importlib.import_module("smld.verification")
     cached = core._coefficient_cached
 
-    def scaled(f, j, params, policy):
-        chunk = cached(f, j, params, policy)
+    def scaled(f, j, params):
+        chunk = cached(f, j, params)
         return chunk * (1.0 + 1e-9) if j == 0 else chunk
 
     monkeypatch.setattr(core, "_coefficient_cached", scaled)
     (result,) = verification.check_14_interpolation_at_zero()
+    assert not result.passed and result.measured > result.tolerance
+
+
+def test_check_07d_sees_scaled_coefficients(monkeypatch):
+    # below 1e-9, 07d is the coefficient path's one guard: every coefficient
+    # off by 1e-11 relative must fail it at the library's tolerances
+    core = importlib.import_module("smld.operator.core")
+    verification = importlib.import_module("smld.verification")
+    cached = core._coefficient_cached
+
+    def scaled(f, j, params):
+        return cached(f, j, params) * (1.0 + 1e-11)
+
+    monkeypatch.setattr(core, "_coefficient_cached", scaled)
+    rows = {r.name: r for r in verification._eigen_operator_rows()}
+    result = rows["07d_lambda2_vs_operator_ratio"]
     assert not result.passed and result.measured > result.tolerance
 
 

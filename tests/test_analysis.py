@@ -25,10 +25,8 @@ from smld.analysis import (
 )
 from smld.errors import DegenerateDataError, ParameterError
 from smld.operator import (
-    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
-    TruncationPolicy,
     apply_operator_grid,
 )
 
@@ -371,9 +369,9 @@ def grid_calls(monkeypatch):
     """Counts the operator grid evaluations made through analysis, cache cold."""
     calls = []
 
-    def counted(f, xs, params, policy=None):
+    def counted(f, xs, params):
         calls.append(len(xs))
-        return apply_operator_grid(f, xs, params, policy)
+        return apply_operator_grid(f, xs, params)
 
     analysis._panel_error.cache_clear()
     monkeypatch.setattr(analysis, "apply_operator_grid", counted)
@@ -410,19 +408,18 @@ class TestSharedPanelError:
         f = TestFunction.sqrt()
         params = OperatorParams(10.0)
         lp_error(f, params, 1.0, 2.0)
-        for a in analysis._panel_error(f, params, DEFAULT_TRUNCATION, 2.0):
+        for a in analysis._panel_error(f, params, 2.0):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = 0.0
 
-    def test_default_policy_shares_entry(self, grid_calls):
+    def test_int_r_max_shares_entry(self, grid_calls):
         f = TestFunction.sin_scaled(2.0)
         params = OperatorParams(10.0)
         first = lp_error(f, params, 1.0, 2.0)
-        assert lp_error(f, params, 1.0, 2, DEFAULT_TRUNCATION) == first
-        assert lp_error(f, params, 1.0, 2.0, TruncationPolicy()) == first
+        assert lp_error(f, params, 1.0, 2) == first
         info = analysis._panel_error.cache_info()
-        assert (info.currsize, info.hits, len(grid_calls)) == (1, 2, 1)
+        assert (info.currsize, info.hits, len(grid_calls)) == (1, 1, 1)
 
     def test_size_bounded(self, grid_calls):
         f = TestFunction.monomial(1)

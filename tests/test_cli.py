@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from smld.analysis import rate_slope, weighted_lp_error
 from smld.cli import _HANDLERS, Table, emit, main, parse_config
-from smld.operator import OperatorParams, TestFunction, TruncationPolicy
+from smld.operator import OperatorParams, TestFunction
 from smld.spectral import _K_CAP
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
@@ -82,22 +83,16 @@ class TestParseConfig:
     def test_parser_keeps_no_state(self):
         # one parser serves every call; no flag of one call reaches the next
         first = parse_config(["apply", "--n", "10", "--f", "sin:2", "--x-grid", "1",
-                              "--format", "json", "--eps-quad", "1e-10"])
+                              "--format", "json"])
         second = parse_config(["apply", "--n", "20", "--f", "abs:1"])
-        assert (first.fmt, first.policy.eps_quad, first.x_grid) == ("json", 1e-10, (1.0,))
-        assert (second.fmt, second.policy.eps_quad, second.x_grid) == ("csv", 1e-12, (0.0, 1.0, 2.0))
+        assert (first.fmt, first.x_grid) == ("json", (1.0,))
+        assert (second.fmt, second.x_grid) == ("csv", (0.0, 1.0, 2.0))
 
     def test_descending_n_grid(self, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_config(["asymptotics", "--r", "2", "--n-grid", "100,10"])
         assert exc.value.code == 2
         assert "ascending" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", [["verify-all"], ["asymptotics", "--n-grid", "10,20"]])
-    def test_policy_flags_rejected_where_unused(self, command):
-        with pytest.raises(SystemExit) as exc:
-            parse_config(command + ["--eps-tail", "1e-10"])
-        assert exc.value.code == 2
 
     @pytest.mark.parametrize("command", ["moments", "central-moments"])
     def test_negative_max_r(self, command, capsys):
@@ -199,6 +194,22 @@ class TestEmit:
         assert float(rows[0][1]) == payload[0]["value"] == 0.125
         assert rows[0][2] == "true" and payload[0]["flag"] is True
         assert rows[1][1] == "" and payload[1]["value"] is None
+
+    def test_json_is_strict(self, capsys):
+        # every omega ratio of a constant f is inf; RFC 8259 has no Infinity
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code = main(["converge", "--f", "monomial:0", "--norm", "sup:1", "--n-grid", "10,20,40",
+                     "--format", "json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert [row["omega_ratio"] for row in payload] == ["inf"] * 3
+        buf = io.StringIO()
+        emit(Table(["a", "b", "c"], [(-math.inf, math.nan, 1.5)]), "json", buf)
+        assert json.loads(buf.getvalue(), parse_constant=reject) == [
+            {"a": "-inf", "b": "nan", "c": 1.5}
+        ]
 
 
 class TestRun:
@@ -313,8 +324,8 @@ class TestRun:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert [row["n"] for row in payload] == list(n_grid)
-        f, policy = TestFunction.sin_scaled(2.0), TruncationPolicy()
-        want = [weighted_lp_error(f, OperatorParams(n, 0.0, 1.0), 1.0, 0.5, 3.0, policy)[0]
+        f = TestFunction.sin_scaled(2.0)
+        want = [weighted_lp_error(f, OperatorParams(n, 0.0, 1.0), 1.0, 0.5, 3.0)[0]
                 for n in n_grid]
         assert [row["error"] for row in payload] == want
         slope = rate_slope(list(zip(n_grid, want)))
@@ -374,10 +385,15 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "" and "smld: integrand_not_finite:" in captured.err
 
+    def test_overflowing_envelope_exit_code(self, capsys):
+        # K = (172/e)^172 overflows: a usage error, not a traceback
+        code = main(["apply", "--f", "monomial:172", "--n", "10", "--x-grid", "1"])
+        assert code == 2
+        assert "smld: growth_not_finite:" in capsys.readouterr().err
+
     def test_k_max_exceeded_exit_code(self, capsys):
-        # the certified k window at n x = 1000 is wider than 256 terms
-        code = main(["apply", "--f", "monomial:1", "--n", "200", "--x-grid", "5",
-                     "--k-max", "256"])
+        # the certified k window at n x = 5e8 is wider than 50,000 terms
+        code = main(["apply", "--f", "monomial:1", "--n", "1e8", "--x-grid", "5"])
         assert code == 3
         assert "k_max_exceeded" in capsys.readouterr().err
 

@@ -7,10 +7,8 @@ import pytest
 
 from smld.errors import FileFormatError, ParameterError, QuadratureError, TruncationError
 from smld.operator import (
-    DEFAULT_TRUNCATION,
     OperatorParams,
     TestFunction,
-    TruncationPolicy,
     apply_operator,
     apply_operator_grid,
     apply_szasz,
@@ -89,13 +87,30 @@ class TestValidate:
             validate(OperatorParams(10.0, 0.0, 0.0), f)
         assert err.value.code == "growth_not_finite"
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: TestFunction.monomial(172),
+            lambda: TestFunction.polynomial([1.0] * 173),
+            lambda: TestFunction.centered_power(1.0, 200),
+        ],
+        ids=["monomial", "polynomial", "centered_power"],
+    )
+    def test_overflowing_envelope(self, make):
+        # (r/e)^r overflows a float: the envelope constant is inf, not an OverflowError
+        f = make()
+        assert f.growth_k == math.inf
+        with pytest.raises(ParameterError) as err:
+            validate(OperatorParams(10.0), f)
+        assert err.value.code == "growth_not_finite"
 
-class TestTruncationPolicy:
-    def test_invariants(self):
-        with pytest.raises(ParameterError):
-            TruncationPolicy(eps_tail=1e-7)
-        with pytest.raises(ParameterError):
-            TruncationPolicy(k_max=100)
+    @pytest.mark.parametrize("coeffs", [[1.0] + [0.0] * 172, [0.0, 0.0]], ids=["one", "zero"])
+    def test_zero_coefficients_add_no_growth(self, coeffs):
+        # 0 * inf would make the envelope of the constant 1 NaN, and a zero
+        # envelope would divide the tail tolerance by zero
+        f = TestFunction.polynomial(coeffs)
+        assert f.growth_k == 1.0
+        assert apply_operator(f, 1.0, OperatorParams(10.0)) == pytest.approx(coeffs[0], abs=1e-12)
 
 
 class TestTestFunction:
@@ -285,7 +300,7 @@ class TestBatchAcceptance:
         panel_values = quadrature._panel_values
         monkeypatch.setattr(quadrature, "_panel_values", spy)
         f, params = TestFunction.centered_power(5.0, 3), OperatorParams(5.0)
-        chunk = _coefficient_cached.__wrapped__(f, 4, params, DEFAULT_TRUNCATION)
+        chunk = _coefficient_cached.__wrapped__(f, 4, params)
         assert rows == [9, 9, 9]
         for k, got in zip(range(16, 25), chunk):
             s, r = Fraction(k + 1), Fraction(5)
@@ -499,17 +514,16 @@ class TestApplyOperator:
         assert apply_operator_grid(TestFunction.monomial(1), [], OperatorParams(10.0)).shape == (0,)
 
     def test_k_max_exceeded(self):
-        policy = TruncationPolicy(k_max=256)
+        # the certified k window at n x = 5e8 is wider than 50,000 terms
         with pytest.raises(TruncationError):
-            apply_operator(TestFunction.monomial(1), 5.0, OperatorParams(200.0, 0.0, 0.0), policy)
+            apply_operator(TestFunction.monomial(1), 5.0, OperatorParams(1e8))
 
     def test_sparse_grid_splits_block(self):
-        # one window over [0, 2] is wider than k_max; each point alone is not
+        # one window over [0, 2] is wider than 50,000 terms; each point alone is not
         f = TestFunction.abs_shift(1.0)
-        params = OperatorParams(100.0)
-        policy = TruncationPolicy(k_max=256)
-        grid_vals = apply_operator_grid(f, [0.0, 2.0], params, policy)
-        assert grid_vals.tolist() == [apply_operator(f, x, params, policy) for x in (0.0, 2.0)]
+        params = OperatorParams(3e4)
+        grid_vals = apply_operator_grid(f, [0.0, 2.0], params)
+        assert grid_vals.tolist() == [apply_operator(f, x, params) for x in (0.0, 2.0)]
 
     def test_negative_x(self):
         with pytest.raises(ParameterError):
@@ -527,21 +541,21 @@ class TestApplyOperator:
 
 
 class TestTruncationCap:
-    # n x = 300 needs K near 500: every k-sum must refuse, not sum past k_max
-    PARAMS = OperatorParams(100.0, 0.0, 0.0)
-    POLICY = TruncationPolicy(k_max=256)
+    # n x >= 1e8 needs a window wider than 1e5 terms: every k-sum must refuse,
+    # not sum past the 50,000-term cap
+    PARAMS = OperatorParams(1e8)
 
     def test_kernel(self):
         with pytest.raises(TruncationError):
-            kernel_on_x_grid([3.0], 3.0, self.PARAMS, self.POLICY)
+            kernel_on_x_grid([3.0], 3.0, self.PARAMS)
 
     def test_kernel_on_x_grid(self):
         with pytest.raises(TruncationError):
-            kernel_on_x_grid(np.array([1.0, 3.0]), 3.0, self.PARAMS, self.POLICY)
+            kernel_on_x_grid(np.array([1.0, 3.0]), 3.0, self.PARAMS)
 
     def test_szasz(self):
         with pytest.raises(TruncationError):
-            apply_szasz(TestFunction.monomial(1), 3.0, 100.0, self.POLICY)
+            apply_szasz(TestFunction.monomial(1), 3.0, 1e8)
 
 
 class TestKWindow:
@@ -550,7 +564,7 @@ class TestKWindow:
         [(0.3, 0.3), (5.0, 5.0), (37.2, 37.2), (1e3, 1e3), (1e5, 1e5), (40.0, 90.0)],
     )
     def test_tails_against_mpmath(self, lam_lo, lam_hi):
-        k_lo, k_hi = _k_window(lam_lo, lam_hi, math.log(1e-15), TruncationPolicy())
+        k_lo, k_hi = _k_window(lam_lo, lam_hi, math.log(1e-15))
         assert k_lo <= lam_lo and k_hi >= lam_hi
         # exact Poisson masses: below k_lo is Q(k_lo, lam), above k_hi is P(k_hi + 1, lam)
         below = mp.gammainc(k_lo, lam_lo, mp.inf, regularized=True) if k_lo > 0 else 0
