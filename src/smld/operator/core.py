@@ -17,8 +17,9 @@ and f(k/n) for the Szasz operator.  Its ingredients:
   above it weigh at most 1% of ``_EPS_TAIL`` each, bounded by tilted
   Poisson tails; ``_K_MAX`` caps its width, and a block whose window is
   wider is split in halves,
-* ``special.log_poisson_weights``, the one real-order psi_a(lam), for both
-  the Poisson weights and the kernel's gamma densities.
+* the one real-order psi_a(lam) of ``special``: its deviance kernel, run in
+  place in row slabs, for the Poisson weights, and ``log_poisson_weights``
+  for the kernel's gamma densities.
 
 Each window end is one ``special._first`` search on ``special._log_tail``,
 the tail bound the quadrature windows use too.
@@ -32,10 +33,10 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError, TruncationError
-from ..special import _first, _log_tail, log_poisson_weights
+from ..special import _first, _log_gamma_excess, _log_psi, _log_tail, log_poisson_weights
 from .functions import TestFunction
 from .params import OperatorParams, validate
-from .quadrature import gamma_mean
+from .quadrature import _SLAB_CELLS, gamma_mean
 
 __all__ = [
     "coefficient",
@@ -136,9 +137,30 @@ def _k_window(lam_lo: float, lam_hi: float, log_tol: float) -> tuple[int, int]:
 
 
 def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.ndarray:
-    """sum_j values[j] psi_{n, k_lo + j}(x) for each x in xs: the one k-sum."""
+    """sum_j values[j] psi_{n, k_lo + j}(x) for each x in xs: the one k-sum.
+
+    The weights are the deviance kernel ``special._log_psi`` of
+    ``log_poisson_weights``, run in place in row slabs of about
+    ``_SLAB_CELLS`` entries (four rows at a time for a wider window); an
+    empty window sums to zero."""
+    out = np.zeros(len(xs))
+    if not len(values):
+        return out
     kk = np.arange(k_lo, k_lo + len(values), dtype=float)
-    return np.exp(log_poisson_weights(n * xs[:, None], kk)) @ values
+    g = _log_gamma_excess(kk)
+    lam = n * xs[:, None]
+    # OpenBLAS's matrix-vector product (the one numpy ships) sums rows in
+    # groups of four and a lone last row by another kernel: slabs of whole
+    # groups, the last one taking a lone row along, give every row the bits
+    # of one single-threaded product over the whole block
+    step = 4 * max(1, _SLAB_CELLS // (4 * len(kk)))
+    cuts = [0, *range(step, len(xs) - 1, step), len(xs)]
+    dens, work = np.empty((2, min(step + 1, len(xs)), len(kk)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            d = _log_psi(lam[a:b], kk, g, dens[: b - a], work[: b - a])
+            out[a:b] = np.exp(d, out=d) @ values
+    return out
 
 
 def _blocks(xs: np.ndarray, window) -> list:

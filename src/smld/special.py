@@ -21,7 +21,8 @@ argument >= 0), and the implementations target exactly that range:
 ln Gamma(a + 1) - a ln a + a (``_log_gamma_excess``) and the one copy of
 the deviance formula, ``_log_psi(lam, a, g)``.  The quadrature's batches
 have fixed orders over several rounds of nodes, so they compute g once
-per batch and call ``_log_psi`` on each round's nodes directly.
+per batch and call ``_log_psi`` on each round's nodes directly; they and
+the operator's k-sum run it in place, slab by slab, in reused buffers.
 
 Every truncation edge in the package -- both ends of a Poisson k window
 and both ends of a gamma-mean quadrature window -- is one ``_first``
@@ -177,21 +178,28 @@ def _log_gamma_excess(a: np.ndarray) -> np.ndarray:
     return g
 
 
-def _log_psi(lam, a, g):
+def _log_psi(lam, a, g, out=None, work=None):
     """The deviance kernel: ln psi_a(lam) = (a - lam) - a log1p((a - lam)/lam) - g
     for an array of orders a and g = g(a), broadcast, with no checks.
 
     Near the mean its error is a few eps |a - lam|, not the eps lam ln(lam)
     of three large logarithms.  An order a = 0 stays out of log1p(-1); lam
     = 0 gives -inf for a > 0 and -g for a = 0, and needs the caller's
-    ``np.errstate``.
+    ``np.errstate``.  A caller that runs it slab by slab passes two buffers
+    of the broadcast shape, ``out`` (which it returns) and ``work``, and the
+    kernel fills them in place with the same operations in the same order.
     """
-    dev = a - lam
-    alog = dev / lam
+    dev = np.subtract(a, lam, out=out)
+    alog = np.divide(dev, lam, out=work)
     if a.all():
-        alog = np.log1p(alog)
+        alog = np.log1p(alog, out=work)
     else:
-        alog = np.log1p(alog, out=np.zeros(alog.shape), where=a > 0)
+        positive = a > 0
+        if work is None:
+            work = np.zeros(np.shape(alog))
+        else:
+            np.copyto(work, 0.0, where=~positive)
+        alog = np.log1p(alog, out=work, where=positive)
     alog *= a
     dev -= alog
     dev -= g

@@ -20,7 +20,8 @@ from smld.operator import (
 )
 
 from smld.moments import raw_moment_closed
-from smld.operator.core import _coefficient_cached, _k_window
+from smld.special import log_poisson_weights
+from smld.operator.core import _coefficient_cached, _k_window, _poisson_sum
 from smld.operator import quadrature
 from smld.operator.quadrature import _gj_rules, _window_hi, _window_lo, gamma_mean
 
@@ -359,10 +360,11 @@ class TestCoarseOpening:
     @pytest.mark.parametrize("s", [0.5, 3.5, 40.5, 95.5, 150.5])
     @pytest.mark.parametrize("name", ["sqrt", "exp:-1"])
     def test_fractional_shapes_near_jacobi_edge(self, s, name):
-        # the Gauss-Jacobi front rule is chosen on the wider opening panel:
-        # at tolerance 1e-12 it covers shapes up to 96.5 (95.5 + [0, 1, 2]
-        # straddles the edge), and 150.5 is past it; against the closed
-        # forms Gamma(s + 1/2) / Gamma(s) and 2^(-s) at 30 digits
+        # only fractional endpoint powers b = s - 1 + p below 6 take the
+        # Gauss-Jacobi front rule: the exp:-1 rows from 0.5 and 3.5 (b up to
+        # 4.5); the sqrt rows (b = s - 1/2, an integer) and the larger shapes
+        # take Gauss-Legendre; against the closed forms Gamma(s + 1/2) /
+        # Gamma(s) and 2^(-s) at 30 digits
         fn, power, mean = {
             "sqrt": (np.sqrt, 0.5, lambda s: mp.gamma(s + 0.5) / mp.gamma(s)),
             "exp:-1": (lambda u: np.exp(-u), 0.0, lambda s: mp.mpf(2) ** (-s)),
@@ -383,23 +385,99 @@ class TestCoarseOpening:
         got = gamma_mean(lambda u: np.exp(0.9 * u), shapes, 1e-12, tilt=0.9)
         np.testing.assert_allclose(got, 10.0**shapes, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
-    def test_overflowing_integrand_fails_fast(self, alpha):
-        # at j = 3 f overflows on the window: the first round's totals are
-        # not finite, so the batch raises there, with no RuntimeWarning
+    @staticmethod
+    def _overflowing_calls(shapes, tilt):
+        # f = e^(tilt u) overflows on the window: the first round's totals
+        # are not finite, so the batch raises there, with no RuntimeWarning;
+        # returns how often f ran
         calls = []
 
         def f(u):
             calls.append(len(u))
-            return np.exp(0.9 * u)
+            return np.exp(tilt * u)
 
-        shapes = np.arange(9, 16) + alpha + 1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(QuadratureError) as err:
-                gamma_mean(f, shapes, 1e-12, tilt=0.9)
+                gamma_mean(f, shapes, 1e-12, tilt=tilt)
         assert err.value.code == "integrand_not_finite"
-        assert len(calls) == (2 if alpha % 1 else 1)  # one round, with its Jacobi panel
+        return len(calls)
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    def test_overflowing_integrand_fails_fast(self, alpha):
+        # at j = 3 the window passes u = 709 / 0.9; the endpoint powers
+        # s - 1 >= 8.5 are left to Gauss-Legendre, so f runs once
+        assert self._overflowing_calls(np.arange(9, 16) + alpha + 1.0, 0.9) == 1
+
+    def test_overflowing_integrand_fails_fast_with_jacobi_panel(self):
+        # shapes 1.5-4.5 have fractional endpoint powers below 6: their one
+        # round runs f on the Gauss-Legendre panels and on the Gauss-Jacobi
+        # front panel (at tilt 0.99 the window passes u = 709 / 0.99)
+        assert self._overflowing_calls(np.arange(1, 5) + 0.5, 0.99) == 2
+
+
+class TestJacobiThreshold:
+    # chunks 2 and 3 (k = 4..15) hold the rows on both sides of the endpoint
+    # power b = 6 from which Gauss-Legendre replaces the Gauss-Jacobi front
+    # panel; every row against mpmath quadrature
+    CASES = {
+        "sqrt": (TestFunction.sqrt(), mp.sqrt, ()),
+        "abs:1e-6": (TestFunction.abs_shift(1e-6), lambda t: abs(t - mp.mpf("1e-6")), (1e-6,)),
+        "exp:-1": (TestFunction.exp_scaled(-1.0), lambda t: mp.exp(-t), ()),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("alpha", [-0.5, 0.3])
+    @pytest.mark.parametrize("rate", [2.0, 5.0])
+    def test_rows_around_threshold(self, name, alpha, rate):
+        f, mp_f, kinks = self.CASES[name]
+        params = OperatorParams(rate, alpha)
+        for j in (2, 3):
+            chunk = _coefficient_cached.__wrapped__(f, j, params)
+            shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
+            exact = [mp_gamma_mean(mp_f, s, rate, breakpoints=kinks) for s in shapes]
+            np.testing.assert_allclose(chunk, exact, rtol=1e-12, atol=0.0)
+
+
+def test_gamma_mean_ignores_row_order():
+    # a row's bits do not depend on where it sits in the batch: permuted
+    # shapes give the permuted means, with Gauss-Jacobi rows, kinks and a
+    # shape below 1 in the mix
+    rng = np.random.default_rng(7)
+    for f, power, kinks, shapes in (
+        (np.sqrt, 0.5, (), np.arange(1, 18) + 0.3),
+        (lambda u: np.abs(u - 2.0), 0.0, (2.0,), np.arange(0, 13) + 0.6),
+        (lambda u: np.exp(-u / 5.0), 0.0, (), np.arange(25, 36) - 0.5),
+    ):
+        ref = gamma_mean(f, shapes, 1e-12, kinks=kinks, endpoint_power=power)
+        for _ in range(3):
+            perm = rng.permutation(len(shapes))
+            got = gamma_mean(f, shapes[perm], 1e-12, kinks=kinks, endpoint_power=power)
+            np.testing.assert_array_equal(got, ref[perm])
+
+
+class TestPoissonSum:
+    def test_matches_full_weight_matrix_bit_for_bit(self):
+        # the row slabs give each row the bits of one product with the whole
+        # weight matrix; x = 0 rows and k_lo = 0 included.  Blocks up to
+        # 128 x 3,000 stay below the size from which OpenBLAS splits one
+        # product over threads, which moves the bits of the whole product
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            rows, width = int(rng.integers(1, 129)), int(rng.integers(1, 3001))
+            n = float(rng.uniform(0.5, 200.0))
+            k_lo = int(rng.integers(0, 400)) if rng.random() < 0.7 else 0
+            xs = rng.uniform(0.0, 5.0, rows)
+            xs[rng.random(rows) < 0.1] = 0.0
+            v = rng.normal(size=width)
+            kk = np.arange(k_lo, k_lo + width, dtype=float)
+            full = np.exp(log_poisson_weights(n * xs[:, None], kk)) @ v
+            np.testing.assert_array_equal(_poisson_sum(n, xs, v, k_lo), full)
+
+    def test_empty_window_sums_to_zero(self):
+        # the kernel's window is empty where k_cut < k_lo
+        got = _poisson_sum(3.0, np.array([0.0, 0.5, 2.0]), np.empty(0), 7)
+        np.testing.assert_array_equal(got, np.zeros(3))
 
 
 def _mp_gauss_jacobi(m: int, b: float, dps: int = 40):
