@@ -24,22 +24,25 @@ batch shares everything but its densities:
 * each row's density prepared once per batch: the Gamma(s) density at u
   is the Poisson weight psi_{s-1}(u), so the batch computes its orders and
   their g(a) = ln Gamma(a+1) - a ln a + a (``special._log_gamma_excess``)
-  and the Jacobi rows' ln Gamma(s) up front, and each round runs only the
-  deviance kernel ``special._log_psi`` -- the one ``log_poisson_weights``
-  runs, in log domain and deviance form, so nothing overflows and no
-  digits cancel for shapes in the millions -- over a rows x nodes matrix,
-  built in place in slabs of at most ``_SLAB_CELLS`` entries, in two
-  buffers that every slab reuses;
-* when the window starts at u = 0, a row whose endpoint power b = shape -
-  1 + endpoint_power is fractional and below ``_GL_POWER`` = 6, and which
-  has mass on the leading panel, takes that panel as a Gauss-Jacobi rule
-  with weight u^b, which integrates the fractional power exactly instead of
-  fighting it.  From b = 6 on Gauss-Legendre needs no help: its 16 nodes
-  integrate u^b over [0, 1] to a relative error of 3.4e-5 at b = 0.5,
-  1.7e-9 at 2.5, 7.8e-13 at 4.5, 3.0e-14 at 5.5 and 7.8e-16 at 6.01.  So
-  only the few smallest shapes of a batch build a Gauss-Jacobi rule;
-* the rows run in ascending shape, so a row's bits do not depend on where
-  the caller put it (the matrix-vector products sum rows in groups);
+  up front, and each round runs only the deviance kernel
+  ``special._log_psi`` -- the one ``log_poisson_weights`` runs, in log
+  domain and deviance form, so nothing overflows and no digits cancel for
+  shapes in the millions -- over a rows x nodes matrix, built in place in
+  slabs of about ``_SLAB_CELLS`` entries, in two buffers that every slab
+  reuses;
+* when the window starts at u = 0 and the smallest endpoint power b =
+  s_min - 1 + endpoint_power is fractional and below ``_GL_POWER`` = 6,
+  the first panel [0, e1] takes instead the nodes of one 16-point
+  Gauss-Jacobi rule of weight u^b, its weights divided by (1+x)^b.  The
+  shapes lie whole numbers apart, so there every row's integrand is u^b
+  times a smooth factor, and the rule integrates the fractional power
+  exactly in the round's one evaluation of f and of the densities.  From
+  b = 6 on Gauss-Legendre needs no help: its 16 nodes integrate u^b over
+  [0, 1] to a relative error of 3.4e-5 at b = 0.5, 1.7e-9 at 2.5, 7.8e-13
+  at 4.5, 3.0e-14 at 5.5 and 7.8e-16 at 6.01;
+* the rows run in ascending shape, in slabs of whole groups of four, so a
+  row's bits do not depend on where the caller put it nor on the slab size
+  (the matrix-vector products sum rows in groups of four);
 * all panels are halved until two successive rounds agree on every row of
   the batch, and the finer of the two is returned.  For the smooth catalog
   that is the second round, on panels ~ 2 sqrt(shape) wide, where
@@ -59,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import QuadratureError
+from ..errors import ParameterError, QuadratureError
 from ..special import _first, _log_gamma_excess, _log_psi, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
@@ -78,46 +81,44 @@ def _gl_rule(m: int):
 
 
 @lru_cache(maxsize=64)
-def _gj_rules(m: int, b: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights (one row per b) of the m-point Gauss-Jacobi rules
-    with weight (1+x)^b on [-1, 1], all at once.
+def _gj_rules(m: int, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point Gauss-Jacobi rule with weight
+    (1+x)^b on [-1, 1].
 
-    The eigenvalues of each Jacobi matrix are polished by one Newton step
+    The eigenvalues of the Jacobi matrix are polished by one Newton step
     on P_m^(0,b).  The weights are the Christoffel numbers 1 / sum_{k<m}
     (2k+b+1) P_k^(0,b)(x)^2, a sum of positive terms, taken at the polished
     nodes to first order in the Newton step and scaled to the exact total
     mass 2^(b+1) / (b+1).  One three-term recurrence at the eigenvalues
     gives every P_k, and each P_k' follows from P_k and P_{k-1}.
     """
-    b = np.array(b)[:, None]
     k = np.arange(1.0, m)
     s = 2.0 * k + b
-    jac = np.zeros((len(b), m, m))
+    jac = np.zeros((m, m))
     i = np.arange(m)
-    jac[:, 0, 0] = b[:, 0] / (2.0 + b[:, 0])
-    jac[:, i[1:], i[1:]] = b * b / (s * (s + 2.0))
+    jac[0, 0] = b / (2.0 + b)
+    jac[i[1:], i[1:]] = b * b / (s * (s + 2.0))
     off = 2.0 / s * np.sqrt(k * (k + b) / (s + 1.0))
-    off[:, 1:] *= np.sqrt(k[1:] * (k[1:] + b) / (s[:, 1:] - 1.0))
-    jac[:, i[1:], i[:-1]] = off
+    off[1:] *= np.sqrt(k[1:] * (k[1:] + b) / (s[1:] - 1.0))
+    jac[i[1:], i[:-1]] = off
     x = np.linalg.eigvalsh(jac)
     p = _jacobi_p(m, b, x)
     # P_k' for k = 1..m: (2k+b)(1-x^2) P_k' = -k (b + (2k+b) x) P_k + 2k (k+b) P_{k-1}
-    k = np.arange(1.0, m + 1)[:, None, None]
+    k = np.arange(1.0, m + 1)[:, None]
     s = 2.0 * k + b
     dp = k * (2.0 * (k + b) * p[:-1] - (b + s * x) * p[1:]) / (s * (1.0 - x * x))
     dx = -p[m] / dp[-1]
     # sum_k (2k+b+1) P_k^2 at x + dx, the k = 0 term being b + 1
     w = 1.0 / (((s[:-1] + 1.0) * p[1:m] * (p[1:m] + 2.0 * dx * dp[:-1])).sum(axis=0) + b + 1.0)
-    w *= 2.0 ** (b + 1.0) / (b + 1.0) / w.sum(axis=1, keepdims=True)
+    w *= 2.0 ** (b + 1.0) / (b + 1.0) / w.sum()
     return x + dx, w
 
 
-def _jacobi_p(top: int, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _jacobi_p(top: int, b: float, x: np.ndarray) -> np.ndarray:
     """P_k^(0,b)(x) for k = 0..top (top >= 1), stacked on a new first axis,
-    for a column of b against the rows of x, by the three-term recurrence
-    (DLMF 18.9.2) 2(k+1)(k+b+1)(2k+b) P_{k+1}
+    by the three-term recurrence (DLMF 18.9.2) 2(k+1)(k+b+1)(2k+b) P_{k+1}
     = (2k+b+1)((2k+b+2)(2k+b) x - b^2) P_k - 2k(k+b)(2k+b+2) P_{k-1}."""
-    k = np.arange(1.0, top)[:, None, None]
+    k = np.arange(1.0, top)[:, None]
     s = 2.0 * k + b
     den = 2.0 * (k + 1.0) * (k + b + 1.0) * s
     lead = (s + 1.0) * ((s + 2.0) * s * x - b * b) / den
@@ -170,48 +171,29 @@ def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return u, wt
 
 
-def _panel_values(f, order, g, small, jacobi, edges):
-    """GL panel integrals of f(u) * gamma_pdf(u) for each row's prepared
-    density: (signed values, absolute masses).  Row i's density is
-    psi_{order_i}(u), times order_i / u where ``small`` (shape < 1, order =
-    shape), with g = g(order) from ``special._log_gamma_excess``.  Rows
-    flagged in ``jacobi`` leave out the first panel, which their
-    Gauss-Jacobi rule covers.  The densities are built slab by slab in two
-    reused buffers."""
-    u, wt = panel_rule(edges, _NODES)
+def _panel_values(f, order, g, small, u, wt):
+    """Integrals of f(u) * gamma_pdf(u) by the rule (u, wt), f run once,
+    for each row's prepared density: (signed values, absolute masses).  Row
+    i's density is psi_{order_i}(u), times order_i / u where ``small``
+    (shape < 1, order = shape), with g = g(order) from
+    ``special._log_gamma_excess``.  The densities are built in two reused
+    buffers, in slabs of whole groups of four rows as in
+    ``core._poisson_sum``, so no row's bits depend on the slab size."""
     vals = np.asarray(f(u), dtype=float)
     signed, mass = wt * vals, wt * np.abs(vals)
-    total, absolute = np.empty(len(order)), np.empty(len(order))
-    step = max(1, _SLAB_CELLS // len(u))
-    dens, work = np.empty((2, min(step, len(order)), len(u)))
-    for i in range(0, len(order), step):
-        rows = slice(i, i + step)
-        r = len(order[rows])
-        d = _log_psi(u, order[rows], g[rows], dens[:r], work[:r])
+    rows = len(order)
+    total, absolute = np.empty(rows), np.empty(rows)
+    step = 4 * max(1, _SLAB_CELLS // (4 * len(u)))
+    cuts = [0, *range(step, rows - 1, step), rows]
+    dens, work = np.empty((2, min(step + 1, rows), len(u)))
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        d = _log_psi(u, order[a:b], g[a:b], dens[: b - a], work[: b - a])
         np.exp(d, out=d)
-        if small[rows].any():
-            np.multiply(d, np.divide(order[rows], u, out=work[:r]), out=d, where=small[rows])
-        if jacobi[rows].any():
-            d[jacobi[rows], :_NODES] = 0.0
-        total[rows] = d @ signed
-        absolute[rows] = d @ mass
+        if small[a:b].any():
+            np.multiply(d, np.divide(order[a:b], u, out=work[: b - a]), out=d, where=small[a:b])
+        total[a:b] = d @ signed
+        absolute[a:b] = d @ mass
     return total, absolute
-
-
-def _jacobi_panel(f, shapes, log_gamma, rules, hi: float, power: float):
-    """integral_0^hi f(u) u^(shape-1) e^(-u) du / Gamma(shape) for each shape,
-    with the full endpoint power u^(shape-1+power) absorbed into the
-    Gauss-Jacobi ``rules`` of weight (1+x)^(shape-1+power) (``power`` is the
-    caller's declared behavior f(u) ~ u^power near 0; ``log_gamma`` is
-    ln Gamma(shape)).  Returns (signed values, absolute masses)."""
-    x, w = rules
-    u = 0.5 * hi * (x + 1.0)
-    front = np.exp((shapes + power) * math.log(0.5 * hi) - log_gamma)
-    vals = np.asarray(f(u), dtype=float)
-    if power != 0.0:
-        vals = vals / u**power
-    prod = vals * np.exp(-u)
-    return front * np.einsum("ij,ij->i", w, prod), front * np.einsum("ij,ij->i", w, np.abs(prod))
 
 
 def _halve(edges: np.ndarray) -> np.ndarray:
@@ -241,11 +223,15 @@ def gamma_mean(
     successive rounds agree on every row; the finer round is returned,
     which for smooth f is the second, on panels about 2 sqrt(min shape)
     wide.
-    Each row's density order, its g(order) and a Jacobi row's ln Gamma(s)
-    are computed once per batch, not per round.  ``kinks`` are
-    u-locations where f is not smooth (they become panel edges); ``tilt``
-    in [0, 1) and ``env_k`` describe the caller's growth envelope |f(u)|
-    <= env_k * exp(tilt * u), used to certify the neglected tails.
+    Each row's density order and its g(order) are computed once per
+    batch, not per round.  ``kinks`` are u-locations where f is not smooth
+    (they become panel edges); ``tilt`` in [0, 1) and ``env_k`` describe
+    the caller's growth envelope |f(u)| <= env_k * exp(tilt * u), used to
+    certify the neglected tails.  ``endpoint_power`` p declares f(u) ~ u^p
+    near 0.  A batch that takes the Gauss-Jacobi front rule (window from 0,
+    b = min shape - 1 + p fractional and below 6) needs every shape a whole
+    number above the smallest, as runs of consecutive k are; else it
+    raises ``ParameterError("shape_spacing")``.
     """
     given = np.atleast_1d(np.asarray(shape, dtype=float))
     rank = np.argsort(given, kind="stable")  # the rows run in ascending shape
@@ -270,22 +256,19 @@ def gamma_mean(
     if inner:  # the segments share only their endpoints
         edges = np.concatenate([edges, *(seg[1:] for seg in segments[1:])])
 
-    # a row takes the first panel [0, e1] as a Gauss-Jacobi panel if its
-    # endpoint power b is fractional and below _GL_POWER and it has mass
-    # there (its lower tail bound at e1 is above the window's target)
-    jacobi = np.zeros(len(shapes), dtype=bool)
-    if u_lo == 0.0 and s_min + endpoint_power - 1.0 < _GL_POWER:
-        b = shapes + endpoint_power - 1.0
-        rows = np.flatnonzero((b < _GL_POWER) & (np.abs(b - np.round(b)) > 1e-12))
-        e1, log_lo = float(edges[1]), math.log(eps_win / env_k)
-        jacobi[rows] = [
-            e1 >= s + 1.0 or _log_tail(s, e1, e1 / (s + 1.0)) > log_lo
-            for s in shapes[rows].tolist()
-        ]
-    front = shapes[jacobi]  # the Jacobi rows' shapes, their ln Gamma and rules
-    if len(front):
-        front_log_gamma = np.array([math.lgamma(v) for v in front.tolist()])
-        jx, jw = _gj_rules(_NODES, tuple(b[jacobi].tolist()))
+    # the Gauss-Jacobi front rule of weight u^b, as plain nodes and weights on [0, 1]
+    front = None
+    b = s_min + endpoint_power - 1.0
+    if u_lo == 0.0 and b < _GL_POWER and abs(b - round(b)) > 1e-12:
+        spacing = shapes - s_min
+        if (np.abs(spacing - np.round(spacing)) > 1e-9).any():
+            raise ParameterError(
+                "shape_spacing",
+                f"shapes {s_min}..{s_max} must lie whole numbers apart for the "
+                f"Gauss-Jacobi front rule (endpoint power {b})",
+            )
+        x, w = _gj_rules(_NODES, b)
+        front = 0.5 * (x + 1.0), 0.5 * w / (x + 1.0) ** b
         if len(edges) > 2 and edges[2] - edges[1] > 2.0 * edges[1]:
             # a kink close to u = 0 ends the Jacobi panel early: grade the
             # next panel geometrically so no panel is wider than its
@@ -303,15 +286,14 @@ def gamma_mean(
 
     previous = None
     for _ in range(_MAX_ROUNDS):
+        u, wt = panel_rule(edges, _NODES)
+        if front is not None:
+            u[:_NODES] = edges[1] * front[0]
+            wt[:_NODES] = edges[1] * front[1]
         # f and its products with the weights may overflow; that leaves a
         # total that is not finite, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            total, mass = _panel_values(f, order, g, small, jacobi, edges)
-            if len(front):
-                jt, jm = _jacobi_panel(f, front, front_log_gamma, (jx, jw), float(edges[1]),
-                                       endpoint_power)
-                total[jacobi] += jt
-                mass[jacobi] += jm
+            total, mass = _panel_values(f, order, g, small, u, wt)
         if not np.isfinite(total).all():
             raise QuadratureError(
                 f"gamma-mean integrand is not finite on the window [{u_lo}, {u_hi}] "

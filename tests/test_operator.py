@@ -357,19 +357,25 @@ class TestCoarseOpening:
             exact = [float(mean(mp.mpf(s), mp.mpf(self.RATE))) for s in shapes]
         np.testing.assert_allclose(got, exact, rtol=1e-12, atol=atol)
 
-    @pytest.mark.parametrize("s", [0.5, 3.5, 40.5, 95.5, 150.5])
+    @pytest.mark.parametrize(
+        "s, rows",
+        [(0.5, 3), (3.5, 3), (40.5, 3), (95.5, 3), (150.5, 3), (0.3, 16)],
+        ids=["0.5", "3.5", "40.5", "95.5", "150.5", "0.3-wide"],
+    )
     @pytest.mark.parametrize("name", ["sqrt", "exp:-1"])
-    def test_fractional_shapes_near_jacobi_edge(self, s, name):
-        # only fractional endpoint powers b = s - 1 + p below 6 take the
-        # Gauss-Jacobi front rule: the exp:-1 rows from 0.5 and 3.5 (b up to
-        # 4.5); the sqrt rows (b = s - 1/2, an integer) and the larger shapes
-        # take Gauss-Legendre; against the closed forms Gamma(s + 1/2) /
-        # Gamma(s) and 2^(-s) at 30 digits
+    def test_fractional_shapes_near_jacobi_edge(self, s, rows, name):
+        # a batch takes the Gauss-Jacobi front rule when its smallest
+        # endpoint power b = s - 1 + p is fractional and below 6: the exp:-1
+        # batches from 0.5 and 3.5 (b = -0.5 and 2.5) and both wide batches
+        # from 0.3, whose rows reach 15 whole powers above b; the other sqrt
+        # batches (b = s - 1/2, an integer) and the larger shapes take
+        # Gauss-Legendre; against the closed forms Gamma(s + 1/2) / Gamma(s)
+        # and 2^(-s) at 30 digits
         fn, power, mean = {
             "sqrt": (np.sqrt, 0.5, lambda s: mp.gamma(s + 0.5) / mp.gamma(s)),
             "exp:-1": (lambda u: np.exp(-u), 0.0, lambda s: mp.mpf(2) ** (-s)),
         }[name]
-        shapes = s + np.arange(3.0)
+        shapes = s + np.arange(float(rows))
         got = gamma_mean(fn, shapes, 1e-12, endpoint_power=power)
         with mp.workdps(30):
             exact = [float(mean(mp.mpf(shape))) for shape in shapes]
@@ -384,6 +390,13 @@ class TestCoarseOpening:
         shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
         got = gamma_mean(lambda u: np.exp(0.9 * u), shapes, 1e-12, tilt=0.9)
         np.testing.assert_allclose(got, 10.0**shapes, rtol=1e-12, atol=0.0)
+
+    def test_front_rule_needs_whole_spacing(self):
+        # shapes 0.5 and 0.8 take the front rule of b = -0.5, which cannot
+        # absorb the second row's u^(-0.2)
+        with pytest.raises(ParameterError) as err:
+            gamma_mean(lambda u: np.exp(-u), [0.5, 0.8], 1e-12)
+        assert err.value.code == "shape_spacing"
 
     @staticmethod
     def _overflowing_calls(shapes, tilt):
@@ -411,9 +424,9 @@ class TestCoarseOpening:
 
     def test_overflowing_integrand_fails_fast_with_jacobi_panel(self):
         # shapes 1.5-4.5 have fractional endpoint powers below 6: their one
-        # round runs f on the Gauss-Legendre panels and on the Gauss-Jacobi
-        # front panel (at tilt 0.99 the window passes u = 709 / 0.99)
-        assert self._overflowing_calls(np.arange(1, 5) + 0.5, 0.99) == 2
+        # round runs f once, on one node array whose first panel carries the
+        # Gauss-Jacobi front rule (at tilt 0.99 the window passes u = 709 / 0.99)
+        assert self._overflowing_calls(np.arange(1, 5) + 0.5, 0.99) == 1
 
 
 class TestJacobiThreshold:
@@ -437,6 +450,48 @@ class TestJacobiThreshold:
             shapes = np.arange(j * j, (j + 1) ** 2) + alpha + 1.0
             exact = [mp_gamma_mean(mp_f, s, rate, breakpoints=kinks) for s in shapes]
             np.testing.assert_allclose(chunk, exact, rtol=1e-12, atol=0.0)
+
+
+class TestJacobiRuleChoice:
+    # the batch, not the row, takes the Gauss-Jacobi front rule: its window
+    # starts at 0 and its smallest endpoint power b = s_min - 1 + p is
+    # fractional and below _GL_POWER = 6; such a batch builds one rule
+    @pytest.mark.parametrize(
+        "s_min, power, built",
+        [(6.5, 0.0, [5.5]), (6.0, 0.5, [5.5]), (7.5, 0.0, []), (6.0, 0.0, []), (6.5, 0.5, [])],
+        ids=["b5.5", "b5.5-sqrt", "b6.5", "b5-whole", "b6-sqrt"],
+    )
+    def test_rules_built(self, monkeypatch, s_min, power, built):
+        gj_rules, rules = quadrature._gj_rules, []
+
+        def spy(m, b):
+            rules.append(b)
+            return gj_rules(m, b)
+
+        monkeypatch.setattr(quadrature, "_gj_rules", spy)
+        fn, mean = {
+            0.0: (lambda u: np.exp(-u), lambda s: mp.mpf(2) ** (-s)),
+            0.5: (np.sqrt, lambda s: mp.gamma(s + 0.5) / mp.gamma(s)),
+        }[power]
+        shapes = s_min + np.arange(3.0)
+        got = gamma_mean(fn, shapes, 1e-12, endpoint_power=power)
+        assert rules == built
+        with mp.workdps(30):
+            exact = [float(mean(mp.mpf(shape))) for shape in shapes]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0.0)
+
+
+def test_slab_size_keeps_row_bits(monkeypatch):
+    # the densities run in slabs of whole groups of four rows, the last one
+    # taking a lone row along, so no row's bits depend on the slab size
+    shapes = np.arange(41) + 401.3
+    f = lambda u: np.sin(u / 50.0) + 2.0
+    got = []
+    for cells in (1 << 10, 1 << 12, 1 << 14, 1 << 20):
+        monkeypatch.setattr(quadrature, "_SLAB_CELLS", cells)
+        got.append(gamma_mean(f, shapes, 1e-12))
+    for other in got[1:]:
+        np.testing.assert_array_equal(other, got[0])
 
 
 def test_gamma_mean_ignores_row_order():
@@ -500,11 +555,10 @@ def _mp_gauss_jacobi(m: int, b: float, dps: int = 40):
 
 
 def test_batched_gauss_jacobi_matches_mpmath():
-    # one eigenproblem per rule, all at once, against a 40-digit rule; the
-    # total mass is the exact 2^(b+1)/(b+1)
-    bs = (-0.5, -0.25, 0.0, 0.3, *(k + 0.37 for k in range(1, 160, 7)))
-    x, w = _gj_rules(16, bs)
-    for xi, wi, b in zip(x, w, bs):
+    # one eigenproblem per rule against a 40-digit rule; the total mass is
+    # the exact 2^(b+1)/(b+1)
+    for b in (-0.5, -0.25, 0.0, 0.3, *(k + 0.37 for k in range(1, 160, 7))):
+        xi, wi = _gj_rules(16, b)
         ref_x, ref_w = _mp_gauss_jacobi(16, b)
         np.testing.assert_allclose(xi, ref_x, rtol=0, atol=1e-15)
         np.testing.assert_allclose(wi, ref_w, rtol=2e-13)
