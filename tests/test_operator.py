@@ -430,7 +430,7 @@ class TestCoarseOpening:
 
 
 class TestJacobiThreshold:
-    # chunks 2 and 3 (k = 4..15) hold the rows on both sides of the endpoint
+    # chunks 2 and 3 (k = 4..15) hold batches on both sides of the endpoint
     # power b = 6 from which Gauss-Legendre replaces the Gauss-Jacobi front
     # panel; every row against mpmath quadrature
     CASES = {
@@ -496,8 +496,8 @@ def test_slab_size_keeps_row_bits(monkeypatch):
 
 def test_gamma_mean_ignores_row_order():
     # a row's bits do not depend on where it sits in the batch: permuted
-    # shapes give the permuted means, with Gauss-Jacobi rows, kinks and a
-    # shape below 1 in the mix
+    # shapes give the permuted means, with Gauss-Jacobi front rules, kinks
+    # and a shape below 1 in the mix
     rng = np.random.default_rng(7)
     for f, power, kinks, shapes in (
         (np.sqrt, 0.5, (), np.arange(1, 18) + 0.3),
