@@ -34,7 +34,7 @@ from .operator import (
     validate,
 )
 from .operator.quadrature import panel_rule
-from .special import reg_lower_gamma
+from .special import _dot, reg_lower_gamma
 
 __all__ = [
     "NormSpec",
@@ -339,7 +339,7 @@ def weighted_lp_error(
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
     validate(params, f)
     xs, ws, dev = _panel_error(f, params, float(r_max))
-    value = float(np.dot(ws, dev**p * np.exp(gamma * xs)) ** (1.0 / p))
+    value = float(_dot(dev**p * np.exp(gamma * xs), ws) ** (1.0 / p))
     return value, gamma <= p * params.beta + 1e-15
 
 
@@ -448,7 +448,7 @@ def schur_second_integral(
     edges = np.linspace(0.0, x_hi, _SCHUR_PANELS + 1)
     xs, ws = panel_rule(edges, _SCHUR_NODES)
     kern = kernel_on_x_grid(xs, t, params)
-    direct = math.exp(-gamma * t / p) * float(np.dot(ws, np.exp(gamma * xs / p) * kern))
+    direct = math.exp(-gamma * t / p) * float(_dot(np.exp(gamma * xs / p) * kern, ws))
     return SchurSecondResult(bound=bound, direct=direct, hypothesis_ok=gamma <= p * params.beta + 1e-15)
 
 
@@ -471,4 +471,5 @@ def rate_slope(rows: Sequence[tuple[float, float]]) -> float:
         )
     ns = np.log([n for n, _ in usable])
     es = np.log([e for _, e in usable])
-    return float(np.polyfit(ns, es, 1)[0])
+    dn = ns - ns.mean()
+    return float(_dot(dn, es - es.mean()) / _dot(dn, dn))

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError, TruncationError
-from ..special import _first, _log_gamma_excess, _log_psi, _log_tail, log_poisson_weights
+from ..special import _dot, _first, _log_gamma_excess, _log_psi, _log_tail, log_poisson_weights
 from .functions import TestFunction
 from .params import OperatorParams, validate
 from .quadrature import _SLAB_CELLS, gamma_mean
@@ -141,25 +141,21 @@ def _poisson_sum(n: float, xs: np.ndarray, values: np.ndarray, k_lo: int) -> np.
 
     The weights are the deviance kernel ``special._log_psi`` of
     ``log_poisson_weights``, run in place in row slabs of about
-    ``_SLAB_CELLS`` entries (four rows at a time for a wider window); an
-    empty window sums to zero."""
+    ``_SLAB_CELLS`` entries (one row for a wider window) and summed row by
+    row by ``special._dot``; an empty window sums to zero."""
     out = np.zeros(len(xs))
     if not len(values):
         return out
     kk = np.arange(k_lo, k_lo + len(values), dtype=float)
     g = _log_gamma_excess(kk)
     lam = n * xs[:, None]
-    # OpenBLAS's matrix-vector product (the one numpy ships) sums rows in
-    # groups of four and a lone last row by another kernel: slabs of whole
-    # groups, the last one taking a lone row along, give every row the bits
-    # of one single-threaded product over the whole block
-    step = 4 * max(1, _SLAB_CELLS // (4 * len(kk)))
-    cuts = [0, *range(step, len(xs) - 1, step), len(xs)]
-    dens, work = np.empty((2, min(step + 1, len(xs)), len(kk)))
+    step = max(1, _SLAB_CELLS // len(kk))
+    dens, work = np.empty((2, min(step, len(xs)), len(kk)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a, b in zip(cuts[:-1], cuts[1:]):
+        for a in range(0, len(xs), step):
+            b = min(a + step, len(xs))
             d = _log_psi(lam[a:b], kk, g, dens[: b - a], work[: b - a])
-            out[a:b] = np.exp(d, out=d) @ values
+            out[a:b] = _dot(np.exp(d, out=d), values)
     return out
 
 

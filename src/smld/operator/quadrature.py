@@ -29,7 +29,7 @@ batch shares everything but its densities:
   domain and deviance form, so nothing overflows and no digits cancel for
   shapes in the millions -- over a rows x nodes matrix, built in place in
   slabs of about ``_SLAB_CELLS`` entries, in two buffers that every slab
-  reuses;
+  reuses, and summed row by row by ``special._dot``;
 * when the window starts at u = 0 and the smallest endpoint power b =
   s_min - 1 + endpoint_power is fractional and below ``_GL_POWER`` = 6,
   the first panel [0, e1] takes instead the nodes of one 16-point
@@ -40,9 +40,6 @@ batch shares everything but its densities:
   b = 6 on Gauss-Legendre needs no help: its 16 nodes integrate u^b over
   [0, 1] to a relative error of 3.4e-5 at b = 0.5, 1.7e-9 at 2.5, 7.8e-13
   at 4.5, 3.0e-14 at 5.5 and 7.8e-16 at 6.01;
-* the rows run in ascending shape, in slabs of whole groups of four, so a
-  row's bits do not depend on where the caller put it nor on the slab size
-  (the matrix-vector products sum rows in groups of four);
 * all panels are halved until two successive rounds agree on every row of
   the batch, and the finer of the two is returned.  For the smooth catalog
   that is the second round, on panels ~ 2 sqrt(shape) wide, where
@@ -63,7 +60,7 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError, QuadratureError
-from ..special import _first, _log_gamma_excess, _log_psi, _log_tail
+from ..special import _dot, _first, _log_gamma_excess, _log_psi, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
 
@@ -174,25 +171,24 @@ def panel_rule(edges: np.ndarray, nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _panel_values(f, order, g, small, u, wt):
     """Integrals of f(u) * gamma_pdf(u) by the rule (u, wt), f run once,
     for each row's prepared density: (signed values, absolute masses).  Row
-    i's density is psi_{order_i}(u), times order_i / u where ``small``
-    (shape < 1, order = shape), with g = g(order) from
-    ``special._log_gamma_excess``.  The densities are built in two reused
-    buffers, in slabs of whole groups of four rows as in
-    ``core._poisson_sum``, so no row's bits depend on the slab size."""
+    i's density is psi_{order_i}(u), times order_i / u where ``small`` (shape
+    < 1, order = shape), with g = g(order) from ``special._log_gamma_excess``,
+    built in reused buffers in slabs of about ``_SLAB_CELLS`` entries and
+    summed row by row by ``special._dot``."""
     vals = np.asarray(f(u), dtype=float)
     signed, mass = wt * vals, wt * np.abs(vals)
     rows = len(order)
     total, absolute = np.empty(rows), np.empty(rows)
-    step = 4 * max(1, _SLAB_CELLS // (4 * len(u)))
-    cuts = [0, *range(step, rows - 1, step), rows]
-    dens, work = np.empty((2, min(step + 1, rows), len(u)))
-    for a, b in zip(cuts[:-1], cuts[1:]):
+    step = max(1, _SLAB_CELLS // len(u))
+    dens, work = np.empty((2, min(step, rows), len(u)))
+    for a in range(0, rows, step):
+        b = min(a + step, rows)
         d = _log_psi(u, order[a:b], g[a:b], dens[: b - a], work[: b - a])
         np.exp(d, out=d)
         if small[a:b].any():
             np.multiply(d, np.divide(order[a:b], u, out=work[: b - a]), out=d, where=small[a:b])
-        total[a:b] = d @ signed
-        absolute[a:b] = d @ mass
+        total[a:b] = _dot(d, signed)
+        absolute[a:b] = _dot(d, mass)
     return total, absolute
 
 
@@ -233,11 +229,9 @@ def gamma_mean(
     number above the smallest, as runs of consecutive k are; else it
     raises ``ParameterError("shape_spacing")``.
     """
-    given = np.atleast_1d(np.asarray(shape, dtype=float))
-    rank = np.argsort(given, kind="stable")  # the rows run in ascending shape
-    shapes = given[rank]
+    shapes = np.atleast_1d(np.asarray(shape, dtype=float))
     eps_win = 0.01 * eps
-    s_min, s_max = float(shapes[0]), float(shapes[-1])
+    s_min, s_max = float(shapes.min()), float(shapes.max())
     u_lo = _window_lo(s_min, eps_win, env_k)
     u_hi = _window_hi(s_max, eps_win, tilt, env_k)
 
@@ -303,9 +297,7 @@ def gamma_mean(
         if previous is not None:
             thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
             if (np.abs(total - previous) <= thresh).all():
-                out = np.empty_like(total)
-                out[rank] = total
-                return out
+                return total
         previous = total
         edges = _halve(edges)
     raise QuadratureError(

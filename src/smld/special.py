@@ -23,6 +23,8 @@ the deviance formula, ``_log_psi(lam, a, g)``.  The quadrature's batches
 have fixed orders over several rounds of nodes, so they compute g once
 per batch and call ``_log_psi`` on each round's nodes directly; they and
 the operator's k-sum run it in place, slab by slab, in reused buffers.
+Every weight-matrix product of the package, there and in the spectral and
+analysis modules, is one ``_dot``, which sums each row on its own.
 
 Every truncation edge in the package -- both ends of a Poisson k window
 and both ends of a gamma-mean quadrature window -- is one ``_first``
@@ -204,6 +206,14 @@ def _log_psi(lam, a, g, out=None, work=None):
     dev -= alog
     dev -= g
     return dev
+
+
+def _dot(m, v):
+    """sum_j m[..., j] v[j], a scalar for 1-D m: each output sums its own row
+    in numpy's einsum order, with no BLAS call, so its bits depend neither on
+    the BLAS kernel or its thread count nor on the neighbouring rows or the
+    slab size."""
+    return np.einsum("...j,j->...", m, v)
 
 
 def log_poisson_weights(lam, a) -> np.ndarray:

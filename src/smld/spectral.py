@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParameterError, TruncationError
 from .operator import OperatorParams, TestFunction, apply_operator_grid, validate
 from .operator.core import _poisson_sum
-from .special import _scipy_special, log_poisson_weights
+from .special import _dot, _scipy_special, log_poisson_weights
 
 __all__ = [
     "TruncatedP",
@@ -189,7 +189,7 @@ def eigen_vector_check(p_mat: TruncatedP, which: str) -> EigenCheck:
     """
     _, z, lam = _eigen_pair(p_mat.params, which)
     v = z ** np.arange(p_mat.K + 1.0)
-    pv = p_mat.entries @ v
+    pv = _dot(p_mat.entries, v)
     upper = slice(0, p_mat.K // 2 + 1)
     residual = float(np.max(np.abs(pv[upper] - lam * v[upper])))
     return EigenCheck(which, lam, vector_residual=residual)
@@ -230,7 +230,7 @@ def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
         deviations.append(float(np.max(np.abs(lifted - target))))
         amplitudes.append(float(np.max(np.abs(lifted))))
         if m < r:
-            v = p_mat.entries @ v
+            v = _dot(p_mat.entries, v)
     ratios = tuple(
         amplitudes[m + 1] / amplitudes[m] for m in range(r) if amplitudes[m] != 0.0
     )

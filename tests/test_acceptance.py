@@ -15,14 +15,17 @@ import csv
 import importlib
 import io
 import json
+import platform
 import subprocess
 import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TIMEOUT = 900
+_DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +220,31 @@ def test_criterion_15_determinism(verify_runs):
     # the exit code must faithfully reflect the report contents
     all_passed = all(row["passed"] for row in verify_runs["rows"].values())
     assert code1 == (0 if all_passed else 1)
+
+
+def _report_key() -> dict:
+    """What the report's bits depend on besides the code: the numpy build,
+    the SIMD paths numpy dispatches to, and the C library's libm."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return {
+        "numpy": np.__version__,
+        "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
+        "libc": list(platform.libc_ver()),
+    }
+
+
+def test_criterion_15_golden_report(verify_runs):
+    # the committed report, byte for byte, where its key matches this host;
+    # a change that moves a digit updates tests/data/verify_all.csv
+    key = json.loads((_DATA / "verify_all.key.json").read_text(encoding="utf-8"))
+    here = _report_key()
+    if here != key:
+        diff = sorted(name for name in key if key[name] != here[name])
+        reason = f"golden verify-all report was made with other {', '.join(diff)}"
+        print(f"[criterion 15] SKIP {reason}")
+        pytest.skip(reason)
+    assert verify_runs["runs"][0][1] == (_DATA / "verify_all.csv").read_bytes()
 
 
 @pytest.mark.xfail(

@@ -1,7 +1,10 @@
 import io
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -13,6 +16,26 @@ from smld.operator import OperatorParams, TestFunction
 from smld.spectral import _K_CAP
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+# one small run of every k-sum, quadrature, spectral and analysis reduction
+_KERNEL_WORKLOAD = (
+    "apply --f sqrt --n 20 --alpha 0.3 --beta 1 --x-grid 0,0.1,1,2,5",
+    "apply --f abs:1 --n 50 --alpha -0.5 --beta 0.5 --x-grid 0.3,1,3",
+    "moments --n 10 --alpha 0.5 --beta 1 --x 2",
+    "central-moments --n 200 --alpha -0.25 --beta 2 --x 1",
+    "converge --f abs:1 --norm lp:1,2 --n-grid 10,20,40,80",
+    "converge --f sqrt --norm sup:2 --n-grid 10,20,40",
+    "eigen --n 10 --alpha 0.5 --beta 2",
+    "schur --n 10 --alpha -0.5 --beta 1 --p 2 --gamma 1",
+)
+
+_RUN_LINES = (
+    "import shlex, sys\n"
+    "from smld.cli import main\n"
+    "for line in sys.argv[1:]:\n"
+    "    assert main(shlex.split(line)) == 0, line\n"
+)
 
 
 def _csv_rows(text: str):
@@ -403,6 +426,18 @@ class TestRun:
         assert code == 0
         _, rows = _csv_rows(capsys.readouterr().out)
         assert 0.0 < float(rows[0][1]) < 0.01
+
+    def test_bytes_do_not_depend_on_blas_kernel(self):
+        # every reduction sums its rows without BLAS, so forcing OpenBLAS's
+        # oldest x86-64 kernel in a child process moves no printed byte
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        outs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            proc = subprocess.run([sys.executable, "-c", _RUN_LINES, *_KERNEL_WORKLOAD],
+                                  env={**env, **extra}, capture_output=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr.decode()
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
 
     def test_json_output(self, capsys):
         code = main(["moments", "--n", "10", "--x", "1", "--max-r", "1", "--format", "json"])

@@ -20,7 +20,7 @@ from smld.operator import (
 )
 
 from smld.moments import raw_moment_closed
-from smld.special import log_poisson_weights
+from smld.special import _dot, log_poisson_weights
 from smld.operator.core import _coefficient_cached, _k_window, _poisson_sum
 from smld.operator import quadrature
 from smld.operator.quadrature import _gj_rules, _window_hi, _window_lo, gamma_mean
@@ -482,8 +482,7 @@ class TestJacobiRuleChoice:
 
 
 def test_slab_size_keeps_row_bits(monkeypatch):
-    # the densities run in slabs of whole groups of four rows, the last one
-    # taking a lone row along, so no row's bits depend on the slab size
+    # each row is summed on its own, so no row's bits depend on the slab size
     shapes = np.arange(41) + 401.3
     f = lambda u: np.sin(u / 50.0) + 2.0
     got = []
@@ -513,20 +512,21 @@ def test_gamma_mean_ignores_row_order():
 
 class TestPoissonSum:
     def test_matches_full_weight_matrix_bit_for_bit(self):
-        # the row slabs give each row the bits of one product with the whole
-        # weight matrix; x = 0 rows and k_lo = 0 included.  Blocks up to
-        # 128 x 3,000 stay below the size from which OpenBLAS splits one
-        # product over threads, which moves the bits of the whole product
+        # the row slabs give each row the bits of one reduction over the whole
+        # weight matrix; x = 0 rows and k_lo = 0 included, and windows wider
+        # than _SLAB_CELLS, which run one row per slab
         rng = np.random.default_rng(11)
-        for _ in range(60):
-            rows, width = int(rng.integers(1, 129)), int(rng.integers(1, 3001))
+        for i in range(66):
+            wide = i >= 60
+            rows = int(rng.integers(1, 9 if wide else 129))
+            width = int(rng.integers(16_385, 20_001) if wide else rng.integers(1, 3001))
             n = float(rng.uniform(0.5, 200.0))
             k_lo = int(rng.integers(0, 400)) if rng.random() < 0.7 else 0
             xs = rng.uniform(0.0, 5.0, rows)
             xs[rng.random(rows) < 0.1] = 0.0
             v = rng.normal(size=width)
             kk = np.arange(k_lo, k_lo + width, dtype=float)
-            full = np.exp(log_poisson_weights(n * xs[:, None], kk)) @ v
+            full = _dot(np.exp(log_poisson_weights(n * xs[:, None], kk)), v)
             np.testing.assert_array_equal(_poisson_sum(n, xs, v, k_lo), full)
 
     def test_empty_window_sums_to_zero(self):
