@@ -329,7 +329,9 @@ def weighted_lp_error(
 
     |M f - f| on the panel grid comes from a bounded cache shared by every
     p and gamma, so the L_p norms of one (f, params, R) evaluate
-    the operator once.
+    the operator once.  The panel sum runs in logs, shifted by its largest
+    term, so no term dev^p e^(gamma x) underflows or overflows; a norm past
+    the float range is inf.
     """
     if not _finite_above(gamma, 0.0, inclusive=True):
         raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
@@ -339,7 +341,11 @@ def weighted_lp_error(
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
     validate(params, f)
     xs, ws, dev = _panel_error(f, params, float(r_max))
-    value = float(_dot(dev**p * np.exp(gamma * xs), ws) ** (1.0 / p))
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; exp(> 709.8) = inf
+        t = p * np.log(dev) + gamma * xs
+        top = t.max()
+        log_sum = top + np.log(_dot(np.exp(t - top), ws)) if top > -np.inf else -np.inf
+        value = float(np.exp(log_sum / p))
     return value, gamma <= p * params.beta + 1e-15
 
 

@@ -7,11 +7,11 @@ computed by ``_poisson_sum`` on a grid of x: v_k = c_k(f) for the operator
 (a single point is a grid of one), the gamma density at t for the kernel
 and f(k/n) for the Szasz operator.  Its ingredients:
 
-* ``coefficient`` -- one gamma-density mean to relative error
-  ``_EPS_QUAD``, read out of its chunk: chunk j holds c_k for k in
-  [j^2, (j+1)^2), computed by one batched ``gamma_mean`` call and kept in a
-  bounded LRU cache keyed by (f, j, params); chunk 0 is {c_0}, and the
-  read-only chunks are safe to share,
+* ``coefficient`` -- one gamma-density mean, to the relative target 1e-12
+  that ``gamma_mean`` holds, read out of its chunk: chunk j holds c_k for
+  k in [j^2, (j+1)^2), computed by one ``gamma_mean(f, shapes, rate)``
+  call and kept in a bounded LRU cache keyed by (f, j, params); chunk 0
+  is {c_0}, and the read-only chunks are safe to share,
 * one certified two-sided k window per block of up to 128 x
   (``_k_window``): through the growth envelope of f, the terms below and
   above it weigh at most 1% of ``_EPS_TAIL`` each, bounded by tilted
@@ -52,10 +52,8 @@ _BLOCK = 128  # grid rows per Poisson weight matrix
 _CHUNKS = 4096  # coefficient chunks kept per process
 
 # The fixed tolerances: each neglected k-sum tail weighs at most 1% of
-# _EPS_TAIL, each coefficient quadrature targets relative error _EPS_QUAD,
-# and no certified k window may be wider than _K_MAX terms.
+# _EPS_TAIL, and no certified k window may be wider than _K_MAX terms.
 _EPS_TAIL = 1e-13
-_EPS_QUAD = 1e-12
 _K_MAX = 50_000
 
 
@@ -64,19 +62,8 @@ def _coefficient_cached(f: TestFunction, j: int, params: OperatorParams) -> np.n
     """Chunk j of the coefficients: c_k for k in [j^2, (j+1)^2), one quadrature
     batch.  A chunk's rows depend only on k, so c_k is the same whichever
     call first computed it."""
-    rate = params.rate
     shapes = np.arange(j * j, (j + 1) ** 2) + params.alpha + 1.0
-    tilt = f.growth_a / rate
-    kinks_u = tuple(rate * t for t in f.kinks if t > 0.0)
-    chunk = gamma_mean(
-        lambda u: f(u / rate),
-        shapes,
-        _EPS_QUAD,
-        kinks=kinks_u,
-        tilt=tilt,
-        env_k=f.growth_k,
-        endpoint_power=f.endpoint_power,
-    )
+    chunk = gamma_mean(f, shapes, params.rate)
     chunk.flags.writeable = False
     return chunk
 
@@ -121,9 +108,17 @@ def _k_window(lam_lo: float, lam_hi: float, log_tol: float) -> tuple[int, int]:
     k_hi are each at most 1% of e^log_tol.  A tail is bounded by its first
     neglected weight psi_j over one minus the neighbour ratio (psi_{j+1}/psi_j
     = lam/(j+1)), ``special._log_tail``, so each edge is one integer search.
-    Raises TruncationError if the window is wider than ``_K_MAX``.
+    Raises TruncationError if the window is wider than ``_K_MAX``, before
+    the searches where lam_hi alone proves it: with tau = 0.01 e^log_tol,
+    the window holds all but 2 tau of the Poisson(lam_hi) mass and no such
+    weight exceeds 1/sqrt(2 pi m), m = floor(lam_hi), so k_hi - k_lo + 1 >=
+    (1 - 2 tau) sqrt(2 pi m); and for lam_hi >= 2^53, where consecutive k
+    are no longer distinct floats.
     """
     log_target = math.log(0.01) + log_tol
+    mass = 1.0 - 2.0 * math.exp(min(log_target, 0.0))  # 1 - 2 tau, capped for a huge tol
+    if lam_hi >= 2.0**53 or mass * math.sqrt(math.tau * math.floor(lam_hi)) > _K_MAX:
+        raise TruncationError(f"k window for Poisson mean {lam_hi} exceeds k_max = {_K_MAX} or 2^53")
     k_lo = k_hi = 0
     if lam_lo > 0.0:
         lower_ok = lambda k: k <= 0 or _log_tail(k - 1, lam_lo, (k - 1) / lam_lo) <= log_target

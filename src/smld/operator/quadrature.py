@@ -1,25 +1,27 @@
 """Certified quadrature of gamma-density means on the half line, in batches.
 
-Every coefficient of the operator is the mean of f under a Gamma(shape,
-rate) law.  After the substitution u = rate * t this is
+Every coefficient of the operator is the mean of a test function f under a
+Gamma(shape, rate) law.  After the substitution u = rate * t this is
 
     integral f(u / rate) u^(shape-1) e^(-u) du / Gamma(shape),
 
-and :func:`gamma_mean` computes it for a batch of nearby shapes at once
-(the operator's coefficient layer hands it runs of consecutive k).  The
-batch shares everything but its densities:
+and :func:`gamma_mean` computes it to relative accuracy ``_EPS`` = 1e-12
+for a batch of nearby shapes at once (the operator's coefficient layer
+hands it runs of consecutive k).  It reads the rest from f: the envelope
+|f(t)| <= K e^(A t), K e^(tilt u) in u with tilt = A / rate, the kinks
+and the endpoint power p, f(t) ~ t^p near 0.  The batch shares everything
+but its densities:
 
 * one integration window [u_lo, u_hi], from the lower edge of the smallest
   shape to the upper edge of the largest, chosen so that both neglected
-  tails of every row are provably below a fraction of the target
-  tolerance, through the caller's exponential growth envelope |f| <= env_k
-  * exp(tilt * u): each gamma tail is bounded by its edge density over one
-  minus a term ratio (``special._log_tail``, the same bound as the
-  operator's k windows), each edge is one ``special._first`` search, and
-  both bounds fall (lower edge) or rise (upper edge) with the shape, so the
-  two extreme rows certify the rest;
+  tails of every row, through f's envelope, are provably below
+  ``_EPS_WIN``, 1% of the target: each gamma tail is bounded by its edge
+  density over one minus a term ratio (``special._log_tail``, the same
+  bound as the operator's k windows), each edge is one ``special._first``
+  search, and both bounds fall (lower edge) or rise (upper edge) with the
+  shape, so the two extreme rows certify the rest;
 * one set of opening panels of width ~ 4 sqrt(smallest shape) (at least
-  1/24 of the window, split further at the declared kinks of f) carrying
+  1/24 of the window, split further at the kinks of f) carrying
   fixed Gauss-Legendre rules, with f evaluated once per node and round;
 * each row's density prepared once per batch: the Gamma(s) density at u
   is the Poisson weight psi_{s-1}(u), so the batch computes its orders and
@@ -31,7 +33,7 @@ batch shares everything but its densities:
   slabs of about ``_SLAB_CELLS`` entries, in two buffers that every slab
   reuses, and summed row by row by ``special._dot``;
 * when the window starts at u = 0 and the smallest endpoint power b =
-  s_min - 1 + endpoint_power is fractional and below ``_GL_POWER`` = 6,
+  s_min - 1 + p is fractional and below ``_GL_POWER`` = 6,
   the first panel [0, e1] takes instead the nodes of one 16-point
   Gauss-Jacobi rule of weight u^b, its weights divided by (1+x)^b.  The
   shapes lie whole numbers apart, so there every row's integrand is u^b
@@ -69,6 +71,8 @@ _MAX_ROUNDS = 11
 _MAX_KINK_PANELS = 64
 _SLAB_CELLS = 1 << 14  # density-matrix entries built at once: 128 kB of floats
 _GL_POWER = 6.0  # Gauss-Legendre integrates the endpoint power u^b from b = 6 on
+_EPS = 1e-12  # relative target of every mean
+_EPS_WIN = 0.01 * _EPS  # bound on each neglected window tail
 
 
 @lru_cache(maxsize=64)
@@ -129,29 +133,29 @@ def _jacobi_p(top: int, b: float, x: np.ndarray) -> np.ndarray:
     return p
 
 
-def _window_hi(shape: float, eps_win: float, tilt: float, env_k: float) -> float:
+def _window_hi(shape: float, tilt: float, env_k: float) -> float:
     """Upper edge u_hi of a certified integration window for a Gamma(shape, 1)
-    mean: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= eps_win, with
+    mean: env_k (1-tilt)^(-shape) Q(shape, (1-tilt) u_hi) <= _EPS_WIN, with
     Q(s, w) <= psi_{s-1}(w) / (1 - max(s-1, 0)/w) for w > s - 1 (for s < 1 the
     density ratio is at most 1, so the ratio is 0).  One search in strides of
     sqrt(shape) from shape + 10 sqrt(shape) + 30.  At a fixed edge the bound
     rises with the shape, so a batch takes the edge of its largest shape.
     """
     root = math.sqrt(shape)
-    log_hi = math.log(eps_win) + shape * math.log1p(-tilt) - math.log(env_k)
+    log_hi = math.log(_EPS_WIN) + shape * math.log1p(-tilt) - math.log(env_k)
     upper_ok = lambda w: _log_tail(shape - 1.0, w, max(shape - 1.0, 0.0) / w) <= log_hi
     return _first(upper_ok, shape + 10.0 * root + 30.0, root) / (1.0 - tilt)
 
 
-def _window_lo(shape: float, eps_win: float, env_k: float) -> float:
-    """Lower edge u_lo of the same window: env_k P(shape, u_lo) <= eps_win
+def _window_lo(shape: float, env_k: float) -> float:
+    """Lower edge u_lo of the same window: env_k P(shape, u_lo) <= _EPS_WIN
     (the growth factor is ~1 near 0), with P(s, w) <= psi_s(w) / (1 - w/(s+1))
     for w < s + 1.  One search in strides of sqrt(shape) down from
     shape - (10 sqrt(shape) + 30).  At a fixed edge the bound falls with the
     shape, so a batch takes the edge of its smallest shape.
     """
     root = math.sqrt(shape)
-    log_lo = math.log(eps_win / env_k)
+    log_lo = math.log(_EPS_WIN / env_k)
     lower_ok = lambda w: w <= 0.0 or _log_tail(shape, w, w / (shape + 1.0)) <= log_lo
     return max(0.0, _first(lower_ok, shape - 10.0 * root - 30.0, -root))
 
@@ -200,17 +204,9 @@ def _halve(edges: np.ndarray) -> np.ndarray:
     return out
 
 
-def gamma_mean(
-    f,
-    shape,
-    eps: float,
-    kinks: tuple[float, ...] = (),
-    tilt: float = 0.0,
-    env_k: float = 1.0,
-    endpoint_power: float = 0.0,
-):
-    """Mean of f under Gamma(s, 1) for each s in ``shape``, to relative
-    accuracy ~eps for smooth f.
+def gamma_mean(f, shape, rate):
+    """Mean of the test function f under Gamma(s, rate) for each s in
+    ``shape``, to relative accuracy ~1e-12 for smooth f.
 
     ``shape`` is an array of nearby shapes and the result is an array of
     means, one per shape: the batch shares one window, one set of panels
@@ -220,22 +216,23 @@ def gamma_mean(
     which for smooth f is the second, on panels about 2 sqrt(min shape)
     wide.
     Each row's density order and its g(order) are computed once per
-    batch, not per round.  ``kinks`` are u-locations where f is not smooth
-    (they become panel edges); ``tilt`` in [0, 1) and ``env_k`` describe
-    the caller's growth envelope |f(u)| <= env_k * exp(tilt * u), used to
-    certify the neglected tails.  ``endpoint_power`` p declares f(u) ~ u^p
-    near 0.  A batch that takes the Gauss-Jacobi front rule (window from 0,
-    b = min shape - 1 + p fractional and below 6) needs every shape a whole
-    number above the smallest, as runs of consecutive k are; else it
-    raises ``ParameterError("shape_spacing")``.
+    batch, not per round.  A batch that takes the Gauss-Jacobi front rule
+    (window from 0, b = min shape - 1 + p fractional and below 6) needs
+    every shape a whole number above the smallest, as runs of consecutive
+    k are; else it raises ``ParameterError("shape_spacing")``.  A rate
+    that is not finite and above max(0, A), where the means exist, raises
+    ``ParameterError("growth_incompatible")``.
     """
+    if not (math.isfinite(rate) and rate > max(0.0, f.growth_a)):
+        raise ParameterError(
+            "growth_incompatible", f"requires finite rate > max(0, A = {f.growth_a}), got {rate}"
+        )
     shapes = np.atleast_1d(np.asarray(shape, dtype=float))
-    eps_win = 0.01 * eps
     s_min, s_max = float(shapes.min()), float(shapes.max())
-    u_lo = _window_lo(s_min, eps_win, env_k)
-    u_hi = _window_hi(s_max, eps_win, tilt, env_k)
+    u_lo = _window_lo(s_min, f.growth_k)
+    u_hi = _window_hi(s_max, f.growth_a / rate, f.growth_k)  # tilt A / rate in u
 
-    inner = sorted({k for k in kinks if u_lo < k < u_hi})
+    inner = sorted({k for k in (rate * t for t in f.kinks) if u_lo < k < u_hi})
     if len(inner) > _MAX_KINK_PANELS:
         stride = int(math.ceil(len(inner) / _MAX_KINK_PANELS))
         inner = inner[::stride]
@@ -252,7 +249,7 @@ def gamma_mean(
 
     # the Gauss-Jacobi front rule of weight u^b, as plain nodes and weights on [0, 1]
     front = None
-    b = s_min + endpoint_power - 1.0
+    b = s_min + f.endpoint_power - 1.0
     if u_lo == 0.0 and b < _GL_POWER and abs(b - round(b)) > 1e-12:
         spacing = shapes - s_min
         if (np.abs(spacing - np.round(spacing)) > 1e-9).any():
@@ -287,7 +284,7 @@ def gamma_mean(
         # f and its products with the weights may overflow; that leaves a
         # total that is not finite, which raises below
         with np.errstate(over="ignore", invalid="ignore"):
-            total, mass = _panel_values(f, order, g, small, u, wt)
+            total, mass = _panel_values(lambda u: f(u / rate), order, g, small, u, wt)
         if not np.isfinite(total).all():
             raise QuadratureError(
                 f"gamma-mean integrand is not finite on the window [{u_lo}, {u_hi}] "
@@ -295,11 +292,11 @@ def gamma_mean(
                 code="integrand_not_finite",
             )
         if previous is not None:
-            thresh = eps * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
+            thresh = _EPS * np.abs(total) + 64.0 * 2.220446049250313e-16 * mass + 1e-300
             if (np.abs(total - previous) <= thresh).all():
                 return total
         previous = total
         edges = _halve(edges)
     raise QuadratureError(
-        f"gamma-mean quadrature did not converge (shapes {s_min}..{s_max}, eps = {eps})"
+        f"gamma-mean quadrature did not converge (shapes {s_min}..{s_max}, eps = {_EPS})"
     )

@@ -308,6 +308,14 @@ class TestLpErrors:
         val = lp_error(TestFunction.monomial(0), OperatorParams(10.0, 0.0, 0.0), 1.0, 1.0)
         assert val <= 1e-12
 
+    def test_zero_deviation_is_zero(self, monkeypatch):
+        # every dev = 0: the log-domain panel sum has no largest term to shift by
+        zeros = np.zeros(5)
+        monkeypatch.setattr(analysis, "_panel_error",
+                            lambda f, params, r: (np.linspace(0.0, r, 5), np.full(5, 0.4), zeros))
+        f = TestFunction.sin_scaled(2.0)
+        assert weighted_lp_error(f, OperatorParams(10.0), 3.0, 1.0, 2.0)[0] == 0.0
+
     def test_linear_exact(self):
         val = lp_error(TestFunction.monomial(1), OperatorParams(10.0, 0.0, 0.0), 1.0, 1.0)
         assert val == pytest.approx(0.1, rel=1e-10)

@@ -8,9 +8,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
-from smld.analysis import rate_slope, weighted_lp_error
+from smld.analysis import _panel_error, rate_slope, weighted_lp_error
 from smld.cli import _HANDLERS, Table, emit, main, parse_config
 from smld.operator import OperatorParams, TestFunction
 from smld.spectral import _K_CAP
@@ -354,6 +355,26 @@ class TestRun:
         slope = rate_slope(list(zip(n_grid, want)))
         assert all(row["fitted_slope"] == slope for row in payload)
 
+    @pytest.mark.parametrize("norm, n_grid, p, gamma", [
+        ("lp:200,2", "160,640", 200.0, 0.0),
+        ("wlp:4,800,2", "10,20", 4.0, 800.0),
+    ], ids=["lp-p200", "wlp-gamma800"])
+    def test_converge_lp_extreme_exponents(self, capsys, norm, n_grid, p, gamma):
+        # dev^p underflows at p = 200 (the n = 640 error used to print 0.0)
+        # and e^(gamma x) overflows at gamma = 800 (it printed inf); each
+        # norm against an mpmath sum over the same panels
+        code = main(["converge", "--f", "sin:2", "--norm", norm, "--n-grid", n_grid])
+        assert code == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        f = TestFunction.sin_scaled(2.0)
+        for row in rows:
+            xs, ws, dev = _panel_error(f, OperatorParams(float(row[0])), 2.0)
+            with mp.workdps(40):
+                total = mp.fsum(mp.mpf(d) ** p * mp.exp(gamma * mp.mpf(x)) * mp.mpf(w)
+                                for x, w, d in zip(xs.tolist(), ws.tolist(), dev.tolist()))
+                exact = float(total ** (1 / mp.mpf(p)))
+            assert float(row[1]) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
     def test_asymptotics_flags_vanishing_prediction(self, capsys):
         # at beta = 0 the stated leading term of the r = 3 moment is 0: no ratio
         code = main(["asymptotics", "--r", "3", "--beta", "0", "--x", "1", "--n-grid", "10,100"])
@@ -419,6 +440,20 @@ class TestRun:
         code = main(["apply", "--f", "monomial:1", "--n", "1e8", "--x-grid", "5"])
         assert code == 3
         assert "k_max_exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["apply", "--f", "sin:2", "--n", "10", "--x-grid", "1e15"],
+        ["apply", "--f", "sin:2", "--n", "10", "--x-grid", "1e300"],
+        ["moments", "--n", "10", "--x", "1e30"],
+        ["central-moments", "--n", "10", "--x", "1e100"],
+    ], ids=["apply-1e15", "apply-1e300", "moments", "central-moments"])
+    def test_huge_nx_exit_code(self, capsys, argv):
+        # n x past where k stays a distinct float: a coded numerical failure,
+        # not a math domain error traceback
+        code = main(argv)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: k_max_exceeded:" in captured.err
 
     def test_apply_large_n(self, capsys):
         # n x = 1e5: the k window starts far from k = 0
