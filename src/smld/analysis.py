@@ -31,7 +31,6 @@ from .operator import (
     TestFunction,
     apply_operator_grid,
     kernel_on_x_grid,
-    validate,
 )
 from .operator.quadrature import panel_rule
 from .special import _dot, reg_lower_gamma
@@ -214,7 +213,6 @@ def operator_sup_error(f: TestFunction, params: OperatorParams, a: float) -> flo
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
     if not _finite_above(a, 0.0):
         raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
-    validate(params, f)
 
     def diff(xs):
         return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
@@ -293,7 +291,6 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
     functions are located by calculus.  Requires beta >= 0 (the difference
     coefficients are then single-signed, which the closed forms rely on).
     """
-    validate(params)
     if params.beta < 0:
         raise ParameterError(
             "korovkin_beta_negative", "closed-form Korovkin norms require beta >= 0"
@@ -339,7 +336,6 @@ def weighted_lp_error(
         raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
     if not _finite_above(r_max, 0.0):
         raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
-    validate(params, f)
     xs, ws, dev = _panel_error(f, params, float(r_max))
     with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; exp(> 709.8) = inf
         t = p * np.log(dev) + gamma * xs
@@ -378,7 +374,8 @@ def schur_E(params: OperatorParams, t: float) -> float:
     computed (see :func:`schur_lemma_applicable`).  At t = 0 the limit is
     0 for alpha > -1/2, finite for alpha = -1/2, +inf below.
     """
-    validate(params)
+    if not math.isfinite(t):
+        raise ParameterError("schur_t_not_finite", f"requires finite t, got {t}")
     if t < 0:
         raise ParameterError("schur_t_negative", f"requires t >= 0, got {t}")
     al = params.alpha
@@ -401,9 +398,12 @@ def schur_first_integral(params: OperatorParams, gamma: float, p: float, x: floa
 
     <= 1 for every x >= 0 exactly when gamma <= p beta.
     """
-    validate(params)
+    if not math.isfinite(x):
+        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
+    if not _finite_above(p, 1.0, inclusive=True):
+        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
     if gamma < 0:
         raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
     if not gamma < params.n * p:
@@ -434,9 +434,12 @@ def schur_second_integral(
     (1 - gamma/(np))^(-1) E_n(t (1 - gamma/(np))^(-1)).  Both are returned;
     the comparison is the caller's to draw.
     """
-    validate(params)
+    if not math.isfinite(t):
+        raise ParameterError("schur_t_not_finite", f"requires finite t, got {t}")
     if not t > 0:
         raise ParameterError("schur_t_nonpositive", f"requires t > 0, got {t}")
+    if not _finite_above(p, 1.0, inclusive=True):
+        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
     if gamma < 0:
         raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
     if not gamma < params.n * p:

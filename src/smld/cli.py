@@ -29,7 +29,6 @@ from .operator import (
     apply_operator_grid,
     apply_szasz,
     load_sampled,
-    validate,
 )
 
 __all__ = ["Table", "parse_config", "run", "emit", "main"]
@@ -162,13 +161,14 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
         parser.error("--max-r: requires max_r >= 0")
     if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
         parser.error("--x, --x-grid: requires finite x >= 0")
+    if not all(math.isfinite(t) for t in getattr(ns, "t_grid", ())):
+        parser.error("schur_t_not_finite: --t-grid: requires finite t")
     n_grid = getattr(ns, "n_grid", ())
     try:
         if hasattr(ns, "n"):
             ns.params = OperatorParams(ns.n, ns.alpha, ns.beta)
-            validate(ns.params)
-        for n in n_grid:
-            validate(OperatorParams(n, ns.alpha, ns.beta))
+        for n in n_grid:  # each grid triple raises its code here, not mid-run
+            OperatorParams(n, ns.alpha, ns.beta)
         if hasattr(ns, "f"):
             ns.f = _parse_function(ns.f)
         if hasattr(ns, "norm"):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError, UnsupportedOrderError
-from .operator import OperatorParams, validate
+from .operator import OperatorParams
 from .special import kummer_scaled, pochhammer
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
 def raw_moment_closed(r: int, x: float, params: OperatorParams) -> float:
     """mu_r(x) = (alpha+1)_r / (n-beta)^r * e^(-nx) 1F1(alpha+r+1; alpha+1; nx)."""
     _check_order(r)
-    validate(params)
     front = pochhammer(params.alpha + 1.0, r) / params.rate ** r
     return front * kummer_scaled(params.alpha + r + 1.0, params.alpha + 1.0, params.n * x)
 
@@ -71,13 +70,11 @@ def _recurrence(r_max: int, z, al, rate) -> list:
 def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list[float]:
     """All raw moments mu_0 .. mu_{r_max} by forward three-term recurrence."""
     _check_order(r_max)
-    validate(params)
     return _recurrence(r_max, params.n * x, params.alpha, params.rate)
 
 
 def raw_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit polynomial-in-nx raw moments, available for r <= 4."""
-    validate(params)
     _check_order(r)
     if r > 4:
         raise UnsupportedOrderError(f"explicit raw moments exist for r <= 4, got {r}")
@@ -119,7 +116,6 @@ def diff_recurrence_residual(
         raise ParameterError("moment_order", f"requires r >= 1, got {r}")
     if not x - h > 0:
         raise ParameterError("diff_step", f"requires x - h > 0, got x = {x}, h = {h}")
-    validate(params)
     left = raw_moments_recurrence(r, x - h, params)[r]
     right = raw_moments_recurrence(r, x + h, params)[r]
     shifted = OperatorParams(params.n, params.alpha + 1.0, params.beta)
@@ -129,7 +125,6 @@ def diff_recurrence_residual(
 
 def central_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit central moments for r <= 4."""
-    validate(params)
     _check_order(r)
     if r > 4:
         raise UnsupportedOrderError(f"explicit central moments exist for r <= 4, got {r}")
@@ -170,7 +165,6 @@ def central_moment_binomial(r: int, x: float, params: OperatorParams) -> float:
     no rounding to cancel; the result is the exact moment of the given
     float inputs, rounded once.
     """
-    validate(params)
     _check_order(r)
     if not math.isfinite(x):
         raise ParameterError("x_not_finite", f"requires finite x, got {x}")
@@ -190,7 +184,6 @@ def asymptotic_prediction(r: int, x: float, params: OperatorParams) -> float:
     """
     if r < 1:
         raise ParameterError("moment_order", f"requires r >= 1, got {r}")
-    validate(params)
     if r == 1:
         return (params.alpha + 1.0 + params.beta * x) / params.n
     return r * (r - 1) * params.beta ** (r - 2) * x ** (r - 1) / params.n ** (r - 1)

@@ -90,15 +90,19 @@ def coefficient(f: TestFunction, k: int, params: OperatorParams) -> float:
 
 
 def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
-    """Exponential-class bound K (rate/(rate-A))^(alpha+1) exp(n x A / (rate-A))."""
+    """Exponential-class bound K (rate/(rate-A))^(alpha+1) exp(n x A / (rate-A)),
+    or inf where a factor passes the float range."""
     validate(params, f)
     rate = params.rate
     a = f.growth_a
-    return (
-        f.growth_k
-        * (rate / (rate - a)) ** (params.alpha + 1.0)
-        * math.exp(params.n * x * a / (rate - a))
-    )
+    try:
+        return (
+            f.growth_k
+            * (rate / (rate - a)) ** (params.alpha + 1.0)
+            * math.exp(params.n * x * a / (rate - a))
+        )
+    except OverflowError:
+        return math.inf
 
 
 def _k_window(lam_lo: float, lam_hi: float, log_tol: float) -> tuple[int, int]:
@@ -223,7 +227,6 @@ def apply_operator_grid(f: TestFunction, xs, params: OperatorParams) -> np.ndarr
 
 def kernel_on_x_grid(xs, t: float, params: OperatorParams) -> np.ndarray:
     """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
-    validate(params)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     if not (math.isfinite(t) and np.all(np.isfinite(xs))):
         raise ParameterError("kernel_not_finite", f"requires finite x, t, got t = {t}")

@@ -25,7 +25,8 @@ __all__ = ["TestFunction", "load_sampled"]
 
 def _pow(base: float, exponent: float) -> float:
     """base ** exponent for base >= 0, or inf where the float overflows (an
-    envelope constant that is inf makes ``validate`` report growth_not_finite)."""
+    envelope constant that is inf is growth_not_finite to ``validate``,
+    whatever the triple)."""
     try:
         return base**exponent
     except OverflowError:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, TruncationError
-from .operator import OperatorParams, TestFunction, apply_operator_grid, validate
+from .operator import OperatorParams, TestFunction, apply_operator_grid
 from .operator.core import _poisson_sum
 from .special import _dot, _scipy_special, log_poisson_weights
 
@@ -78,7 +78,6 @@ class IterateDecayReport:
 
 def lambda2(params: OperatorParams) -> float:
     """(1 - beta/n)^(alpha+1), the eigenvalue on e^(-beta x)."""
-    validate(params)
     return (1.0 - params.beta / params.n) ** (params.alpha + 1.0)
 
 
@@ -116,7 +115,6 @@ def _nb_row(s: float, q2: float, K: int, mode: int, anchor: float) -> np.ndarray
 
 def build_P(params: OperatorParams, K: int) -> TruncatedP:
     """Leading (K+1) x (K+1) block of P with per-row truncation deficits."""
-    validate(params)
     if not 1 <= K <= _K_CAP:
         raise ParameterError("matrix_order", f"requires 1 <= K <= {_K_CAP}, got {K}")
     n, al, b = params.n, params.alpha, params.beta
@@ -141,7 +139,6 @@ def row_deficit_tail(params: OperatorParams, k: int, K: int) -> float:
     as a regularized incomplete beta function (scipy's ``betainc``, which
     the first call imports).
     """
-    validate(params)
     q2 = params.n / (2.0 * params.n - params.beta)
     return float(_scipy_special().betainc(K + 1.0, k + params.alpha + 1.0, q2))
 
@@ -152,7 +149,6 @@ def adaptive_K(params: OperatorParams) -> int:
     Deficits grow with the row index, so checking the last row of the
     upper half suffices.  Uses the analytic tail, no matrix build.
     """
-    validate(params)
     K = _K_START
     while True:
         if row_deficit_tail(params, K // 2, K) <= _DEFICIT_TOL:
@@ -172,7 +168,7 @@ def _eigen_pair(params: OperatorParams, which: str) -> tuple[TestFunction, float
     if which == "constant":
         return TestFunction.monomial(0), 1.0, 1.0
     if which == "exponential":
-        if params.beta < 0 or params.beta >= params.n:
+        if params.beta < 0:
             raise ParameterError(
                 "exponential_eigen_beta",
                 f"exponential eigenpair needs 0 <= beta < n, got beta = {params.beta}",
@@ -197,7 +193,6 @@ def eigen_vector_check(p_mat: TruncatedP, which: str) -> EigenCheck:
 
 def eigen_operator_check(params: OperatorParams, which: str, x_grid) -> EigenCheck:
     """Max |M[phi](x) - lam phi(x)| over the grid, phi = 1 or e^(-beta x)."""
-    validate(params)
     phi, _, lam = _eigen_pair(params, which)
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
     residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params) - lam * phi(xs))))
@@ -211,8 +206,7 @@ def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     over the grid must contract by exactly lam.  P is the adaptive
     truncation, whose upper rows k <= K/2 lose at most 1e-12 of their mass.
     """
-    validate(params)
-    if not 0 < params.beta < params.n:
+    if params.beta <= 0:
         raise ParameterError(
             "iterate_beta_range", f"requires 0 < beta < n, got beta = {params.beta}"
         )

@@ -351,8 +351,6 @@ def check_12_schur() -> list[CheckResult]:
     for params in _grid_params():
         for p in (1.0, 2.0):
             for gamma in (0.0, params.beta, p * params.beta):
-                if gamma > p * params.beta:
-                    continue
                 for x in xs:
                     worst_first = max(
                         worst_first, schur_first_integral(params, gamma, p, float(x)) - 1.0

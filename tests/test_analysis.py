@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -501,6 +502,30 @@ class TestSchur:
     def test_second_integral_t_domain(self):
         with pytest.raises(ParameterError):
             schur_second_integral(OperatorParams(10.0, 0.0, 1.0), 1.0, 1.0, 0.0)
+
+    @staticmethod
+    def _raises(code, fn, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as err:
+                fn(*args)
+        assert err.value.code == code
+
+    @pytest.mark.parametrize("p", [math.inf, 0.5, math.nan])
+    def test_p_domain(self, p):
+        params = OperatorParams(10.0, 0.5, 1.0)
+        self._raises("norm_p", schur_first_integral, params, 0.0, p, 1.0)
+        self._raises("norm_p", schur_second_integral, params, 0.0, p, 1.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_t_not_finite(self, t):
+        params = OperatorParams(10.0, 0.5)
+        self._raises("schur_t_not_finite", schur_E, params, t)
+        self._raises("schur_t_not_finite", schur_second_integral, params, 0.0, 1.0, t)
+
+    @pytest.mark.parametrize("x", [math.inf, math.nan])
+    def test_first_integral_x_not_finite(self, x):
+        self._raises("x_not_finite", schur_first_integral, OperatorParams(10.0, 0.5, 1.0), 0.5, 1.0, x)
 
 
 class TestRateSlope:

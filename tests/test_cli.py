@@ -300,6 +300,31 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "" and "smld: matrix_order:" in captured.err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--alpha", "0.5", "--p", "inf", "--gamma", "1"], ["--beta", "1", "--p", "0.5"],
+         ["--p", "nan"]],
+        ids=["p_inf", "p_below_one", "p_nan"],
+    )
+    def test_schur_p_outside_domain_exit_2(self, flags, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["schur", "--n", "10", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: norm_p:" in captured.err
+
+    @pytest.mark.parametrize("t_grid", ["inf", "nan", "1,-inf"])
+    def test_schur_t_not_finite_exit_2(self, t_grid, capsys):
+        # refused while the flags are parsed, before linspace or a panel rule sees it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SystemExit) as exc:
+                main(["schur", "--n", "10", "--t-grid", t_grid])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: schur_t_not_finite: " in captured.err
+
     def test_unwritable_output_exit_2(self, tmp_path, capsys):
         target = tmp_path / "missing" / "x.csv"
         code = main(["moments", "--n", "10", "--max-r", "1", "--output", str(target)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -31,24 +32,31 @@ import mpmath as mp
 
 
 class TestValidate:
+    # the triple checks run when an OperatorParams is built; validate(params, f)
+    # checks f's growth envelope against a triple that is valid already
     def test_ok(self):
         validate(OperatorParams(10.0, 0.0, 2.0), TestFunction.sin_scaled(1.0))
 
     def test_n_le_beta(self):
         with pytest.raises(ParameterError) as err:
-            validate(OperatorParams(2.0, 0.0, 3.0))
+            OperatorParams(2.0, 0.0, 3.0)
+        assert err.value.code == "n_le_beta"
+
+    def test_replace_checks_the_triple(self):
+        with pytest.raises(ParameterError) as err:
+            dataclasses.replace(OperatorParams(10.0), beta=10.0)
         assert err.value.code == "n_le_beta"
 
     # n <= 0 with beta < n used to pass: n = 0, beta = -1 gave M f = 0.5 for sin
     @pytest.mark.parametrize("n, beta", [(0.0, -1.0), (-1.0, -3.0), (0.0, 0.0), (-0.0, -2.0)])
     def test_n_nonpositive(self, n, beta):
         with pytest.raises(ParameterError) as err:
-            validate(OperatorParams(n, 0.0, beta), TestFunction.sin_scaled(1.0))
+            OperatorParams(n, 0.0, beta)
         assert err.value.code == "n_nonpositive"
 
     def test_alpha_low(self):
         with pytest.raises(ParameterError) as err:
-            validate(OperatorParams(5.0, -1.0, 0.0))
+            OperatorParams(5.0, -1.0, 0.0)
         assert err.value.code == "alpha_le_minus_one"
 
     def test_growth_incompatible(self):
@@ -58,22 +66,21 @@ class TestValidate:
         assert err.value.code == "growth_incompatible"
 
     def test_negative_beta_accepted(self):
-        validate(OperatorParams(5.0, 0.0, -3.0))
+        validate(OperatorParams(5.0, 0.0, -3.0), TestFunction.sin_scaled(1.0))
+
+    def test_function_is_required(self):
+        # the triple alone is checked by its constructor
+        with pytest.raises(TypeError):
+            validate(OperatorParams(10.0))
 
     @pytest.mark.parametrize(
         "params",
-        [
-            OperatorParams(math.inf, 0.0, 0.0),
-            OperatorParams(math.nan, 0.0, 0.0),
-            OperatorParams(10.0, math.inf, 0.0),
-            OperatorParams(10.0, 0.0, -math.inf),
-        ],
+        [(math.inf, 0.0, 0.0), (math.nan, 0.0, 0.0), (10.0, math.inf, 0.0), (10.0, 0.0, -math.inf)],
     )
     def test_non_finite_params(self, params):
         with pytest.raises(ParameterError) as err:
-            validate(params)
+            OperatorParams(*params)
         assert err.value.code == "params_not_finite"
-
 
     @pytest.mark.parametrize(
         "f",
@@ -852,6 +859,20 @@ class TestGrowthBound:
         f = TestFunction.exp_scaled(4.5)
         with pytest.raises(ParameterError):
             growth_bound(OperatorParams(5.0, 0.0, 1.0), f, 1.0)
+
+    def test_finite_bits_kept(self):
+        # a finite bound keeps its bits: the apply_cold gate reads it for abs and sqrt
+        f = TestFunction.abs_shift(1.5)
+        assert growth_bound(OperatorParams(10.0, 0.5, 1.0), f, 2.0).hex() == "0x1.d12c6a8ea7079p+4"
+
+    @pytest.mark.parametrize(
+        "params, c, x",
+        [(OperatorParams(10.0), 1.0, 1000.0), (OperatorParams(10.0, 400.0), 9.99999, 0.0)],
+        ids=["exp", "power"],
+    )
+    def test_overflow_is_inf(self, params, c, x):
+        # the exponential and the power used to raise a bare OverflowError
+        assert growth_bound(params, TestFunction.exp_scaled(c), x) == math.inf
 
 
 class TestKernel:

@@ -120,6 +120,11 @@ class TestEigenOperator:
         assert chk.lam == pytest.approx(0.8, rel=1e-15)
         assert chk.operator_residual <= 1e-8
 
+    def test_exponential_needs_nonnegative_beta(self):
+        with pytest.raises(ParameterError) as err:
+            eigen_operator_check(OperatorParams(10.0, 0.0, -1.0), "exponential", [0.0, 1.0])
+        assert err.value.code == "exponential_eigen_beta"
+
     def test_beta_zero_degenerates(self):
         chk = eigen_operator_check(OperatorParams(10.0, 0.5, 0.0), "exponential", [0.0, 1.0])
         assert chk.lam == 1.0
@@ -164,8 +169,9 @@ class TestIterateDecay:
         assert report.max_deviations[0] <= 1e-12
 
     def test_beta_precondition(self):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError) as err:
             iterate_decay(OperatorParams(10.0, 0.0, 0.0), 2, [1.0])
+        assert err.value.code == "iterate_beta_range"
 
 
 class TestSemigroupIdentity:
