@@ -8,6 +8,9 @@ defaults below are chosen to be provable, not merely plausible:
 * |t - c|    <= (c + 1/2) e^t        (since t <= e^t / 2),
 * sqrt(t)    <= e^t / 2,
 * polynomials via the triangle inequality on their monomials.
+
+A function whose A or K is not finite (an overflowing (r/e)^r, say) cannot
+be built (``growth_not_finite``), so every consumer can trust the envelope.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ __all__ = ["TestFunction", "load_sampled"]
 
 def _pow(base: float, exponent: float) -> float:
     """base ** exponent for base >= 0, or inf where the float overflows (an
-    envelope constant that is inf is growth_not_finite to ``validate``,
-    whatever the triple)."""
+    envelope constant that is inf is growth_not_finite when the function is
+    built)."""
     try:
         return base**exponent
     except OverflowError:
@@ -40,24 +43,61 @@ def _require_finite(kind: str, values: tuple) -> None:
         )
 
 
+# -- evaluators fn(t, *args) on a float array t, besides numpy's own --------------
+
+
+def _power(t, r):
+    return t**r
+
+
+def _exp(t, c):
+    return np.exp(c * t)
+
+
+def _abs_shift(t, c):
+    return np.abs(t - c)
+
+
+def _sin(t, c):
+    return np.sin(c * t)
+
+
+def _centered_power(t, x, r):
+    # (t-x)^r as a direct power: the expanded polynomial would evaluate
+    # with ~1e-13 cancellation noise near t = x
+    return (t - x) ** r
+
+
 @dataclass(frozen=True)
 class TestFunction:
-    """A function on [0, inf), evaluable on numpy arrays.
+    """A function on [0, inf), evaluable on numpy arrays as fn(t, *args).
 
     Use the constructors (:meth:`monomial`, :meth:`polynomial`, ...) rather
-    than instantiating directly.  ``payload`` holds the kind's parameters as
-    a flat tuple so instances hash and compare by value, which the
-    coefficient cache relies on.
+    than instantiating directly.  Each states its kind once, as fields: the
+    evaluator ``fn``, its parameters ``args``, the envelope, the ``kinks``
+    (quadrature panel edges) and the ``endpoint_power`` p, f(t) = t^p *
+    (smooth near 0).  Instances hash and compare by (fn, args, envelope),
+    which the coefficient cache relies on; ``label`` is display-only.
+    Construction, also through ``dataclasses.replace``, raises
+    ``growth_not_finite`` unless A and K are finite.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
 
-    kind: str
-    payload: tuple = ()
+    fn: Callable
+    args: tuple = ()
     growth_a: float = 0.0
     growth_k: float = 1.0
-    label: str = ""
-    fn: Callable | None = field(default=None)
+    kinks: tuple[float, ...] = field(default=(), compare=False)
+    endpoint_power: float = field(default=0.0, compare=False)
+    label: str = field(default="", compare=False)
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.growth_a) and math.isfinite(self.growth_k)):
+            raise ParameterError(
+                "growth_not_finite",
+                f"requires a finite growth envelope, got A = {self.growth_a}, K = {self.growth_k}",
+            )
 
     # -- constructors -------------------------------------------------------
 
@@ -68,9 +108,9 @@ class TestFunction:
             raise ParameterError("monomial_order", f"order must be a nonnegative integer, got {r}")
         r = int(r)
         if r == 0:
-            return cls("monomial", (0,), 0.0, 1.0, "1")
+            return cls(np.ones_like, (), 0.0, 1.0, label="1")
         k = max(1.0, _pow(r / math.e, r))
-        return cls("monomial", (r,), 1.0, k, f"t^{r}")
+        return cls(_power, (r,), 1.0, k, label=f"t^{r}")
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "TestFunction":
@@ -78,33 +118,35 @@ class TestFunction:
         _require_finite("polynomial", coeffs)
         if not coeffs:
             raise ParameterError("polynomial_empty", "need at least one coefficient")
+        polyval = np.polynomial.polynomial.polyval
         if len(coeffs) == 1:
-            return cls("polynomial", coeffs, 0.0, max(1.0, abs(coeffs[0])), f"poly{coeffs}")
+            return cls(polyval, (coeffs,), 0.0, max(1.0, abs(coeffs[0])), label=f"poly{coeffs}")
         # a zero coefficient adds no growth, even where (j/e)^j overflows; the
         # zero polynomial keeps K = 1, as a constant does
         k = sum(abs(c) * max(1.0, _pow(j / math.e, j)) for j, c in enumerate(coeffs) if c) or 1.0
-        return cls("polynomial", coeffs, 1.0, k, f"poly{coeffs}")
+        return cls(polyval, (coeffs,), 1.0, k, label=f"poly{coeffs}")
 
     @classmethod
     def exp_scaled(cls, c: float) -> "TestFunction":
         _require_finite("exp_scaled", (c,))
-        return cls("exp_scaled", (float(c),), max(float(c), 0.0), 1.0, f"exp({c}t)")
+        return cls(_exp, (float(c),), max(float(c), 0.0), 1.0, label=f"exp({c}t)")
 
     @classmethod
     def abs_shift(cls, c: float) -> "TestFunction":
         _require_finite("abs_shift", (c,))
         if c < 0:
             raise ParameterError("abs_shift_negative", f"shift must be >= 0, got {c}")
-        return cls("abs_shift", (float(c),), 1.0, float(c) + 0.5, f"|t-{c}|")
+        shift = float(c)
+        return cls(_abs_shift, (shift,), 1.0, shift + 0.5, kinks=(shift,), label=f"|t-{c}|")
 
     @classmethod
     def sqrt(cls) -> "TestFunction":
-        return cls("sqrt", (), 1.0, 0.5, "sqrt(t)")
+        return cls(np.sqrt, (), 1.0, 0.5, endpoint_power=0.5, label="sqrt(t)")
 
     @classmethod
     def sin_scaled(cls, c: float) -> "TestFunction":
         _require_finite("sin_scaled", (c,))
-        return cls("sin_scaled", (float(c),), 0.0, 1.0, f"sin({c}t)")
+        return cls(_sin, (float(c),), 0.0, 1.0, label=f"sin({c}t)")
 
     @classmethod
     def sampled(cls, grid: Sequence[float], values: Sequence[float]) -> "TestFunction":
@@ -118,68 +160,26 @@ class TestFunction:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ParameterError("sampled_monotone", "sampled grid must be strictly increasing")
         k = max(1e-300, max(abs(v) for v in values))
-        return cls("sampled", grid + values, 0.0, k, f"sampled[{len(grid)}]")
+        # linear interpolation, constant extrapolation at both ends
+        return cls(np.interp, (grid, values), 0.0, k, kinks=grid, label=f"sampled[{len(grid)}]")
 
     @classmethod
     def from_callable(cls, fn: Callable, growth_a: float, growth_k: float,
                       label: str = "callable") -> "TestFunction":
-        """Wrap an arbitrary vectorized callable (internal / testing use)."""
-        return cls("callable", (label, growth_a, growth_k), growth_a, growth_k, label, fn=fn)
+        """Wrap an arbitrary vectorized callable fn(t) (internal / testing use)."""
+        return cls(fn, (), growth_a, growth_k, label=label)
 
     @classmethod
     def centered_power(cls, x: float, r: int) -> "TestFunction":
         """(t - x)^r, the integrand of the r-th central moment at x."""
-        # (t-x)^r as a direct power: the expanded polynomial would
-        # evaluate with ~1e-13 cancellation noise near t = x
-        return cls.from_callable(
-            lambda t: (t - x) ** r,
-            growth_a=1.0,
-            growth_k=_pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(x, r)),
-            label=f"(t-{x})^{r}",
-        )
+        k = _pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(x, r))
+        return cls(_centered_power, (x, r), 1.0, k, label=f"(t-{x})^{r}")
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        kind = self.kind
-        if kind == "monomial":
-            r = self.payload[0]
-            out = np.ones_like(t) if r == 0 else t ** r
-        elif kind == "polynomial":
-            out = np.polynomial.polynomial.polyval(t, np.asarray(self.payload))
-        elif kind == "exp_scaled":
-            out = np.exp(self.payload[0] * t)
-        elif kind == "abs_shift":
-            out = np.abs(t - self.payload[0])
-        elif kind == "sqrt":
-            out = np.sqrt(t)
-        elif kind == "sin_scaled":
-            out = np.sin(self.payload[0] * t)
-        elif kind == "sampled":
-            m = len(self.payload) // 2
-            grid = np.asarray(self.payload[:m])
-            vals = np.asarray(self.payload[m:])
-            out = np.interp(t, grid, vals)  # constant extrapolation at both ends
-        elif kind == "callable":
-            out = np.asarray(self.fn(t), dtype=float)
-        else:  # pragma: no cover
-            raise ParameterError("unknown_kind", f"unknown kind {kind!r}")
+        out = np.asarray(self.fn(np.asarray(t, dtype=float), *self.args), dtype=float)
         return out if out.ndim else float(out)
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        """Locations where the function is not smooth (quadrature panel edges)."""
-        if self.kind == "abs_shift":
-            return (self.payload[0],)
-        if self.kind == "sampled":
-            return self.payload[: len(self.payload) // 2]
-        return ()
-
-    @property
-    def endpoint_power(self) -> float:
-        """p such that f(t) = t^p * (smooth near 0); quadrature absorbs it."""
-        return 0.5 if self.kind == "sqrt" else 0.0
 
 
 def load_sampled(path) -> TestFunction:

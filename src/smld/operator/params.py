@@ -54,19 +54,13 @@ class OperatorParams:
 
 
 def validate(params: OperatorParams, f: "TestFunction") -> None:
-    """Check that the operator applies to ``f``: its growth envelope
-    |f(t)| <= K e^(A t) against the triple.
+    """Check that the operator applies to ``f``: n > beta + A for its growth
+    envelope |f(t)| <= K e^(A t), which is finite once f is built.
 
-    Raises :class:`ParameterError` with ``growth_not_finite`` (a non-finite
-    A or K, as an overflowing polynomial's K is) or ``growth_incompatible``
-    (n <= beta + A, so the coefficient integrals of a function with growth
-    rate A would diverge).
+    Raises :class:`ParameterError` ``growth_incompatible`` where n <= beta + A,
+    so the coefficient integrals of a function with growth rate A would
+    diverge.
     """
-    if not (math.isfinite(f.growth_a) and math.isfinite(f.growth_k)):
-        raise ParameterError(
-            "growth_not_finite",
-            f"requires a finite growth envelope, got A = {f.growth_a}, K = {f.growth_k}",
-        )
     if not params.n > params.beta + f.growth_a:
         raise ParameterError(
             "growth_incompatible",

@@ -441,11 +441,13 @@ class TestRun:
         assert "growth_incompatible" in capsys.readouterr().err
 
     def test_overflowing_growth_exit_code(self, capsys):
-        # finite coefficients whose envelope constant K overflows
-        code = main(["apply", "--f", "poly:1e308,1e308", "--n", "10", "--x-grid", "1"])
-        assert code == 2
+        # finite coefficients whose envelope constant K overflows: the function
+        # cannot be built, so the flags are refused while they are parsed
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--f", "poly:1e308,1e308", "--n", "10", "--x-grid", "1"])
+        assert exc.value.code == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and "smld: growth_not_finite:" in captured.err
+        assert captured.out == "" and "smld: error: growth_not_finite:" in captured.err
 
     def test_integrand_not_finite_exit_code(self, capsys):
         # e^(9t) overflows on the certified window of its own envelope
@@ -455,10 +457,11 @@ class TestRun:
         assert captured.out == "" and "smld: integrand_not_finite:" in captured.err
 
     def test_overflowing_envelope_exit_code(self, capsys):
-        # K = (172/e)^172 overflows: a usage error, not a traceback
-        code = main(["apply", "--f", "monomial:172", "--n", "10", "--x-grid", "1"])
-        assert code == 2
-        assert "smld: growth_not_finite:" in capsys.readouterr().err
+        # K = (172/e)^172 overflows: a usage error at parse time, not a traceback
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", "--f", "monomial:172", "--n", "10", "--x-grid", "1"])
+        assert exc.value.code == 2
+        assert "smld: error: growth_not_finite:" in capsys.readouterr().err
 
     def test_k_max_exceeded_exit_code(self, capsys):
         # the certified k window at n x = 5e8 is wider than 50,000 terms

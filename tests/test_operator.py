@@ -82,17 +82,27 @@ class TestValidate:
             OperatorParams(*params)
         assert err.value.code == "params_not_finite"
 
+    # the envelope is checked when f is built, so the functions are built in the test
     @pytest.mark.parametrize(
         "f",
         [
-            TestFunction.polynomial((1e308, 1e308)),
-            TestFunction.from_callable(np.exp, math.inf, 1.0),
-            TestFunction.from_callable(np.exp, 1.0, math.nan),
+            lambda: TestFunction.polynomial((1e308, 1e308)),
+            lambda: TestFunction.from_callable(np.exp, math.inf, 1.0),
+            lambda: TestFunction.from_callable(np.exp, 1.0, math.nan),
+            lambda: TestFunction.from_callable(np.exp, 1.0, math.inf),
+            lambda: TestFunction.from_callable(np.exp, math.nan, 1.0),
         ],
     )
     def test_non_finite_growth(self, f):
+        # the callables used to build and then fail in gamma_mean with a bare
+        # ValueError (math domain error) or OverflowError
         with pytest.raises(ParameterError) as err:
-            validate(OperatorParams(10.0, 0.0, 0.0), f)
+            f()
+        assert err.value.code == "growth_not_finite"
+
+    def test_replace_checks_the_envelope(self):
+        with pytest.raises(ParameterError) as err:
+            dataclasses.replace(TestFunction.exp_scaled(1.0), growth_k=math.inf)
         assert err.value.code == "growth_not_finite"
 
     @pytest.mark.parametrize(
@@ -105,11 +115,10 @@ class TestValidate:
         ids=["monomial", "polynomial", "centered_power"],
     )
     def test_overflowing_envelope(self, make):
-        # (r/e)^r overflows a float: the envelope constant is inf, not an OverflowError
-        f = make()
-        assert f.growth_k == math.inf
+        # (r/e)^r overflows a float: the envelope constant is inf, which the
+        # constructor reports instead of an OverflowError
         with pytest.raises(ParameterError) as err:
-            validate(OperatorParams(10.0), f)
+            make()
         assert err.value.code == "growth_not_finite"
 
     @pytest.mark.parametrize("coeffs", [[1.0] + [0.0] * 172, [0.0, 0.0]], ids=["one", "zero"])
@@ -139,6 +148,42 @@ class TestTestFunction:
     def test_growth_bound_holds(self, f):
         t = np.linspace(0.0, 100.0, 2001)
         assert np.all(np.abs(f(t)) <= f.growth_k * np.exp(f.growth_a * t) * (1 + 1e-12))
+
+    @pytest.mark.parametrize(
+        "make, kinks, power, expected",
+        [
+            (lambda: TestFunction.monomial(0), (), 0.0, np.ones_like),
+            (lambda: TestFunction.monomial(3), (), 0.0, lambda t: t**3),
+            (lambda: TestFunction.polynomial((1.0, -2.0, 0.5)), (), 0.0,
+             lambda t: np.polynomial.polynomial.polyval(t, np.asarray((1.0, -2.0, 0.5)))),
+            (lambda: TestFunction.exp_scaled(-2.0), (), 0.0, lambda t: np.exp(-2.0 * t)),
+            (lambda: TestFunction.abs_shift(1.5), (1.5,), 0.0, lambda t: np.abs(t - 1.5)),
+            (lambda: TestFunction.sqrt(), (), 0.5, np.sqrt),
+            (lambda: TestFunction.sin_scaled(3.0), (), 0.0, lambda t: np.sin(3.0 * t)),
+            (lambda: TestFunction.sampled((0.0, 1.0, 2.0), (0.0, 1.0, 0.5)), (0.0, 1.0, 2.0), 0.0,
+             lambda t: np.interp(t, np.asarray((0.0, 1.0, 2.0)), np.asarray((0.0, 1.0, 0.5)))),
+            (lambda: TestFunction.centered_power(1.0, 3), (), 0.0, lambda t: (t - 1.0) ** 3),
+        ],
+        ids=["one", "monomial", "polynomial", "exp", "abs", "sqrt", "sin", "sampled",
+             "centered_power"],
+    )
+    def test_catalog_by_value(self, make, kinks, power, expected):
+        # built twice, a function is one cache key; its kinks, endpoint power
+        # and values are those of the kind it states
+        f, g = make(), make()
+        assert f == g and hash(f) == hash(g)
+        assert f.kinks == kinks and f.endpoint_power == power
+        t = np.linspace(0.0, 7.0, 513)
+        assert np.array_equal(f(t), expected(t))
+        assert f(2.5) == float(expected(np.float64(2.5)))
+
+    def test_centered_power_hits_the_chunk_cache(self):
+        # it used to wrap a fresh lambda, so no two instances were equal
+        params = OperatorParams(10.0, 0.25, 0.5)
+        apply_operator(TestFunction.centered_power(1.0, 3), 1.0, params)
+        misses = _coefficient_cached.cache_info().misses
+        apply_operator(TestFunction.centered_power(1.0, 3), 1.0, params)
+        assert _coefficient_cached.cache_info().misses == misses
 
     def test_sampled_interp_and_extrapolation(self):
         f = TestFunction.sampled((0.0, 1.0, 2.0), (0.0, 1.0, 0.5))
