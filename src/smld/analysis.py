@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError
+from .errors import DegenerateDataError, ParameterError, QuadratureError
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -328,7 +328,7 @@ def weighted_lp_error(
     p and gamma, so the L_p norms of one (f, params, R) evaluate
     the operator once.  The panel sum runs in logs, shifted by its largest
     term, so no term dev^p e^(gamma x) underflows or overflows; a norm past
-    the float range is inf.
+    the float range raises :class:`QuadratureError` ``norm_not_finite``.
     """
     if not _finite_above(gamma, 0.0, inclusive=True):
         raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
@@ -342,6 +342,11 @@ def weighted_lp_error(
         top = t.max()
         log_sum = top + np.log(_dot(np.exp(t - top), ws)) if top > -np.inf else -np.inf
         value = float(np.exp(log_sum / p))
+    if not math.isfinite(value):
+        raise QuadratureError(
+            f"the L_p norm is not a finite float: its logarithm is {log_sum / p}",
+            code="norm_not_finite",
+        )
     return value, gamma <= p * params.beta + 1e-15
 
 
@@ -391,6 +396,19 @@ def schur_E(params: OperatorParams, t: float) -> float:
     return (1.0 / n) * rate ** (al + 1.0) * t**al * reg_lower_gamma(al + 1.0, z)
 
 
+def _check_schur_weight(params: OperatorParams, gamma: float, p: float) -> None:
+    """The domain of both Schur integrals: finite p >= 1, finite gamma >= 0
+    and gamma < n p."""
+    if not _finite_above(p, 1.0, inclusive=True):
+        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
+    if not _finite_above(gamma, 0.0, inclusive=True):
+        raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
+    if not gamma < params.n * p:
+        raise ParameterError(
+            "schur_gamma_large", f"requires gamma < n p, got gamma = {gamma}, n p = {params.n * p}"
+        )
+
+
 def schur_first_integral(params: OperatorParams, gamma: float, p: float, x: float) -> float:
     """Closed form of the conjugated kernel's t-integral at a fixed x:
 
@@ -402,14 +420,7 @@ def schur_first_integral(params: OperatorParams, gamma: float, p: float, x: floa
         raise ParameterError("x_not_finite", f"requires finite x, got {x}")
     if x < 0:
         raise ParameterError("x_negative", f"requires x >= 0, got {x}")
-    if not _finite_above(p, 1.0, inclusive=True):
-        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
-    if gamma < 0:
-        raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
-    if not gamma < params.n * p:
-        raise ParameterError(
-            "schur_gamma_large", f"requires gamma < n p, got gamma = {gamma}, n p = {params.n * p}"
-        )
+    _check_schur_weight(params, gamma, p)
     rate = params.rate
     gp = gamma / p
     front = (rate / (rate + gp)) ** (params.alpha + 1.0)
@@ -438,14 +449,7 @@ def schur_second_integral(
         raise ParameterError("schur_t_not_finite", f"requires finite t, got {t}")
     if not t > 0:
         raise ParameterError("schur_t_nonpositive", f"requires t > 0, got {t}")
-    if not _finite_above(p, 1.0, inclusive=True):
-        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
-    if gamma < 0:
-        raise ParameterError("norm_gamma", f"requires gamma >= 0, got {gamma}")
-    if not gamma < params.n * p:
-        raise ParameterError(
-            "schur_gamma_large", f"requires gamma < n p, got gamma = {gamma}, n p = {params.n * p}"
-        )
+    _check_schur_weight(params, gamma, p)
     c = 1.0 / (1.0 - gamma / (params.n * p))
     bound = c * schur_E(params, t * c)
     # x cut: per-k integrands ~ x^k e^{-(n - gamma/p) x}; the active k are

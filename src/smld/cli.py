@@ -159,8 +159,11 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
-    if not all(0.0 <= x < math.inf for x in (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))):
-        parser.error("--x, --x-grid: requires finite x >= 0")
+    xs = (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))
+    if not all(math.isfinite(x) for x in xs):
+        parser.error("x_not_finite: --x, --x-grid: requires finite x >= 0")
+    if min(xs) < 0.0:
+        parser.error("x_negative: --x, --x-grid: requires x >= 0")
     if not all(math.isfinite(t) for t in getattr(ns, "t_grid", ())):
         parser.error("schur_t_not_finite: --t-grid: requires finite t")
     n_grid = getattr(ns, "n_grid", ())

@@ -103,12 +103,9 @@ def check_02_moment_cross_agreement() -> list[CheckResult]:
                 if r <= 4:
                     explicit = raw_moment_explicit(r, x, params)
                     worst_exp = max(worst_exp, abs(closed - explicit) / denom)
-    for params in _grid_params():
-        for x in G_X:
-            for r in range(1, 5):
-                closed = raw_moment_closed(r, x, params)
-                quad = apply_operator(TestFunction.monomial(r), x, params)
-                worst_quad = max(worst_quad, abs(closed - quad) / max(abs(closed), 1.0))
+                if 1 <= r <= 4:
+                    quad = apply_operator(TestFunction.monomial(r), x, params)
+                    worst_quad = max(worst_quad, abs(closed - quad) / denom)
     return [
         _result("02a_closed_vs_recurrence", worst_rec, 1e-11, "r <= 8"),
         _result("02b_closed_vs_explicit", worst_exp, 1e-12, "r <= 4"),
@@ -173,10 +170,6 @@ def check_05_central_moments() -> list[CheckResult]:
                 explicit = central_moment_explicit(r, x, params)
                 binom = central_moment_binomial(r, x, params)
                 worst_dd = max(worst_dd, abs(explicit - binom) / max(abs(explicit), 1e-300))
-    for params in _grid_params():
-        for x in G_X:
-            for r in (1, 2, 3, 4):
-                explicit = central_moment_explicit(r, x, params)
                 quad = apply_operator(TestFunction.centered_power(x, r), x, params)
                 worst_quad = max(worst_quad, abs(explicit - quad) / max(abs(explicit), 1.0))
     return [

@@ -24,7 +24,7 @@ from smld.analysis import (
     weighted_lp_error,
     weighted_phi_norm,
 )
-from smld.errors import DegenerateDataError, ParameterError
+from smld.errors import DegenerateDataError, ParameterError, QuadratureError
 from smld.operator import (
     OperatorParams,
     TestFunction,
@@ -360,6 +360,13 @@ class TestLpErrors:
             weighted_lp_error(f, OperatorParams(10.0, 0.0, 0.0), p, gamma, r_max)
         assert err.value.code == code
 
+    def test_norm_past_float_range(self):
+        # e^(gamma x) reaches e^4000 on [0, 2]; the norm used to be inf
+        f = TestFunction.sin_scaled(2.0)
+        with pytest.raises(QuadratureError) as err:
+            weighted_lp_error(f, OperatorParams(10.0), 1.0, 2000.0, 2.0)
+        assert err.value.code == "norm_not_finite"
+
     @pytest.mark.parametrize("p, r_cut", [(math.inf, 2.0), (1.0, math.inf)])
     def test_plain_non_finite(self, p, r_cut):
         with pytest.raises(ParameterError):
@@ -516,6 +523,13 @@ class TestSchur:
         params = OperatorParams(10.0, 0.5, 1.0)
         self._raises("norm_p", schur_first_integral, params, 0.0, p, 1.0)
         self._raises("norm_p", schur_second_integral, params, 0.0, p, 1.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_gamma_not_finite(self, gamma):
+        # a NaN gamma used to pass gamma < 0 and be reported as schur_gamma_large
+        params = OperatorParams(10.0, 0.5, 1.0)
+        self._raises("norm_gamma", schur_first_integral, params, gamma, 1.0, 1.0)
+        self._raises("norm_gamma", schur_second_integral, params, gamma, 1.0, 1.0)
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_t_not_finite(self, t):

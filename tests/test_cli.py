@@ -143,7 +143,7 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse_config(argv)
         assert exc.value.code == 2
-        assert "x >= 0" in capsys.readouterr().err
+        assert "smld: error: x_negative: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",
@@ -158,7 +158,7 @@ class TestParseConfig:
         with pytest.raises(SystemExit) as exc:
             parse_config(argv)
         assert exc.value.code == 2
-        assert "finite x >= 0" in capsys.readouterr().err
+        assert "smld: error: x_not_finite: " in capsys.readouterr().err
 
 
     @pytest.mark.parametrize(
@@ -313,6 +313,23 @@ class TestRun:
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "smld: norm_p:" in captured.err
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_schur_gamma_not_finite_exit_2(self, gamma, capsys):
+        # a NaN gamma used to be reported as schur_gamma_large
+        code = main(["schur", "--n", "10", "--gamma", gamma])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: norm_gamma:" in captured.err
+
+    @pytest.mark.parametrize("n_grid", ["10,20", "10,20,40"])
+    def test_weighted_norm_past_float_range_exit_3(self, n_grid, capsys):
+        # e^(gamma x) reaches e^4000 on [0, 2]: the norm used to print inf and
+        # exit 0 (two n), or fail in the slope fit with degenerate_data (three)
+        code = main(["converge", "--f", "sin:2", "--norm", "wlp:1,2000,2", "--n-grid", n_grid])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "smld: norm_not_finite:" in captured.err
 
     @pytest.mark.parametrize("t_grid", ["inf", "nan", "1,-inf"])
     def test_schur_t_not_finite_exit_2(self, t_grid, capsys):

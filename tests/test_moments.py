@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from smld.cli import main
@@ -75,6 +77,31 @@ class TestRawMoments:
             raw_moment_closed(-1, 1.0, P_DEFAULT)
 
 
+@pytest.mark.parametrize("x, code", [(-1.0, "x_negative"), (math.nan, "x_not_finite"),
+                                     (math.inf, "x_not_finite")])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: raw_moment_closed(2, x, P_DEFAULT),
+        lambda x: raw_moments_recurrence(2, x, P_DEFAULT),
+        lambda x: raw_moment_explicit(2, x, P_DEFAULT),
+        lambda x: diff_recurrence_residual(2, x, P_DEFAULT, 1e-3),
+        lambda x: central_moment_explicit(2, x, P_DEFAULT),
+        lambda x: central_moment_binomial(2, x, P_DEFAULT),
+        lambda x: asymptotic_prediction(2, x, P_DEFAULT),
+        lambda x: asymptotic_ratio_table(2, x, 0.0, 0.0, [10.0, 20.0]),
+    ],
+    ids=["closed", "recurrence", "explicit", "diff_recurrence", "central_explicit",
+         "central_binomial", "asymptotic_prediction", "asymptotic_table"],
+)
+def test_x_outside_domain(call, x, code):
+    # x = -1 used to give a negative first moment of a positive operator
+    # ([1.0, -0.9, 0.62] by the recurrence), and x = nan a nan moment
+    with pytest.raises(ParameterError) as err:
+        call(x)
+    assert err.value.code == code
+
+
 class TestDiffRecurrence:
     def test_linear_case_exact(self):
         # d/dx mu_1 = n / (n - beta) exactly, so the residual is pure rounding
@@ -93,6 +120,13 @@ class TestDiffRecurrence:
     def test_step_precondition(self):
         with pytest.raises(ParameterError):
             diff_recurrence_residual(2, 1e-5, P_DEFAULT, 1e-3)
+
+    @pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+    def test_step_domain(self, h):
+        # h = 0 used to raise a bare ZeroDivisionError
+        with pytest.raises(ParameterError) as err:
+            diff_recurrence_residual(2, 1.0, P_DEFAULT, h)
+        assert err.value.code == "diff_step"
 
 
 class TestCentralMoments:

@@ -82,22 +82,24 @@ class TestValidate:
             OperatorParams(*params)
         assert err.value.code == "params_not_finite"
 
-    # the envelope is checked when f is built, so the functions are built in the test
+    # the envelope is checked when f is built: each f is a constructor and its
+    # arguments, called in the test
     @pytest.mark.parametrize(
         "f",
         [
-            lambda: TestFunction.polynomial((1e308, 1e308)),
-            lambda: TestFunction.from_callable(np.exp, math.inf, 1.0),
-            lambda: TestFunction.from_callable(np.exp, 1.0, math.nan),
-            lambda: TestFunction.from_callable(np.exp, 1.0, math.inf),
-            lambda: TestFunction.from_callable(np.exp, math.nan, 1.0),
+            (TestFunction.polynomial, (1e308, 1e308)),
+            (TestFunction.from_callable, np.exp, math.inf, 1.0),
+            (TestFunction.from_callable, np.exp, 1.0, math.nan),
+            (TestFunction.from_callable, np.exp, 1.0, math.inf),
+            (TestFunction.from_callable, np.exp, math.nan, 1.0),
         ],
     )
     def test_non_finite_growth(self, f):
         # the callables used to build and then fail in gamma_mean with a bare
         # ValueError (math domain error) or OverflowError
+        make, *args = f
         with pytest.raises(ParameterError) as err:
-            f()
+            make(*args)
         assert err.value.code == "growth_not_finite"
 
     def test_replace_checks_the_envelope(self):
