@@ -4,7 +4,10 @@ quantities, and rate fitting.
 Sup norms over intervals are grid maxima (``_GRID_POINTS`` = 2001 points,
 declared kinks added as grid points), refined around the grid argmax by a
 few rounds that each evaluate the function once on a small batch of
-points.
+points.  The modulus of continuity omega(f, delta) on the same grid
+compares each block of 128 grid points with the points of its delta band
+only, not with the whole grid.
+The Schur closed forms take arrays of x or t, so a grid is one call.
 The Korovkin differences for the test set {1, t, t^2} have exact
 rational/sqrt closed forms, so those norms are evaluated without any
 quadrature.  None of the bound constants are assumed anywhere: the
@@ -25,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, QuadratureError
+from .errors import DegenerateDataError, ParameterError, QuadratureError, _require
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -178,7 +181,10 @@ def sup_abs_on_interval(
 def modulus_of_continuity(f, delta: float, a: float) -> float:
     """omega(f, delta) = sup { |f(t) - f(x)| : x, t in [0, a], |t - x| <= delta }.
 
-    Grid pairs plus a local fine scan around the maximizing pair.
+    Grid pairs plus a local fine scan around the maximizing pair.  Only pairs
+    within delta count, so each block of 128 grid rows compares the columns
+    of its delta band alone: N (128 + 2 delta / h) pairs instead of N^2, with
+    the same maximum and the same (first) maximizing pair as the full scan.
     """
     if not _finite_above(a, 0.0):
         raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
@@ -188,16 +194,23 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
     grid = _grid_with_kinks(0.0, a, _GRID_POINTS, kinks)
     vals = np.asarray(f(grid), dtype=float)
     # rows in blocks of 128, so no grid-squared array is built; a later
-    # block must be strictly larger, which keeps the first maximal pair
+    # block must be strictly larger, which keeps the first maximal pair.  A
+    # block's columns are its rows' delta band, padded by one linspace step
+    # so that no rounding of |t - x| <= delta falls outside it.  The first
+    # band starts at column 0, so an all-zero first block still reports the
+    # pair (0, 0) of the full scan
+    pad = a / (_GRID_POINTS - 1)
     best, i, j = -1.0, 0, 0
     for r in range(0, len(grid), 128):
-        close = np.abs(grid[r : r + 128, None] - grid[None, :]) <= delta
-        diffs = np.where(close, np.abs(vals[r : r + 128, None] - vals[None, :]), 0.0)
+        rows = grid[r : r + 128]
+        lo, hi = np.searchsorted(grid, (rows[0] - delta - pad, rows[-1] + delta + pad))
+        close = np.abs(rows[:, None] - grid[None, lo:hi]) <= delta
+        diffs = np.where(close, np.abs(vals[r : r + 128, None] - vals[None, lo:hi]), 0.0)
         at = int(np.argmax(diffs))
         if diffs.flat[at] > best:
             best = float(diffs.flat[at])
-            i, j = divmod(at, len(grid))
-            i += r
+            i, j = divmod(at, hi - lo)
+            i, j = i + r, j + lo
     # local refinement around the maximizing pair
     h = float(grid[1] - grid[0])
     ti = np.clip(np.linspace(grid[i] - h, grid[i] + h, 41), 0.0, a)
@@ -372,28 +385,30 @@ def schur_lemma_applicable(params: OperatorParams) -> bool:
     return -0.5 <= params.alpha <= 0.0 and params.beta >= 0.0
 
 
-def schur_E(params: OperatorParams, t: float) -> float:
+def schur_E(params: OperatorParams, t):
     """E_n(t) = (1/n) (n-b)^(a+1) t^a gamma(a+1, (n-b)t) / Gamma(a+1).
 
     Out of the guaranteed range alpha in [-1/2, 0] the value is still
     computed (see :func:`schur_lemma_applicable`).  At t = 0 the limit is
-    0 for alpha > -1/2, finite for alpha = -1/2, +inf below.
+    0 for alpha > -1/2, finite for alpha = -1/2, +inf below.  t is a float
+    or an array of them, each finite and >= 0; a float for a scalar t.
     """
-    if not math.isfinite(t):
-        raise ParameterError("schur_t_not_finite", f"requires finite t, got {t}")
-    if t < 0:
-        raise ParameterError("schur_t_negative", f"requires t >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    _require(np.isfinite(t), t, "schur_t_not_finite", "finite t")
+    _require(t >= 0, t, "schur_t_negative", "t >= 0")
     al = params.alpha
     rate = params.rate
     n = params.n
-    if t == 0.0:
-        if al > -0.5:
-            return 0.0
-        if al == -0.5:
-            return (rate / n) * 2.0 / math.sqrt(math.pi)
-        return math.inf
-    z = rate * t
-    return (1.0 / n) * rate ** (al + 1.0) * t**al * reg_lower_gamma(al + 1.0, z)
+    with np.errstate(divide="ignore", invalid="ignore"):  # t^al at t = 0, replaced below
+        out = (1.0 / n) * rate ** (al + 1.0) * t**al * reg_lower_gamma(al + 1.0, rate * t)
+    if al > -0.5:
+        limit = 0.0
+    elif al == -0.5:
+        limit = (rate / n) * 2.0 / math.sqrt(math.pi)
+    else:
+        limit = math.inf
+    out = np.where(t == 0.0, limit, out)
+    return out if out.ndim else float(out)
 
 
 def _check_schur_weight(params: OperatorParams, gamma: float, p: float) -> None:
@@ -409,22 +424,23 @@ def _check_schur_weight(params: OperatorParams, gamma: float, p: float) -> None:
         )
 
 
-def schur_first_integral(params: OperatorParams, gamma: float, p: float, x: float) -> float:
+def schur_first_integral(params: OperatorParams, gamma: float, p: float, x):
     """Closed form of the conjugated kernel's t-integral at a fixed x:
 
         ((n-b) / (n-b+gamma/p))^(alpha+1) * exp(x (gamma/p) (gamma/p - b) / (n-b+gamma/p)).
 
-    <= 1 for every x >= 0 exactly when gamma <= p beta.
+    <= 1 for every x >= 0 exactly when gamma <= p beta.  x is a float or an
+    array of them, each finite and >= 0; a float for a scalar x.
     """
-    if not math.isfinite(x):
-        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
-    if x < 0:
-        raise ParameterError("x_negative", f"requires x >= 0, got {x}")
+    x = np.asarray(x, dtype=float)
+    _require(np.isfinite(x), x, "x_not_finite", "finite x")
+    _require(x >= 0, x, "x_negative", "x >= 0")
     _check_schur_weight(params, gamma, p)
     rate = params.rate
     gp = gamma / p
     front = (rate / (rate + gp)) ** (params.alpha + 1.0)
-    return front * math.exp(x * gp * (gp - params.beta) / (rate + gp))
+    out = front * np.exp(x * gp * (gp - params.beta) / (rate + gp))
+    return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)

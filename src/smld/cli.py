@@ -295,12 +295,13 @@ def _run_schur(cfg: argparse.Namespace) -> Table:
     params = cfg.params
     rows = []
     hyp = cfg.gamma <= cfg.p * params.beta + 1e-15
-    for x in cfg.x_grid:
-        val = analysis.schur_first_integral(params, cfg.gamma, cfg.p, x)
+    first = analysis.schur_first_integral(params, cfg.gamma, cfg.p, cfg.x_grid)
+    for x, val in zip(cfg.x_grid, first.tolist()):
         rows.append(("first_integral", x, val, hyp))
     lemma_ok = analysis.schur_lemma_applicable(params)
-    for t in cfg.t_grid:
-        rows.append(("E", t, analysis.schur_E(params, t), lemma_ok))
+    e_values = analysis.schur_E(params, cfg.t_grid)
+    for t, val in zip(cfg.t_grid, e_values.tolist()):
+        rows.append(("E", t, val, lemma_ok))
     for t in cfg.t_grid:
         res = analysis.schur_second_integral(params, cfg.gamma, cfg.p, t)
         rows.append(("second_direct", t, res.direct, res.hypothesis_ok))

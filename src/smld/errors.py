@@ -28,6 +28,14 @@ class ParameterError(SmldError, ValueError):
         self.code = code
 
 
+def _require(ok, values, code: str, rule: str) -> None:
+    """Raise ParameterError(code) naming the first element of the array
+    ``values`` where the boolean array ``ok`` is False; a 0-d array is one
+    element, so a scalar and an array input share one check."""
+    if not ok.all():
+        raise ParameterError(code, f"requires {rule}, got {values[~ok][0]}")
+
+
 class QuadratureError(SmldError, ArithmeticError):
     """Adaptive quadrature did not converge within its refinement budget."""
 

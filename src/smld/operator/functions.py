@@ -7,10 +7,12 @@ defaults below are chosen to be provable, not merely plausible:
 * t^r        <= (r/e)^r e^t          (equality at t = r),
 * |t - c|    <= (c + 1/2) e^t        (since t <= e^t / 2),
 * sqrt(t)    <= e^t / 2,
+* (t - x)^r  <= 2^r (max(1, (r/e)^r) + |x|^r) e^t,
 * polynomials via the triangle inequality on their monomials.
 
 A function whose A or K is not finite (an overflowing (r/e)^r, say) cannot
-be built (``growth_not_finite``), so every consumer can trust the envelope.
+be built (``growth_not_finite``), nor one whose K is not > 0
+(``growth_k_nonpositive``), so every consumer can trust the envelope.
 """
 
 from __future__ import annotations
@@ -79,7 +81,8 @@ class TestFunction:
     (smooth near 0).  Instances hash and compare by (fn, args, envelope),
     which the coefficient cache relies on; ``label`` is display-only.
     Construction, also through ``dataclasses.replace``, raises
-    ``growth_not_finite`` unless A and K are finite.
+    ``growth_not_finite`` unless A and K are finite, and
+    ``growth_k_nonpositive`` unless K > 0.
     """
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -97,6 +100,11 @@ class TestFunction:
             raise ParameterError(
                 "growth_not_finite",
                 f"requires a finite growth envelope, got A = {self.growth_a}, K = {self.growth_k}",
+            )
+        if not self.growth_k > 0:
+            raise ParameterError(
+                "growth_k_nonpositive",
+                f"requires an envelope constant K > 0, got K = {self.growth_k}",
             )
 
     # -- constructors -------------------------------------------------------
@@ -171,8 +179,17 @@ class TestFunction:
 
     @classmethod
     def centered_power(cls, x: float, r: int) -> "TestFunction":
-        """(t - x)^r, the integrand of the r-th central moment at x."""
-        k = _pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(x, r))
+        """(t - x)^r, the integrand of the r-th central moment at x, for finite
+        x of either sign and a whole r >= 0.
+
+        |t - x|^r <= 2^r (t^r + |x|^r) <= 2^r (max(1, (r/e)^r) + |x|^r) e^t.
+        """
+        _require_finite("centered_power", (x, r))
+        if r < 0 or r != int(r):
+            raise ParameterError(
+                "centered_power_order", f"order must be a nonnegative integer, got {r}"
+            )
+        k = _pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(abs(x), r))
         return cls(_centered_power, (x, r), 1.0, k, label=f"(t-{x})^{r}")
 
     # -- evaluation ----------------------------------------------------------

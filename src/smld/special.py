@@ -5,10 +5,10 @@ restricted parameter range (second Kummer parameter > 0, gamma shape > 0,
 argument >= 0), and the implementations target exactly that range:
 
 * ``pochhammer`` -- rising factorial,
-* ``reg_lower_gamma`` -- regularized lower incomplete gamma P(s, z),
-  scipy's ``gammainc`` behind a domain check; scipy is imported on the
-  first call (``_scipy_special``), so ``import smld`` and the operator
-  never load it,
+* ``reg_lower_gamma`` -- regularized lower incomplete gamma P(s, z) on
+  scalars or arrays, scipy's ``gammainc`` behind a domain check of every
+  element; scipy is imported on the first call (``_scipy_special``), so
+  ``import smld`` and the operator never load it,
 * ``kummer_scaled`` -- e^(-z) 1F1(a; b; z) for a - b a nonnegative integer,
   the only case the closed-form raw moments need, as an exact finite sum,
 * ``log_poisson_weights`` -- ln psi_a(lam) = a ln(lam) - lam - ln Gamma(a + 1)
@@ -43,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _require
 
 __all__ = [
     "pochhammer",
@@ -96,16 +96,19 @@ def pochhammer(a: float, r: int) -> float:
     return out
 
 
-def reg_lower_gamma(s: float, z: float) -> float:
+def reg_lower_gamma(s, z):
     """Regularized lower incomplete gamma P(s, z) = gamma(s, z) / Gamma(s).
 
     Monotone nondecreasing in z with values in [0, 1] (scipy's ``gammainc``).
+    s and z broadcast; every element needs s > 0 and z >= 0, and a NaN
+    fails its check.  A float for scalar arguments, else an array.
     """
-    if not s > 0:
-        raise ParameterError("reg_gamma_shape", f"requires s > 0, got {s}")
-    if z < 0:
-        raise ParameterError("reg_gamma_argument", f"requires z >= 0, got {z}")
-    return float(_scipy_special().gammainc(s, z))
+    s = np.asarray(s, dtype=float)
+    z = np.asarray(z, dtype=float)
+    _require(s > 0, s, "reg_gamma_shape", "s > 0")
+    _require(z >= 0, z, "reg_gamma_argument", "z >= 0")
+    out = _scipy_special().gammainc(s, z)
+    return out if out.ndim else float(out)
 
 
 def kummer_scaled(a: float, b: float, z: float) -> float:

@@ -224,11 +224,14 @@ def test_criterion_15_determinism(verify_runs):
 
 def _report_key() -> dict:
     """What the report's bits depend on besides the code: the numpy build,
-    the SIMD paths numpy dispatches to, and the C library's libm."""
+    the SIMD paths numpy dispatches to, the C library's libm, and the scipy
+    build, whose incomplete gamma and beta functions several rows read."""
+    import scipy
     from numpy._core._multiarray_umath import __cpu_features__
 
     return {
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
         "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
         "libc": list(platform.libc_ver()),
     }
@@ -240,7 +243,7 @@ def test_criterion_15_golden_report(verify_runs):
     key = json.loads((_DATA / "verify_all.key.json").read_text(encoding="utf-8"))
     here = _report_key()
     if here != key:
-        diff = sorted(name for name in key if key[name] != here[name])
+        diff = sorted(name for name in key.keys() | here.keys() if key.get(name) != here.get(name))
         reason = f"golden verify-all report was made with other {', '.join(diff)}"
         print(f"[criterion 15] SKIP {reason}")
         pytest.skip(reason)

@@ -25,6 +25,7 @@ from smld.analysis import (
     weighted_phi_norm,
 )
 from smld.errors import DegenerateDataError, ParameterError, QuadratureError
+from smld.special import reg_lower_gamma
 from smld.operator import (
     OperatorParams,
     TestFunction,
@@ -211,6 +212,58 @@ class TestModulus:
     def test_delta_domain(self):
         with pytest.raises(ParameterError):
             modulus_of_continuity(TestFunction.sqrt(), 0.0, 1.0)
+
+
+def _full_scan_modulus(f, delta, a):
+    """Oracle: omega(f, delta) by comparing every grid pair, blocks of 128 rows
+    against all N columns, then the same 41 x 41 refinement."""
+    grid = _grid_with_kinks(0.0, a, 2001, f.kinks)
+    vals = np.asarray(f(grid), dtype=float)
+    best, i, j = -1.0, 0, 0
+    for r in range(0, len(grid), 128):
+        close = np.abs(grid[r : r + 128, None] - grid[None, :]) <= delta
+        diffs = np.where(close, np.abs(vals[r : r + 128, None] - vals[None, :]), 0.0)
+        at = int(np.argmax(diffs))
+        if diffs.flat[at] > best:
+            best = float(diffs.flat[at])
+            i, j = divmod(at, len(grid))
+            i += r
+    h = float(grid[1] - grid[0])
+    ti = np.clip(np.linspace(grid[i] - h, grid[i] + h, 41), 0.0, a)
+    tj = np.clip(np.linspace(grid[j] - h, grid[j] + h, 41), 0.0, a)
+    vi = np.asarray(f(ti), dtype=float)
+    vj = np.asarray(f(tj), dtype=float)
+    ok = np.abs(ti[:, None] - tj[None, :]) <= delta
+    local = np.where(ok, np.abs(vi[:, None] - vj[None, :]), 0.0)
+    return max(best, float(np.max(local)))
+
+
+_SAMPLED_T = np.linspace(0.0, 6.0, 37)
+
+
+class TestModulusBand:
+    # the banded scan compares only the columns within delta of each row
+    # block; it must reproduce the full scan bit for bit, maximizing pair
+    # included (the refinement reads it)
+    @pytest.mark.parametrize(
+        "f",
+        [
+            TestFunction.abs_shift(1.0),
+            TestFunction.abs_shift(0.7377),  # kink off the grid
+            TestFunction.sqrt(),
+            TestFunction.sin_scaled(3.0),
+            TestFunction.sampled(_SAMPLED_T, np.sin(7.0 * _SAMPLED_T) * np.exp(-_SAMPLED_T)),
+            TestFunction.monomial(0),
+            TestFunction.exp_scaled(-2.0),
+            TestFunction.polynomial((0.5, -3.0, 0.0, 1.0)),
+        ],
+        ids=["abs1", "abs_off_grid", "sqrt", "sin3", "sampled", "const", "exp-2", "cubic"],
+    )
+    @pytest.mark.parametrize("a", [1.0, 2.0, 5.0])
+    def test_equals_full_scan(self, f, a):
+        h = a / 2000.0
+        for delta in (h / 2.0, h, 1.0 / 40.0, 1.0 / 5.0, a / 2.0, a):
+            assert modulus_of_continuity(f, delta, a) == _full_scan_modulus(f, delta, a), delta
 
 
 class TestWeightedPhiNorm:
@@ -540,6 +593,74 @@ class TestSchur:
     @pytest.mark.parametrize("x", [math.inf, math.nan])
     def test_first_integral_x_not_finite(self, x):
         self._raises("x_not_finite", schur_first_integral, OperatorParams(10.0, 0.5, 1.0), 0.5, 1.0, x)
+
+
+def _check_12_grids():
+    """(function, params, gamma, p or None, grid) of every array call check 12 makes."""
+    xs = np.linspace(0.0, 20.0, 81)
+    ts = np.linspace(0.0, 10.0, 2001)
+    for params in verification._grid_params():
+        for p in (1.0, 2.0):
+            for gamma in (0.0, params.beta, p * params.beta):
+                yield schur_first_integral, (params, gamma, p), xs
+    for al in (-0.5, -0.25, 0.0):
+        for n in verification.G_N:
+            yield schur_E, (OperatorParams(n, al, 0.0),), ts
+    for params in verification._grid_params(alphas=(0.0,)):
+        yield schur_E, (params,), ts[::40]
+
+
+class TestSchurArrays:
+    def test_equal_to_scalar_calls(self):
+        for fn, args, grid in _check_12_grids():
+            values = fn(*args, grid)
+            assert values.shape == grid.shape
+            assert values.tolist() == [fn(*args, float(v)) for v in grid], (fn, args)
+
+    def test_scalar_returns_float(self):
+        params = OperatorParams(10.0, 0.0, 1.0)
+        assert type(schur_E(params, 1.0)) is float
+        assert type(schur_first_integral(params, 1.0, 1.0, 2.0)) is float
+        assert type(reg_lower_gamma(1.0, 2.0)) is float
+
+    @pytest.mark.parametrize(
+        "code, bad",
+        [("x_not_finite", math.nan), ("x_not_finite", math.inf), ("x_negative", -1.0)],
+    )
+    def test_first_integral_bad_element(self, code, bad):
+        xs = np.array([0.0, 1.0, bad, 3.0])
+        TestSchur._raises(code, schur_first_integral, OperatorParams(10.0, 0.5, 1.0), 0.5, 1.0, xs)
+
+    @pytest.mark.parametrize(
+        "code, bad",
+        [("schur_t_not_finite", math.nan), ("schur_t_not_finite", -math.inf),
+         ("schur_t_negative", -1e-300)],
+    )
+    def test_E_bad_element(self, code, bad):
+        TestSchur._raises(code, schur_E, OperatorParams(10.0, -0.25), np.array([0.0, 1.0, bad]))
+
+    @pytest.mark.parametrize(
+        "code, s, z",
+        [("reg_gamma_shape", [1.0, 0.0], 1.0), ("reg_gamma_shape", [1.0, math.nan], 1.0),
+         ("reg_gamma_argument", 1.5, [2.0, -0.5]), ("reg_gamma_argument", 1.5, [2.0, math.nan])],
+    )
+    def test_reg_lower_gamma_bad_element(self, code, s, z):
+        TestSchur._raises(code, reg_lower_gamma, np.array(s), np.array(z))
+
+    @pytest.mark.parametrize(
+        "alpha, limit",
+        [(0.5, 0.0), (0.0, 0.0), (-0.25, 0.0),
+         (-0.5, (9.0 / 10.0) * 2.0 / math.sqrt(math.pi)),  # (rate / n) 2 / sqrt(pi)
+         (-0.75, math.inf)],
+    )
+    def test_limits_at_zero(self, alpha, limit):
+        params = OperatorParams(10.0, alpha, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = schur_E(params, np.array([0.0, 0.5, 0.0, 2.0]))
+        assert values[0] == values[2] == limit == schur_E(params, 0.0)
+        assert values[1] == schur_E(params, 0.5) and values[3] == schur_E(params, 2.0)
+        assert np.isfinite(values[[1, 3]]).all()
 
 
 class TestRateSlope:

@@ -123,6 +123,51 @@ class TestValidate:
             make()
         assert err.value.code == "growth_not_finite"
 
+    @pytest.mark.parametrize("k", [-1.0, 0.0, -0.0])
+    def test_nonpositive_envelope_constant(self, k):
+        # the quadrature window takes log K: K < 0 used to fail there with a
+        # bare ValueError and K = 0 with a ZeroDivisionError
+        with pytest.raises(ParameterError) as err:
+            TestFunction.from_callable(np.exp, 1.0, k)
+        assert err.value.code == "growth_k_nonpositive"
+        with pytest.raises(ParameterError) as err:
+            dataclasses.replace(TestFunction.exp_scaled(1.0), growth_k=k)
+        assert err.value.code == "growth_k_nonpositive"
+
+    def test_zero_sampled_keeps_building(self):
+        # its envelope constant is floored at 1e-300, not 0
+        f = TestFunction.sampled((0.0, 1.0), (0.0, 0.0))
+        assert f.growth_k == 1e-300
+        assert apply_operator(f, 1.0, OperatorParams(10.0)) == 0.0
+
+    @pytest.mark.parametrize(
+        "x, r, code",
+        [(math.nan, 2, "function_not_finite"), (math.inf, 1, "function_not_finite"),
+         (1.0, math.nan, "function_not_finite"), (1.0, 2.5, "centered_power_order"),
+         (1.0, -1, "centered_power_order")],
+    )
+    def test_centered_power_arguments(self, x, r, code):
+        # (nan, 2) used to be growth_not_finite and (1, 2.5) integrand_not_finite
+        with pytest.raises(ParameterError) as err:
+            TestFunction.centered_power(x, r)
+        assert err.value.code == code
+
+    def test_centered_power_left_of_zero(self):
+        # x = -2 used to give K < 0 and a bare ValueError from log K
+        params = OperatorParams(10.0)
+        got = apply_operator(TestFunction.centered_power(-2.0, 1), 1.0, params)
+        assert got == pytest.approx(raw_moment_closed(1, 1.0, params) + 2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("x, r", [(-1.0, 3), (-5.0, 2), (-0.5, 7), (3.0, 4)])
+    def test_centered_power_envelope(self, x, r):
+        # |t - x|^r <= K e^t in logs on a dense grid; (-1, 3) used to have
+        # K = 2.754 against |t + 1|^3 = 64 > 55.3 = K e^3 at t = 3
+        f = TestFunction.centered_power(x, r)
+        t = np.linspace(0.0, 60.0, 60001)
+        with np.errstate(divide="ignore"):
+            lhs = r * np.log(np.abs(t - x))
+        assert np.all(lhs <= math.log(f.growth_k) + t + 1e-12)
+
     @pytest.mark.parametrize("coeffs", [[1.0] + [0.0] * 172, [0.0, 0.0]], ids=["one", "zero"])
     def test_zero_coefficients_add_no_growth(self, coeffs):
         # 0 * inf would make the envelope of the constant 1 NaN, and a zero
