@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError, QuadratureError, _require
+from .errors import DegenerateDataError, ParameterError, QuadratureError, _require, _require_points
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -71,11 +71,19 @@ _SCHUR_PANELS, _SCHUR_NODES = 24, 10  # the same for the Schur x-integral
 _PANEL_ERRORS = 8  # |M f - f| panel grids kept per process, ~14 KB each at 48 x 12 nodes
 
 
-def _finite_above(value: float | None, lo: float, inclusive: bool = False) -> bool:
-    """value is finite and > lo (>= lo if inclusive); False for None and NaN."""
-    if value is None or not math.isfinite(value):
-        return False
-    return value >= lo if inclusive else value > lo
+def _check_p(p: float | None) -> None:
+    """The norm's exponent: finite p >= 1."""
+    _require(p is not None and 1.0 <= p < math.inf, p, "norm_p", "finite p >= 1")
+
+
+def _check_gamma(gamma: float | None) -> None:
+    """The exponential weight e^(gamma x): finite gamma >= 0."""
+    _require(gamma is not None and 0 <= gamma < math.inf, gamma, "norm_gamma", "finite gamma >= 0")
+
+
+def _check_end(end: float | None, name: str) -> None:
+    """The right end of the norm's interval [0, end]: finite end > 0."""
+    _require(end is not None and 0.0 < end < math.inf, end, "norm_interval", f"finite {name} > 0")
 
 
 @dataclass(frozen=True)
@@ -99,24 +107,15 @@ class NormSpec:
         kinds = ("sup_compact", "weighted_phi", "lp", "weighted_lp")
         if self.kind not in kinds:
             raise ParameterError("norm_kind", f"kind must be one of {kinds}, got {self.kind!r}")
-        if self.kind == "sup_compact" and not _finite_above(self.a, 0.0):
-            raise ParameterError("norm_interval", f"sup_compact needs finite a > 0, got {self.a}")
-        if self.kind == "weighted_phi" and not _finite_above(self.x_max, 0.0):
-            raise ParameterError(
-                "norm_interval", f"weighted_phi needs finite x_max > 0, got {self.x_max}"
-            )
+        if self.kind == "sup_compact":
+            _check_end(self.a, "a")
+        if self.kind == "weighted_phi":
+            _check_end(self.x_max, "x_max")
         if self.kind in ("lp", "weighted_lp"):
-            if not _finite_above(self.p, 1.0, inclusive=True):
-                raise ParameterError("norm_p", f"p must be finite and >= 1, got {self.p}")
-            cut = self.r_cut if self.kind == "lp" else self.r_max
-            if not _finite_above(cut, 0.0):
-                raise ParameterError(
-                    "norm_interval", f"lp norms need a finite positive cutoff, got {cut}"
-                )
-            if self.kind == "weighted_lp" and not _finite_above(self.gamma, 0.0, inclusive=True):
-                raise ParameterError(
-                    "norm_gamma", f"gamma must be finite and >= 0, got {self.gamma}"
-                )
+            _check_p(self.p)
+            _check_end(self.r_cut if self.kind == "lp" else self.r_max, "cutoff")
+        if self.kind == "weighted_lp":
+            _check_gamma(self.gamma)
 
     @classmethod
     def sup_compact(cls, a: float) -> "NormSpec":
@@ -186,8 +185,7 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
     of its delta band alone: N (128 + 2 delta / h) pairs instead of N^2, with
     the same maximum and the same (first) maximizing pair as the full scan.
     """
-    if not _finite_above(a, 0.0):
-        raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
+    _check_end(a, "a")
     if not (0 < delta <= a):
         raise ParameterError("modulus_delta", f"requires 0 < delta <= a, got {delta}")
     kinks = f.kinks if isinstance(f, TestFunction) else ()
@@ -211,10 +209,10 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
             best = float(diffs.flat[at])
             i, j = divmod(at, hi - lo)
             i, j = i + r, j + lo
-    # local refinement around the maximizing pair
-    h = float(grid[1] - grid[0])
-    ti = np.clip(np.linspace(grid[i] - h, grid[i] + h, 41), 0.0, a)
-    tj = np.clip(np.linspace(grid[j] - h, grid[j] + h, 41), 0.0, a)
+    # local refinement around the maximizing pair, one linspace step either
+    # side (a kink just above 0 would shrink grid[1] - grid[0])
+    ti = np.clip(np.linspace(grid[i] - pad, grid[i] + pad, 41), 0.0, a)
+    tj = np.clip(np.linspace(grid[j] - pad, grid[j] + pad, 41), 0.0, a)
     vi = np.asarray(f(ti), dtype=float)
     vj = np.asarray(f(tj), dtype=float)
     ok = np.abs(ti[:, None] - tj[None, :]) <= delta
@@ -224,8 +222,7 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
 
 def operator_sup_error(f: TestFunction, params: OperatorParams, a: float) -> float:
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
-    if not _finite_above(a, 0.0):
-        raise ParameterError("norm_interval", f"requires finite a > 0, got {a}")
+    _check_end(a, "a")
 
     def diff(xs):
         return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
@@ -263,8 +260,7 @@ def weighted_phi_norm(g: Callable, x_max: float) -> float:
     differences the closed forms make the tail explicit, for general g the
     cutoff is reported, not certified.
     """
-    if not _finite_above(x_max, 0.0):
-        raise ParameterError("norm_interval", f"requires finite x_max > 0, got {x_max}")
+    _check_end(x_max, "x_max")
 
     def ratio(xs):
         return np.asarray(g(xs), dtype=float) / (1.0 + xs**2)
@@ -343,12 +339,9 @@ def weighted_lp_error(
     term, so no term dev^p e^(gamma x) underflows or overflows; a norm past
     the float range raises :class:`QuadratureError` ``norm_not_finite``.
     """
-    if not _finite_above(gamma, 0.0, inclusive=True):
-        raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
-    if not _finite_above(p, 1.0, inclusive=True):
-        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
-    if not _finite_above(r_max, 0.0):
-        raise ParameterError("norm_interval", f"requires finite R > 0, got {r_max}")
+    _check_gamma(gamma)
+    _check_p(p)
+    _check_end(r_max, "R")
     xs, ws, dev = _panel_error(f, params, float(r_max))
     with np.errstate(divide="ignore", over="ignore"):  # ln 0 = -inf; exp(> 709.8) = inf
         t = p * np.log(dev) + gamma * xs
@@ -414,10 +407,8 @@ def schur_E(params: OperatorParams, t):
 def _check_schur_weight(params: OperatorParams, gamma: float, p: float) -> None:
     """The domain of both Schur integrals: finite p >= 1, finite gamma >= 0
     and gamma < n p."""
-    if not _finite_above(p, 1.0, inclusive=True):
-        raise ParameterError("norm_p", f"requires finite p >= 1, got {p}")
-    if not _finite_above(gamma, 0.0, inclusive=True):
-        raise ParameterError("norm_gamma", f"requires finite gamma >= 0, got {gamma}")
+    _check_p(p)
+    _check_gamma(gamma)
     if not gamma < params.n * p:
         raise ParameterError(
             "schur_gamma_large", f"requires gamma < n p, got gamma = {gamma}, n p = {params.n * p}"
@@ -432,9 +423,8 @@ def schur_first_integral(params: OperatorParams, gamma: float, p: float, x):
     <= 1 for every x >= 0 exactly when gamma <= p beta.  x is a float or an
     array of them, each finite and >= 0; a float for a scalar x.
     """
+    _require_points(x)
     x = np.asarray(x, dtype=float)
-    _require(np.isfinite(x), x, "x_not_finite", "finite x")
-    _require(x >= 0, x, "x_negative", "x >= 0")
     _check_schur_weight(params, gamma, p)
     rate = params.rate
     gp = gamma / p
@@ -490,7 +480,7 @@ def rate_slope(rows: Sequence[tuple[float, float]]) -> float:
     Every n must be finite and > 0 and every error finite, or there is no
     log to fit (:class:`DegenerateDataError`).
     """
-    bad = [(n, e) for n, e in rows if not (_finite_above(n, 0.0) and math.isfinite(e))]
+    bad = [(n, e) for n, e in rows if not (math.isfinite(n) and n > 0 and math.isfinite(e))]
     if bad:
         raise DegenerateDataError(f"needs finite n > 0 and finite errors, got {bad[0]}")
     usable = [(n, e) for n, e in rows if e > 0.0]

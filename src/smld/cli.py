@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from . import analysis, moments, spectral, verification
-from .errors import ParameterError, SmldError
+from .errors import ParameterError, SmldError, _require, _require_points
 from .operator import (
     OperatorParams,
     TestFunction,
@@ -159,15 +159,11 @@ def parse_config(argv: Sequence[str]) -> argparse.Namespace:
     ns = parser.parse_args(argv)
     if getattr(ns, "max_r", 0) < 0:
         parser.error("--max-r: requires max_r >= 0")
-    xs = (getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ()))
-    if not all(math.isfinite(x) for x in xs):
-        parser.error("x_not_finite: --x, --x-grid: requires finite x >= 0")
-    if min(xs) < 0.0:
-        parser.error("x_negative: --x, --x-grid: requires x >= 0")
-    if not all(math.isfinite(t) for t in getattr(ns, "t_grid", ())):
-        parser.error("schur_t_not_finite: --t-grid: requires finite t")
     n_grid = getattr(ns, "n_grid", ())
     try:
+        _require_points((getattr(ns, "x", 0.0), *getattr(ns, "x_grid", ())))
+        ts = np.asarray(getattr(ns, "t_grid", ()), dtype=float)
+        _require(np.isfinite(ts), ts, "schur_t_not_finite", "finite t")
         if hasattr(ns, "n"):
             ns.params = OperatorParams(ns.n, ns.alpha, ns.beta)
         for n in n_grid:  # each grid triple raises its code here, not mid-run

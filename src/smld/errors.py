@@ -1,10 +1,20 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the argument rules that
+raise them.
 
 Every error carries a short machine-readable ``code`` so callers (and the
-CLI) can distinguish failure modes without parsing messages.
+CLI) can distinguish failure modes without parsing messages.  Each argument
+rule is stated once, here: ``_require(ok, values, code, rule)`` raises
+``ParameterError(code)`` unless ``ok`` holds; ``_require_points(x)`` wants
+finite (``x_not_finite``) points x >= 0 (``x_negative``) of the half-line;
+``_require_order(r, code, lo)`` wants a whole number >= lo, under the
+caller's own code.
 """
 
 from __future__ import annotations
+
+import math
+
+import numpy as np
 
 
 class SmldError(Exception):
@@ -29,11 +39,32 @@ class ParameterError(SmldError, ValueError):
 
 
 def _require(ok, values, code: str, rule: str) -> None:
-    """Raise ParameterError(code) naming the first element of the array
-    ``values`` where the boolean array ``ok`` is False; a 0-d array is one
-    element, so a scalar and an array input share one check."""
-    if not ok.all():
-        raise ParameterError(code, f"requires {rule}, got {values[~ok][0]}")
+    """Raise ParameterError(code) unless ``ok`` holds: ``ok`` is a bool for
+    the scalar ``values``, or a boolean array for the array ``values``, and
+    the message names the first element where it is False."""
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
+        bad = values[~ok][0] if isinstance(ok, np.ndarray) else values
+        raise ParameterError(code, f"requires {rule}, got {bad}")
+
+
+def _require_points(x) -> None:
+    """x is finite (``x_not_finite``) and >= 0 (``x_negative``); a Python
+    number is checked without numpy, anything else as one float array."""
+    if isinstance(x, (float, int)):
+        if 0.0 <= x < math.inf:
+            return
+    else:
+        x = np.asarray(x, dtype=float)
+    _require(abs(x) < math.inf, x, "x_not_finite", "finite x")
+    _require(x >= 0, x, "x_negative", "x >= 0")
+
+
+def _require_order(r, code: str, lo: int = 0) -> int:
+    """r is a finite whole number >= lo; returned as an int."""
+    k = r if r.__class__ is int else int(r) if math.isfinite(r) else None
+    if k != r or k < lo:
+        raise ParameterError(code, f"requires a whole number >= {lo}, got {r}")
+    return k
 
 
 class QuadratureError(SmldError, ArithmeticError):

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParameterError, UnsupportedOrderError
+from .errors import ParameterError, UnsupportedOrderError, _require_order, _require_points
 from .operator import OperatorParams
 from .special import kummer_scaled, pochhammer
 
@@ -47,8 +47,8 @@ __all__ = [
 
 def raw_moment_closed(r: int, x: float, params: OperatorParams) -> float:
     """mu_r(x) = (alpha+1)_r / (n-beta)^r * e^(-nx) 1F1(alpha+r+1; alpha+1; nx)."""
-    _check_order(r)
-    _check_x(x)
+    r = _require_order(r, "moment_order")
+    _require_points(x)
     front = pochhammer(params.alpha + 1.0, r) / params.rate ** r
     return front * kummer_scaled(params.alpha + r + 1.0, params.alpha + 1.0, params.n * x)
 
@@ -70,15 +70,15 @@ def _recurrence(r_max: int, z, al, rate) -> list:
 
 def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list[float]:
     """All raw moments mu_0 .. mu_{r_max} by forward three-term recurrence."""
-    _check_order(r_max)
-    _check_x(x)
+    r_max = _require_order(r_max, "moment_order")
+    _require_points(x)
     return _recurrence(r_max, params.n * x, params.alpha, params.rate)
 
 
 def raw_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit polynomial-in-nx raw moments, available for r <= 4."""
-    _check_order(r)
-    _check_x(x)
+    r = _require_order(r, "moment_order")
+    _require_points(x)
     if r > 4:
         raise UnsupportedOrderError(f"explicit raw moments exist for r <= 4, got {r}")
     al = params.alpha
@@ -115,9 +115,8 @@ def diff_recurrence_residual(
     (r-1)-th moment with alpha shifted to alpha+1; the residual of the
     second-order central difference is O(h^2).
     """
-    if r < 1:
-        raise ParameterError("moment_order", f"requires r >= 1, got {r}")
-    _check_x(x)
+    r = _require_order(r, "moment_order", lo=1)
+    _require_points(x)
     if not (math.isfinite(h) and h > 0):
         raise ParameterError("diff_step", f"requires finite h > 0, got h = {h}")
     if not x - h > 0:
@@ -131,8 +130,8 @@ def diff_recurrence_residual(
 
 def central_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
     """Explicit central moments for r <= 4."""
-    _check_order(r)
-    _check_x(x)
+    r = _require_order(r, "moment_order")
+    _require_points(x)
     if r > 4:
         raise UnsupportedOrderError(f"explicit central moments exist for r <= 4, got {r}")
     al = params.alpha
@@ -172,8 +171,8 @@ def central_moment_binomial(r: int, x: float, params: OperatorParams) -> float:
     no rounding to cancel; the result is the exact moment of the given
     float inputs, rounded once.
     """
-    _check_order(r)
-    _check_x(x)
+    r = _require_order(r, "moment_order")
+    _require_points(x)
     xq = Fraction(x)
     n = Fraction(params.n)
     mus = _recurrence(r, n * xq, Fraction(params.alpha), n - Fraction(params.beta))
@@ -188,9 +187,8 @@ def asymptotic_prediction(r: int, x: float, params: OperatorParams) -> float:
     term is returned even where it vanishes (beta = 0, r >= 3); the ratio
     table flags those rows instead of inventing next-order terms.
     """
-    if r < 1:
-        raise ParameterError("moment_order", f"requires r >= 1, got {r}")
-    _check_x(x)
+    r = _require_order(r, "moment_order", lo=1)
+    _require_points(x)
     if r == 1:
         return (params.alpha + 1.0 + params.beta * x) / params.n
     return r * (r - 1) * params.beta ** (r - 2) * x ** (r - 1) / params.n ** (r - 1)
@@ -221,7 +219,7 @@ def asymptotic_ratio_table(
     r: int, x: float, alpha: float, beta: float, n_grid
 ) -> list[AsymptoticRow]:
     """Exact central moment vs predicted leading term along an n grid."""
-    _check_x(x)
+    _require_points(x)
     ns = [float(n) for n in n_grid]
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterError("n_grid_order", "n_grid must be strictly ascending")
@@ -236,15 +234,3 @@ def asymptotic_ratio_table(
         rows.append(AsymptoticRow(n, exact, predicted, two_term, ratio, flagged))
     return rows
 
-
-def _check_order(r: int) -> None:
-    if r < 0 or r != int(r):
-        raise ParameterError("moment_order", f"r must be a nonnegative integer, got {r}")
-
-
-def _check_x(x: float) -> None:
-    """The moments are those of a positive operator at a point x >= 0."""
-    if not math.isfinite(x):
-        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
-    if x < 0:
-        raise ParameterError("x_negative", f"requires x >= 0, got {x}")

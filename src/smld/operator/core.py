@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ParameterError, TruncationError
+from ..errors import ParameterError, TruncationError, _require_order, _require_points
 from ..special import _dot, _first, _log_gamma_excess, _log_psi, _log_tail, log_poisson_weights
 from .functions import TestFunction
 from .params import OperatorParams, validate
@@ -82,11 +82,10 @@ def _coefficients(f: TestFunction, ks: np.ndarray, params: OperatorParams) -> np
 
 def coefficient(f: TestFunction, k: int, params: OperatorParams) -> float:
     """c_k(f): the mean of f under Gamma(k + alpha + 1, n - beta)."""
-    if k < 0 or k != int(k):
-        raise ParameterError("coefficient_index", f"k must be a nonnegative integer, got {k}")
+    k = _require_order(k, "coefficient_index")
     validate(params, f)
-    j = math.isqrt(int(k))
-    return float(_coefficient_cached(f, j, params)[int(k) - j * j])
+    j = math.isqrt(k)
+    return float(_coefficient_cached(f, j, params)[k - j * j])
 
 
 def growth_bound(params: OperatorParams, f: TestFunction, x: float) -> float:
@@ -193,10 +192,7 @@ def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
 def _operator_values(f: TestFunction, xs, params: OperatorParams) -> np.ndarray:
     validate(params, f)
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(xs)):
-        raise ParameterError("x_not_finite", "requires finite x")
-    if np.any(xs < 0):
-        raise ParameterError("x_negative", f"requires x >= 0, got {xs.min()}")
+    _require_points(xs)
     n = params.n
     rho = params.rate / (params.rate - f.growth_a)
     # |c_k| psi_k(x) <= K_f rho^(alpha+1) e^(nx(rho-1)) psi_k(nx rho): tilted
@@ -269,10 +265,7 @@ def apply_szasz(f: TestFunction, x: float, n: float) -> float:
         raise ParameterError(
             "szasz_growth", f"requires n > A for growth class A = {f.growth_a}, got n = {n}"
         )
-    if not math.isfinite(x):
-        raise ParameterError("x_not_finite", f"requires finite x, got {x}")
-    if x < 0:
-        raise ParameterError("x_negative", f"requires x >= 0, got {x}")
+    _require_points(x)
     # |f(k/n)| <= K_f rho^k with rho = e^(A/n): a tilted Poisson tail on each side
     rho = math.exp(f.growth_a / n)
     log_tol = math.log(_EPS_TAIL / f.growth_k) - n * x * math.expm1(f.growth_a / n)

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..errors import FileFormatError, ParameterError
+from ..errors import FileFormatError, ParameterError, _require_order
 
 __all__ = ["TestFunction", "load_sampled"]
 
@@ -112,9 +112,7 @@ class TestFunction:
     @classmethod
     def monomial(cls, r: int) -> "TestFunction":
         _require_finite("monomial", (r,))
-        if r < 0 or r != int(r):
-            raise ParameterError("monomial_order", f"order must be a nonnegative integer, got {r}")
-        r = int(r)
+        r = _require_order(r, "monomial_order")
         if r == 0:
             return cls(np.ones_like, (), 0.0, 1.0, label="1")
         k = max(1.0, _pow(r / math.e, r))
@@ -185,10 +183,7 @@ class TestFunction:
         |t - x|^r <= 2^r (t^r + |x|^r) <= 2^r (max(1, (r/e)^r) + |x|^r) e^t.
         """
         _require_finite("centered_power", (x, r))
-        if r < 0 or r != int(r):
-            raise ParameterError(
-                "centered_power_order", f"order must be a nonnegative integer, got {r}"
-            )
+        _require_order(r, "centered_power_order")
         k = _pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(abs(x), r))
         return cls(_centered_power, (x, r), 1.0, k, label=f"(t-{x})^{r}")
 

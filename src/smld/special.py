@@ -43,7 +43,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import ParameterError, _require
+from .errors import ParameterError, _require, _require_order
 
 __all__ = [
     "pochhammer",
@@ -88,10 +88,8 @@ def _scipy_special():
 
 def pochhammer(a: float, r: int) -> float:
     """Rising factorial (a)_r = a (a+1) ... (a+r-1), with (a)_0 = 1."""
-    if r < 0 or r != int(r):
-        raise ParameterError("pochhammer_order", f"r must be a nonnegative integer, got {r}")
     out = 1.0
-    for i in range(int(r)):
+    for i in range(_require_order(r, "pochhammer_order")):
         out *= a + i
     return out
 
@@ -159,12 +157,9 @@ def poisson_weight_log(n: float, x: float, k: int) -> float:
     Returns -inf for x = 0, k >= 1 (and exactly 0 for x = 0, k = 0) so the
     k = 0 term survives at the interpolation point.
     """
-    if not n > 0:
-        raise ParameterError("poisson_n", f"requires n > 0, got {n}")
-    if x < 0:
-        raise ParameterError("poisson_x", f"requires x >= 0, got {x}")
-    if k < 0 or k != int(k):
-        raise ParameterError("poisson_k", f"k must be a nonnegative integer, got {k}")
+    _require(n > 0, n, "poisson_n", "n > 0")
+    _require(x >= 0, x, "poisson_x", "x >= 0")
+    _require_order(k, "poisson_k")
     return float(log_poisson_weights(n * x, k))
 
 

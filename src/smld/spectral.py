@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError
+from .errors import ParameterError, TruncationError, _require_order, _require_points
 from .operator import OperatorParams, TestFunction, apply_operator_grid
 from .operator.core import _poisson_sum
 from .special import _dot, _scipy_special, log_poisson_weights
@@ -115,8 +115,9 @@ def _nb_row(s: float, q2: float, K: int, mode: int, anchor: float) -> np.ndarray
 
 def build_P(params: OperatorParams, K: int) -> TruncatedP:
     """Leading (K+1) x (K+1) block of P with per-row truncation deficits."""
-    if not 1 <= K <= _K_CAP:
-        raise ParameterError("matrix_order", f"requires 1 <= K <= {_K_CAP}, got {K}")
+    K = _require_order(K, "matrix_order", lo=1)
+    if K > _K_CAP:
+        raise ParameterError("matrix_order", f"requires K <= {_K_CAP}, got {K}")
     n, al, b = params.n, params.alpha, params.beta
     denom = 2.0 * n - b
     q1 = (n - b) / denom
@@ -205,14 +206,15 @@ def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     The m-th lift must track lam^m e^(-beta x); successive sup-amplitudes
     over the grid must contract by exactly lam.  P is the adaptive
     truncation, whose upper rows k <= K/2 lose at most 1e-12 of their mass.
+    r is a whole number >= 0 and the grid holds finite points x >= 0.
     """
     if params.beta <= 0:
         raise ParameterError(
             "iterate_beta_range", f"requires 0 < beta < n, got beta = {params.beta}"
         )
-    if r < 0:
-        raise ParameterError("iterate_steps", f"requires r >= 0, got {r}")
+    r = _require_order(r, "iterate_steps")
     xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    _require_points(xs)
     p_mat = build_P_adaptive(params)
     _, z, lam = _eigen_pair(params, "exponential")
     v = z ** np.arange(p_mat.K + 1.0)

@@ -228,7 +228,7 @@ def _full_scan_modulus(f, delta, a):
             best = float(diffs.flat[at])
             i, j = divmod(at, len(grid))
             i += r
-    h = float(grid[1] - grid[0])
+    h = a / 2000.0  # one linspace step
     ti = np.clip(np.linspace(grid[i] - h, grid[i] + h, 41), 0.0, a)
     tj = np.clip(np.linspace(grid[j] - h, grid[j] + h, 41), 0.0, a)
     vi = np.asarray(f(ti), dtype=float)
@@ -264,6 +264,17 @@ class TestModulusBand:
         h = a / 2000.0
         for delta in (h / 2.0, h, 1.0 / 40.0, 1.0 / 5.0, a / 2.0, a):
             assert modulus_of_continuity(f, delta, a) == _full_scan_modulus(f, delta, a), delta
+
+    def test_knot_next_to_zero_keeps_the_refinement(self):
+        # a knot at 1e-9 makes the first grid step tiny; the refinement still
+        # reaches one linspace step either side of the maximizing pair, so the
+        # tent reads as it does without the knot (the slope is 1: omega = delta)
+        knotted = TestFunction.sampled([0.0, 1e-9, 1.0, 2.0], [0.0, 1e-9, 1.0, 0.0])
+        tent = TestFunction.sampled([0.0, 1.0, 2.0], [0.0, 1.0, 0.0])
+        for delta in (0.12345, 0.0507):
+            omega = modulus_of_continuity(knotted, delta, 2.0)
+            assert omega == modulus_of_continuity(tent, delta, 2.0), delta
+            assert omega == pytest.approx(delta, abs=1e-4), delta
 
 
 class TestWeightedPhiNorm:
