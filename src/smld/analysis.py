@@ -271,23 +271,16 @@ def weighted_phi_norm(g: Callable, x_max: float) -> float:
 # -- Korovkin test functions: exact weighted norms ----------------------------
 
 
-def _sup_abs_linear_ratio(b: float, c: float) -> float:
-    """sup over x >= 0 of |b x + c| / (1 + x^2), c >= 0."""
+def _sup_linear_ratio(b: float, c: float) -> float:
+    """sup over x >= 0 of (b x + c) / (1 + x^2) for b, c >= 0."""
     if b == 0.0:
         return c
-    ab = abs(b)
-    # positive branch (b x + c for b > 0; |b| x - c beyond the root for b < 0)
-    if b > 0:
-        x = (-c + math.sqrt(c * c + b * b)) / b
-        return (b * x + c) / (1.0 + x * x)
-    x = (c + math.sqrt(c * c + ab * ab)) / ab
-    return max(c, (ab * x - c) / (1.0 + x * x))
+    x = (-c + math.sqrt(c * c + b * b)) / b
+    return (b * x + c) / (1.0 + x * x)
 
 
 def _sup_quadratic_ratio(a: float, b: float, c: float) -> float:
-    """sup over x >= 0 of (a x^2 + b x + c) / (1 + x^2) for a, b, c >= 0."""
-    if b == 0.0:
-        return max(a, c)
+    """sup over x >= 0 of (a x^2 + b x + c) / (1 + x^2) for a, c >= 0 and b > 0."""
     x = ((a - c) + math.sqrt((a - c) ** 2 + b * b)) / b
     return max(a, c, (a * x * x + b * x + c) / (1.0 + x * x))
 
@@ -306,7 +299,7 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
         )
     n, al, b = params.n, params.alpha, params.beta
     rate = params.rate
-    e1 = _sup_abs_linear_ratio(b, al + 1.0) / rate
+    e1 = _sup_linear_ratio(b, al + 1.0) / rate
     a2 = b * (2.0 * n - b) / rate**2
     b2 = (2.0 * al + 4.0) * n / rate**2
     c2 = (al + 1.0) * (al + 2.0) / rate**2

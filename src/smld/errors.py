@@ -6,6 +6,7 @@ CLI) can distinguish failure modes without parsing messages.  Each argument
 rule is stated once, here: ``_require(ok, values, code, rule)`` raises
 ``ParameterError(code)`` unless ``ok`` holds; ``_require_points(x)`` wants
 finite (``x_not_finite``) points x >= 0 (``x_negative``) of the half-line;
+``_require_grid(xs)`` wants a 1-D grid (``x_grid_shape``);
 ``_require_order(r, code, lo)`` wants a whole number >= lo, under the
 caller's own code.
 """
@@ -57,6 +58,14 @@ def _require_points(x) -> None:
         x = np.asarray(x, dtype=float)
     _require(abs(x) < math.inf, x, "x_not_finite", "finite x")
     _require(x >= 0, x, "x_negative", "x >= 0")
+
+
+def _require_grid(xs, nonempty: bool = False) -> np.ndarray:
+    """xs as a 1-D float array, holding a point where ``nonempty``."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    rule = "a non-empty 1-D grid" if nonempty else "a 1-D grid"
+    _require(xs.ndim == 1 and (xs.size or not nonempty), xs.shape, "x_grid_shape", rule)
+    return xs
 
 
 def _require_order(r, code: str, lo: int = 0) -> int:

@@ -196,6 +196,9 @@ def asymptotic_prediction(r: int, x: float, params: OperatorParams) -> float:
 
 @dataclass(frozen=True)
 class AsymptoticRow:
+    """One n of the ratio table: the exact central moment, the stated leading
+    term, their ratio, and ``two_term`` (:func:`_two_term_value`)."""
+
     n: float
     exact: float
     predicted: float
@@ -205,8 +208,13 @@ class AsymptoticRow:
 
 
 def _two_term_value(r: int, x: float, params: OperatorParams) -> float:
-    # x^r S0 + x^(r-1) S1 / n with S0 = (A-1)^r,
-    # S1 = (alpha+1) r A (A-1)^(r-1) + r(r-1) A^2 (A-1)^(r-2)
+    """x^r S0 + x^(r-1) S1 / n with A = n / (n - beta), S0 = (A-1)^r and
+    S1 = (alpha+1) r A (A-1)^(r-1) + r(r-1) A^2 (A-1)^(r-2): the top two
+    powers of x of the exact r-th central moment, exactly, so it is the
+    moment's large-x form.  It is not a large-n expansion: as n grows at
+    fixed x the r = 3 ratio exact / two_term tends to 1 + (alpha+2)/(beta x)
+    (check 06c's term), and for r = 4 it grows like n.
+    """
     a = params.n / params.rate
     s0 = (a - 1.0) ** r
     s1 = (params.alpha + 1.0) * r * a * (a - 1.0) ** (r - 1)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ParameterError, TruncationError, _require_order, _require_points
+from ..errors import TruncationError, _require, _require_grid, _require_order, _require_points
 from ..special import _dot, _first, _log_gamma_excess, _log_psi, _log_tail, log_poisson_weights
 from .functions import TestFunction
 from .params import OperatorParams, validate
@@ -191,7 +191,7 @@ def _windowed_sum(n: float, xs: np.ndarray, window, values) -> np.ndarray:
 
 def _operator_values(f: TestFunction, xs, params: OperatorParams) -> np.ndarray:
     validate(params, f)
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    xs = _require_grid(xs)
     _require_points(xs)
     n = params.n
     rho = params.rate / (params.rate - f.growth_a)
@@ -223,13 +223,11 @@ def apply_operator_grid(f: TestFunction, xs, params: OperatorParams) -> np.ndarr
 
 def kernel_on_x_grid(xs, t: float, params: OperatorParams) -> np.ndarray:
     """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not (math.isfinite(t) and np.all(np.isfinite(xs))):
-        raise ParameterError("kernel_not_finite", f"requires finite x, t, got t = {t}")
-    if not t > 0:
-        raise ParameterError("kernel_domain", f"grid kernel requires t > 0, got {t}")
-    if np.any(xs < 0):
-        raise ParameterError("kernel_domain", "grid must satisfy x >= 0")
+    xs = _require_grid(xs)
+    _require(np.isfinite(xs), xs, "kernel_not_finite", "finite x")
+    _require(math.isfinite(t), t, "kernel_not_finite", "finite t")
+    _require(t > 0, t, "kernel_domain", "t > 0")
+    _require(xs >= 0, xs, "kernel_domain", "x >= 0")
     n = params.n
     rate = params.rate
     al = params.alpha
@@ -259,12 +257,8 @@ def kernel_on_x_grid(xs, t: float, params: OperatorParams) -> np.ndarray:
 
 def apply_szasz(f: TestFunction, x: float, n: float) -> float:
     """Classical Szasz operator e^(-nx) sum_k (nx)^k/k! f(k/n)."""
-    if not (n > 0 and math.isfinite(n)):
-        raise ParameterError("szasz_n", f"requires finite n > 0, got {n}")
-    if not n > f.growth_a:
-        raise ParameterError(
-            "szasz_growth", f"requires n > A for growth class A = {f.growth_a}, got n = {n}"
-        )
+    _require(0 < n < math.inf, n, "szasz_n", "finite n > 0")
+    _require(n > f.growth_a, n, "szasz_growth", f"n > A for growth class A = {f.growth_a}")
     _require_points(x)
     # |f(k/n)| <= K_f rho^k with rho = e^(A/n): a tilted Poisson tail on each side
     rho = math.exp(f.growth_a / n)

@@ -21,7 +21,7 @@ but its densities:
   search, and both bounds fall (lower edge) or rise (upper edge) with the
   shape, so the two extreme rows certify the rest;
 * one set of opening panels of width ~ 4 sqrt(smallest shape) (at least
-  1/24 of the window, split further at the kinks of f) carrying
+  1/24 of the window, split further at every kink of f) carrying
   fixed Gauss-Legendre rules, with f evaluated once per node and round;
 * each row's density prepared once per batch: the Gamma(s) density at u
   is the Poisson weight psi_{s-1}(u), so the batch computes its orders and
@@ -61,14 +61,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..errors import ParameterError, QuadratureError
+from ..errors import ParameterError, QuadratureError, _require
 from ..special import _dot, _first, _log_gamma_excess, _log_psi, _log_tail
 
 __all__ = ["gamma_mean", "panel_rule"]
 
 _NODES = 16  # Gauss-Legendre nodes per panel, and of the Gauss-Jacobi front rule
 _MAX_ROUNDS = 11
-_MAX_KINK_PANELS = 64
 _SLAB_CELLS = 1 << 14  # density-matrix entries built at once: 128 kB of floats
 _GL_POWER = 6.0  # Gauss-Legendre integrates the endpoint power u^b from b = 6 on
 _EPS = 1e-12  # relative target of every mean
@@ -221,21 +220,21 @@ def gamma_mean(f, shape, rate):
     every shape a whole number above the smallest, as runs of consecutive
     k are; else it raises ``ParameterError("shape_spacing")``.  A rate
     that is not finite and above max(0, A), where the means exist, raises
-    ``ParameterError("growth_incompatible")``.
+    ``growth_incompatible``; a batch that is empty, not 1-D or holds a
+    shape that is not finite and > 0 raises ``shape_domain``.
     """
     if not (math.isfinite(rate) and rate > max(0.0, f.growth_a)):
         raise ParameterError(
             "growth_incompatible", f"requires finite rate > max(0, A = {f.growth_a}), got {rate}"
         )
     shapes = np.atleast_1d(np.asarray(shape, dtype=float))
+    _require(shapes.ndim == 1 and shapes.size, shapes.shape, "shape_domain", "non-empty 1-D shapes")
     s_min, s_max = float(shapes.min()), float(shapes.max())
+    _require(0.0 < s_min and s_max < math.inf, shape, "shape_domain", "finite shapes > 0")
     u_lo = _window_lo(s_min, f.growth_k)
     u_hi = _window_hi(s_max, f.growth_a / rate, f.growth_k)  # tilt A / rate in u
 
     inner = sorted({k for k in (rate * t for t in f.kinks) if u_lo < k < u_hi})
-    if len(inner) > _MAX_KINK_PANELS:
-        stride = int(math.ceil(len(inner) / _MAX_KINK_PANELS))
-        inner = inner[::stride]
     base = [u_lo] + inner + [u_hi]
 
     width = max(4.0 * math.sqrt(s_min), (u_hi - u_lo) / 24.0)

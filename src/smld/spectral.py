@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, TruncationError, _require_order, _require_points
+from .errors import ParameterError, TruncationError, _require_grid, _require_order, _require_points
 from .operator import OperatorParams, TestFunction, apply_operator_grid
 from .operator.core import _poisson_sum
 from .special import _dot, _scipy_special, log_poisson_weights
@@ -193,9 +193,9 @@ def eigen_vector_check(p_mat: TruncatedP, which: str) -> EigenCheck:
 
 
 def eigen_operator_check(params: OperatorParams, which: str, x_grid) -> EigenCheck:
-    """Max |M[phi](x) - lam phi(x)| over the grid, phi = 1 or e^(-beta x)."""
+    """Max |M[phi](x) - lam phi(x)| over a non-empty grid, phi = 1 or e^(-beta x)."""
     phi, _, lam = _eigen_pair(params, which)
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    xs = _require_grid(x_grid, nonempty=True)
     residual = float(np.max(np.abs(apply_operator_grid(phi, xs, params) - lam * phi(xs))))
     return EigenCheck(which, lam, operator_residual=residual)
 
@@ -206,14 +206,14 @@ def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     The m-th lift must track lam^m e^(-beta x); successive sup-amplitudes
     over the grid must contract by exactly lam.  P is the adaptive
     truncation, whose upper rows k <= K/2 lose at most 1e-12 of their mass.
-    r is a whole number >= 0 and the grid holds finite points x >= 0.
+    r is a whole number >= 0 and the grid a non-empty 1-D array of finite x >= 0.
     """
     if params.beta <= 0:
         raise ParameterError(
             "iterate_beta_range", f"requires 0 < beta < n, got beta = {params.beta}"
         )
     r = _require_order(r, "iterate_steps")
-    xs = np.atleast_1d(np.asarray(x_grid, dtype=float))
+    xs = _require_grid(x_grid, nonempty=True)
     _require_points(xs)
     p_mat = build_P_adaptive(params)
     _, z, lam = _eigen_pair(params, "exponential")

@@ -86,3 +86,23 @@ def mp_szasz(f, x, n, terms=400) -> float:
     return float(
         sum(mp.e ** (-z) * z**k / mp.factorial(k) * f(mp.mpf(k) / n) for k in range(terms))
     )
+
+
+def mp_sampled_mean(grid, values, shape, rate) -> float:
+    """Mean of the piecewise-linear interpolant of (grid, values), constant
+    beyond the last knot, under Gamma(shape, rate), in closed form: on a
+    segment where f = c0 + c1 t the mean is c0 [P(s, r b) - P(s, r a)] +
+    c1 (s / r) [P(s + 1, r b) - P(s + 1, r a)], and the tail adds
+    v_last Q(s, r t_last), with P and Q mpmath's regularized incomplete
+    gamma functions."""
+    s, r = mp.mpf(shape), mp.mpf(rate)
+    ts = [mp.mpf(t) for t in grid]
+    vs = [mp.mpf(v) for v in values]
+    p0 = [mp.gammainc(s, 0, r * t, regularized=True) for t in ts]
+    p1 = [mp.gammainc(s + 1, 0, r * t, regularized=True) for t in ts]
+    total = vs[-1] * (1 - p0[-1])
+    for i in range(len(ts) - 1):
+        c1 = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
+        c0 = vs[i] - c1 * ts[i]
+        total += c0 * (p0[i + 1] - p0[i]) + c1 * s / r * (p1[i + 1] - p1[i])
+    return float(total)

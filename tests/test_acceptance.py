@@ -1,9 +1,9 @@
 """Acceptance battery: every verification check at its stated tolerance.
 
-The whole battery is executed through the CLI (``verify-all``), twice, so
-the determinism criterion is exercised on the real deliverable; the
-per-criterion tests then assert on the parsed report and print one
-PASS/FAIL line each.
+The whole battery is executed through the CLI (``verify-all``), twice, in
+two processes side by side, so the determinism criterion is exercised on
+the real deliverable; the per-criterion tests then assert on the parsed
+report and print one PASS/FAIL line each.
 
 Three checks measure stated bounds that the exact formulas provably do
 not attain (see notes in smld.verification); those tests are strict
@@ -30,17 +30,22 @@ _DATA = Path(__file__).resolve().parent / "data"
 
 @pytest.fixture(scope="module")
 def verify_runs(tmp_path_factory):
+    # the two runs are independent processes, so they run side by side
     outdir = tmp_path_factory.mktemp("verify")
-    runs = []
-    for tag in ("first", "second"):
-        out = outdir / f"{tag}.csv"
-        proc = subprocess.run(
+    outs = [outdir / f"{tag}.csv" for tag in ("first", "second")]
+    procs = [
+        subprocess.Popen(
             [sys.executable, "-m", "smld.cli", "verify-all", "--output", str(out)],
-            capture_output=True,
-            text=True,
-            timeout=TIMEOUT,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
-        runs.append((proc.returncode, out.read_bytes()))
+        for out in outs
+    ]
+    try:
+        runs = [(proc.wait(timeout=TIMEOUT), out.read_bytes()) for proc, out in zip(procs, outs)]
+    finally:
+        for proc in procs:  # only a run still going after a timeout is killed
+            proc.kill()
     rows = {}
     reader = csv.DictReader(io.StringIO(runs[0][1].decode()))
     for row in reader:

@@ -1,11 +1,12 @@
 """Each argument rule is stated once and holds at every call site.
 
-The point rule (finite x >= 0), the order rule (a finite whole number >= lo)
-and the three norm-parameter rules (p, gamma and the interval's right end)
-each have one copy.  One table drives every public call that applies them:
-a bad value must raise that call's code, never a bare ValueError,
+The point rule (finite x >= 0), the grid rule (a 1-D grid), the order rule
+(a finite whole number >= lo) and the three norm-parameter rules (p, gamma
+and the interval's right end) each have one copy.  One table drives every
+public call that applies them, and the other domain checks of the operator
+layer: a bad value must raise that call's code, never a bare ValueError,
 OverflowError or TypeError, and never return a number.  A source scan keeps
-the point and order rules in ``errors.py``.
+the point, grid and order rules in ``errors.py``.
 """
 
 import contextlib
@@ -48,9 +49,11 @@ from smld.operator import (
     apply_operator_grid,
     apply_szasz,
     coefficient,
+    kernel_on_x_grid,
 )
+from smld.operator.quadrature import gamma_mean
 from smld.special import pochhammer, poisson_weight_log
-from smld.spectral import _K_CAP, build_P, iterate_decay
+from smld.spectral import _K_CAP, adaptive_K, build_P, eigen_operator_check, iterate_decay
 
 nan, inf = math.nan, math.inf
 P = OperatorParams(10.0, 0.5, 1.0)
@@ -96,6 +99,18 @@ _TABLE = [
     ("cli.--x", lambda v: _parse("moments", "--n", "10", f"--x={v}"), _X, None),
     ("cli.--x-grid", lambda v: _parse("apply", "--f", "abs:1", "--n", "10", f"--x-grid=1,{v}"),
      _X, None),
+    # -- the grid rule: a 1-D grid, non-empty where a max is taken ---------------
+    ("apply_operator_grid.shape", lambda v: apply_operator_grid(F, v, P),
+     ([[0.5, 1.0], [1.5, 2.0]],), "x_grid_shape"),
+    ("kernel_on_x_grid.shape", lambda v: kernel_on_x_grid(v, 1.0, P), ([[1.0, 2.0]],),
+     "x_grid_shape"),
+    ("eigen_operator_check.shape", lambda v: eigen_operator_check(P, "constant", v),
+     ([], [[1.0, 2.0]]), "x_grid_shape"),
+    ("iterate_decay.shape", lambda v: iterate_decay(P, 1, v), ([], [[1.0, 2.0]]),
+     "x_grid_shape"),
+    # -- a quadrature batch's shapes -------------------------------------------
+    ("gamma_mean.shape", lambda v: gamma_mean(F, v, 10.0),
+     ([], [nan], [inf], [1.5, nan], [0.0], [-1.0], [[2.5, 3.5]]), "shape_domain"),
     # -- the order rule --------------------------------------------------------
     ("raw_moment_closed.r", lambda v: raw_moment_closed(v, 1.0, P), _ORDER, "moment_order"),
     ("raw_moments_recurrence.r", lambda v: raw_moments_recurrence(v, 1.0, P), _ORDER,
@@ -121,6 +136,13 @@ _TABLE = [
      "function_not_finite"),
     ("iterate_decay.r", lambda v: iterate_decay(P, v, [1.0]), _ORDER, "iterate_steps"),
     ("build_P", lambda v: build_P(P, v), (0, 2.5, nan, inf, _K_CAP + 1), "matrix_order"),
+    # -- the other function and kernel domains ----------------------------------
+    ("abs_shift", TestFunction.abs_shift, (-1.0,), "abs_shift_negative"),
+    ("polynomial", TestFunction.polynomial, ([],), "polynomial_empty"),
+    ("sampled.values", lambda v: TestFunction.sampled([0.0, 1.0], v), ([0.0],), "sampled_shape"),
+    ("kernel_on_x_grid.t", lambda v: kernel_on_x_grid([1.0], v, P), (0.0,), "kernel_domain"),
+    ("kernel_on_x_grid.x", lambda v: kernel_on_x_grid([v], 1.0, P), (-1.0,), "kernel_domain"),
+    ("adaptive_K", lambda v: adaptive_K(OperatorParams(10.0, 0.0, v)), (9.0,), "k_max_exceeded"),
     # -- the norm parameters ---------------------------------------------------
     ("NormSpec.lp.p", _norm(kind="lp", p=None, r_cut=2.0), (0.5, nan, inf), "norm_p"),
     ("NormSpec.weighted_lp.p", _norm(kind="weighted_lp", p=None, gamma=0.0, r_max=2.0),
@@ -178,8 +200,8 @@ def test_bad_value_raises_its_code(call, value, code):
 
 _SRC = Path(smld.__file__).resolve().parent
 # what only errors.py may hold: the order rule's integer test, the point
-# rule's codes, and the norm check the three shared ones replaced
-_ONE_PLACE = ("!= int(", '"x_not_finite"', '"x_negative"', "def _finite_above")
+# and grid rules' codes, and the norm check the three shared ones replaced
+_ONE_PLACE = ("!= int(", '"x_not_finite"', '"x_negative"', '"x_grid_shape"', "def _finite_above")
 
 
 def test_each_rule_lives_in_errors():

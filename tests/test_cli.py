@@ -9,11 +9,12 @@ import warnings
 from pathlib import Path
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from smld.analysis import _panel_error, rate_slope, weighted_lp_error
 from smld.cli import _HANDLERS, Table, emit, main, parse_config
-from smld.operator import OperatorParams, TestFunction
+from smld.operator import OperatorParams, TestFunction, apply_operator
 from smld.spectral import _K_CAP
 
 _README = Path(__file__).resolve().parent.parent / "README.md"
@@ -124,6 +125,20 @@ class TestParseConfig:
             parse_config([command, "--n", "10", "--max-r", "-1"])
         assert exc.value.code == 2
         assert "max_r >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["apply", "--n", "10", "--f", "sqrt:2"], "sqrt takes no argument"),
+            (["converge", "--f", "abs:1", "--norm", "lp:1", "--n-grid", "10,20"],
+             "unknown norm spec 'lp:1'"),
+        ],
+    )
+    def test_spec_argument_count(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_config(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_function_file(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -436,6 +451,22 @@ class TestRun:
         _, rows = _csv_rows(capsys.readouterr().out)
         errs = [float(row[1]) for row in rows]
         assert errs[1] < errs[0]
+
+    def test_apply_many_knot_file(self, tmp_path, capsys):
+        # a 200-knot file: every knot is a quadrature panel edge, and the
+        # CLI prints the bits of the library call
+        grid = np.linspace(0.0, 10.0, 200)
+        values = np.sin(3.0 * grid) + 0.1 * np.cos(17.0 * grid)
+        path = tmp_path / "f.txt"
+        path.write_text("".join(f"{t!r} {v!r}\n" for t, v in zip(grid.tolist(), values.tolist())))
+        code = main(["apply", "--f", f"file:{path}", "--n", "20", "--alpha", "0.5",
+                     "--beta", "1", "--x-grid", "0,1,2,4"])
+        assert code == 0
+        _, rows = _csv_rows(capsys.readouterr().out)
+        f, params = TestFunction.sampled(grid, values), OperatorParams(20.0, 0.5, 1.0)
+        assert [row[1] for row in rows] == [
+            repr(apply_operator(f, x, params)) for x in (0.0, 1.0, 2.0, 4.0)
+        ]
 
     def test_szasz_operator(self, capsys):
         code = main(["apply", "--f", "monomial:2", "--n", "10", "--operator", "szasz",

@@ -237,6 +237,22 @@ class TestAsymptotics:
         with pytest.raises(ParameterError):
             asymptotic_ratio_table(2, 1.0, 0.0, 0.0, (100.0, 10.0))
 
+    def test_two_term_is_the_large_x_form(self):
+        # two_term holds the top two powers of x of the exact moment exactly,
+        # so far out in x the rest is 1/x smaller ...
+        for r, rest in ((3, 1.2053e-9), (4, 1.2466e-7)):
+            row = asymptotic_ratio_table(r, 1e6, 0.0, 1.0, [100.0])[0]
+            assert row.exact / row.two_term - 1.0 == pytest.approx(rest, rel=1e-3)
+        # ... but it is no large-n expansion: at fixed x the r = 3 ratio tends
+        # to 1 + (alpha + 2) / (beta x) (check 06c's term), and for r = 4 it
+        # grows like n
+        for alpha, beta, x in ((0.0, 1.0, 1.0), (0.5, 2.0, 1.5)):
+            row = asymptotic_ratio_table(3, x, alpha, beta, [1e5])[0]
+            limit = 1.0 + (alpha + 2.0) / (beta * x)
+            assert row.exact / row.two_term == pytest.approx(limit, rel=1e-5)
+        for n, row in zip((1e4, 1e5), asymptotic_ratio_table(4, 1.0, 0.0, 1.0, [1e4, 1e5])):
+            assert row.exact / row.two_term / n == pytest.approx(1.0, rel=2e-3)
+
 
 class TestSecondMomentEnvelope:
     def test_constant_fitted_once_covers_larger_n(self):

@@ -26,7 +26,7 @@ from smld.operator.core import _coefficient_cached, _k_window, _poisson_sum
 from smld.operator import quadrature
 from smld.operator.quadrature import _gj_rules, _window_hi, _window_lo, gamma_mean
 
-from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_szasz
+from oracle_utils import mp_gamma_mean, mp_operator_apply, mp_sampled_mean, mp_szasz
 
 import mpmath as mp
 
@@ -270,11 +270,33 @@ class TestTestFunction:
     def test_load_sampled_errors(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("0.5 1.0\n1.0 2.0\n")
-        with pytest.raises(FileFormatError):
+        with pytest.raises(ParameterError) as err:
             load_sampled(bad)
+        assert err.value.code == "sampled_origin"
         bad.write_text("0 1 2\n")
         with pytest.raises(FileFormatError):
             load_sampled(bad)
+        bad.write_text("0 1\n1 one\n")
+        with pytest.raises(FileFormatError, match=":2: non-numeric field"):
+            load_sampled(bad)
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            ("0 1\n", "sampled_shape"),
+            ("0.5 1\n1 2\n", "sampled_origin"),
+            ("0 1\n1 2\n1 3\n", "sampled_monotone"),
+        ],
+        ids=["shape", "origin", "monotone"],
+    )
+    def test_load_sampled_grid_rules(self, tmp_path, text, code):
+        # the file reader checks only the format; each grid rule is raised
+        # once, by TestFunction.sampled, under its own code
+        path = tmp_path / "f.txt"
+        path.write_text(text)
+        with pytest.raises(ParameterError) as err:
+            load_sampled(path)
+        assert err.value.code == code
 
 
 class TestCoefficient:
@@ -480,6 +502,42 @@ class TestBatchAcceptance:
         with pytest.raises(ParameterError) as err:
             gamma_mean(TestFunction.exp_scaled(c), [2.0, 3.0], rate)
         assert err.value.code == "growth_incompatible"
+
+
+class TestManyKnots:
+    # a sampled f with hundreds or thousands of knots: every knot inside the
+    # window is a panel edge, so each batch integrates a piecewise-linear f
+    # exactly panel by panel and is accepted in two rounds
+    @pytest.mark.parametrize("knots", [200, 2000])
+    @pytest.mark.parametrize(
+        "n, alpha, beta, k", [(20.0, 0.5, 1.0, 40), (50.0, -0.5, 1.0, 100)]
+    )
+    def test_every_knot_is_a_panel_edge(self, monkeypatch, knots, n, alpha, beta, k):
+        grid = np.linspace(0.0, 10.0, knots)
+        values = np.sin(3.0 * grid) + 0.1 * np.cos(17.0 * grid)
+        f, params = TestFunction.sampled(grid, values), OperatorParams(n, alpha, beta)
+        rounds = {}
+
+        def spy(fn, order, *rest):
+            key = float(order[0, 0])  # a batch's first density order
+            rounds[key] = rounds.get(key, 0) + 1
+            return panel_values(fn, order, *rest)
+
+        panel_values = quadrature._panel_values
+        monkeypatch.setattr(quadrature, "_panel_values", spy)
+        # the operator near x = k / n computes every chunk of its k window
+        apply_operator(f, k / n, params)
+        assert rounds and set(rounds.values()) == {2}
+        exact = mp_sampled_mean(grid.tolist(), values.tolist(), k + alpha + 1.0, params.rate)
+        assert coefficient(f, k, params) == pytest.approx(exact, rel=1e-13, abs=0.0)
+
+    def test_undeclared_jump_does_not_converge(self):
+        # a jump that f does not declare as a kink stays inside a panel at
+        # every halving, so the batch runs out of rounds
+        f = TestFunction.from_callable(lambda t: np.where(t < 1.2345, 0.0, 1.0), 0.0, 1.0)
+        with pytest.raises(QuadratureError) as err:
+            apply_operator(f, 1.0, OperatorParams(10.0))
+        assert err.value.code == "quadrature_non_convergence"
 
 
 class TestCoarseOpening:
