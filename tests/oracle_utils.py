@@ -94,12 +94,12 @@ def mp_sampled_mean(grid, values, shape, rate) -> float:
     segment where f = c0 + c1 t the mean is c0 [P(s, r b) - P(s, r a)] +
     c1 (s / r) [P(s + 1, r b) - P(s + 1, r a)], and the tail adds
     v_last Q(s, r t_last), with P and Q mpmath's regularized incomplete
-    gamma functions."""
+    gamma functions, and P(s + 1, z) = P(s, z) - z^s e^(-z) / Gamma(s + 1)."""
     s, r = mp.mpf(shape), mp.mpf(rate)
     ts = [mp.mpf(t) for t in grid]
     vs = [mp.mpf(v) for v in values]
     p0 = [mp.gammainc(s, 0, r * t, regularized=True) for t in ts]
-    p1 = [mp.gammainc(s + 1, 0, r * t, regularized=True) for t in ts]
+    p1 = [p - mp_poisson_weight(r * t, s) for p, t in zip(p0, ts)]
     total = vs[-1] * (1 - p0[-1])
     for i in range(len(ts) - 1):
         c1 = (vs[i + 1] - vs[i]) / (ts[i + 1] - ts[i])
