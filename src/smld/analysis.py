@@ -17,13 +17,17 @@ The L_p-family norms of one operator share one evaluation: |M f - f| on
 the fixed panel grid of [0, R] (48 panels of 12 Gauss-Legendre nodes) is
 kept in a bounded LRU cache keyed by (f, params, R), and each norm
 only applies its p and gamma to the cached read-only arrays.
+
+A :class:`NormSpec` built by ``sup_compact(a)``, ``weighted_phi(x_max)``,
+``lp(p, r_cut)`` or ``weighted_lp(p, gamma, r_max)`` names one error norm
+of M f - f, and ``spec.error(f, params)`` measures it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -47,6 +51,7 @@ __all__ = [
     "compact_estimate_check",
     "weighted_phi_norm",
     "korovkin_weighted_check",
+    "weight_hypothesis",
     "lp_error",
     "weighted_lp_error",
     "schur_E",
@@ -88,50 +93,40 @@ def _check_end(end: float | None, name: str) -> None:
 
 @dataclass(frozen=True)
 class NormSpec:
-    """Which error norm a convergence experiment uses.
+    """One error norm of M f - f: ``error(f, params)`` is ``fn(f, params, *args)``.
 
-    kinds: ``sup_compact`` (interval [0, a]), ``weighted_phi`` (sup of
-    |g|/(1+x^2) on [0, x_max]), ``lp`` (L_p on [0, r_cut]), ``weighted_lp``
-    (L_p with weight e^(gamma x) on [0, r_max]).
+    Each constructor checks its own parameters and binds its norm function;
+    specs built from equal arguments compare and hash equal.
     """
 
-    kind: str
-    a: float | None = None
-    x_max: float | None = None
-    p: float | None = None
-    r_cut: float | None = None
-    gamma: float | None = None
-    r_max: float | None = None
+    fn: Callable[..., float]
+    args: tuple[float, ...]
 
-    def __post_init__(self):
-        kinds = ("sup_compact", "weighted_phi", "lp", "weighted_lp")
-        if self.kind not in kinds:
-            raise ParameterError("norm_kind", f"kind must be one of {kinds}, got {self.kind!r}")
-        if self.kind == "sup_compact":
-            _check_end(self.a, "a")
-        if self.kind == "weighted_phi":
-            _check_end(self.x_max, "x_max")
-        if self.kind in ("lp", "weighted_lp"):
-            _check_p(self.p)
-            _check_end(self.r_cut if self.kind == "lp" else self.r_max, "cutoff")
-        if self.kind == "weighted_lp":
-            _check_gamma(self.gamma)
+    def error(self, f: TestFunction, params: OperatorParams) -> float:
+        return self.fn(f, params, *self.args)
 
     @classmethod
     def sup_compact(cls, a: float) -> "NormSpec":
-        return cls("sup_compact", a=a)
+        _check_end(a, "a")
+        return cls(operator_sup_error, (a,))
 
     @classmethod
     def weighted_phi(cls, x_max: float) -> "NormSpec":
-        return cls("weighted_phi", x_max=x_max)
+        _check_end(x_max, "x_max")
+        return cls(_phi_error, (x_max,))
 
     @classmethod
     def lp(cls, p: float, r_cut: float) -> "NormSpec":
-        return cls("lp", p=p, r_cut=r_cut)
+        _check_p(p)
+        _check_end(r_cut, "cutoff")
+        return cls(lp_error, (p, r_cut))
 
     @classmethod
     def weighted_lp(cls, p: float, gamma: float, r_max: float) -> "NormSpec":
-        return cls("weighted_lp", p=p, gamma=gamma, r_max=r_max)
+        _check_p(p)
+        _check_end(r_max, "cutoff")
+        _check_gamma(gamma)
+        return cls(_weighted_lp_value, (p, gamma, r_max))
 
 
 # -- sup norms ---------------------------------------------------------------
@@ -220,14 +215,15 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
     return max(best, float(np.max(local)))
 
 
+def _deviation(f: TestFunction, params: OperatorParams, xs: np.ndarray) -> np.ndarray:
+    """M f - f on the grid xs: the quantity every error norm measures."""
+    return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
+
+
 def operator_sup_error(f: TestFunction, params: OperatorParams, a: float) -> float:
     """E_n = sup_{x in [0, a]} |M f(x) - f(x)| (grid + refinement)."""
     _check_end(a, "a")
-
-    def diff(xs):
-        return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
-
-    return sup_abs_on_interval(diff, 0.0, a, f.kinks)
+    return sup_abs_on_interval(partial(_deviation, f, params), 0.0, a, f.kinks)
 
 
 def compact_estimate_check(
@@ -268,6 +264,11 @@ def weighted_phi_norm(g: Callable, x_max: float) -> float:
     return sup_abs_on_interval(ratio, 0.0, x_max)
 
 
+def _phi_error(f: TestFunction, params: OperatorParams, x_max: float) -> float:
+    """sup over [0, x_max] of |M f - f| / (1 + x^2), cutoff not certified."""
+    return weighted_phi_norm(partial(_deviation, f, params), x_max)
+
+
 # -- Korovkin test functions: exact weighted norms ----------------------------
 
 
@@ -291,7 +292,8 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
     Uses the closed moment formulas only -- no quadrature.  The e_0
     difference is identically 0; for e_1 and e_2 the suprema of rational
     functions are located by calculus.  Requires beta >= 0 (the difference
-    coefficients are then single-signed, which the closed forms rely on).
+    coefficients are then single-signed, which the closed forms rely on),
+    and (n - beta)^2 within the float range (``korovkin_rate``).
     """
     if params.beta < 0:
         raise ParameterError(
@@ -299,6 +301,7 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
         )
     n, al, b = params.n, params.alpha, params.beta
     rate = params.rate
+    _require(rate * rate < math.inf, rate, "korovkin_rate", "(n - beta)^2 finite")
     e1 = _sup_linear_ratio(b, al + 1.0) / rate
     a2 = b * (2.0 * n - b) / rate**2
     b2 = (2.0 * al + 4.0) * n / rate**2
@@ -308,6 +311,11 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
 
 
 # -- L_p errors ----------------------------------------------------------------
+
+
+def weight_hypothesis(params: OperatorParams, gamma: float, p: float) -> bool:
+    """gamma <= p beta (to 1e-15): the weighted L_p and Schur hypothesis."""
+    return gamma <= p * params.beta + 1e-15
 
 
 def lp_error(f: TestFunction, params: OperatorParams, p: float, r_cut: float) -> float:
@@ -346,7 +354,12 @@ def weighted_lp_error(
             f"the L_p norm is not a finite float: its logarithm is {log_sum / p}",
             code="norm_not_finite",
         )
-    return value, gamma <= p * params.beta + 1e-15
+    return value, weight_hypothesis(params, gamma, p)
+
+
+def _weighted_lp_value(f: TestFunction, params: OperatorParams, *norm: float) -> float:
+    """:func:`weighted_lp_error` without its hypothesis flag."""
+    return weighted_lp_error(f, params, *norm)[0]
 
 
 @lru_cache(maxsize=_PANEL_ERRORS)
@@ -357,7 +370,7 @@ def _panel_error(
     of f added as panel edges."""
     edges = _grid_with_kinks(0.0, r_max, _LP_PANELS + 1, f.kinks)
     xs, ws = panel_rule(edges, _LP_NODES)
-    dev = np.abs(apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float))
+    dev = np.abs(_deviation(f, params, xs))
     for a in (xs, ws, dev):
         a.flags.writeable = False
     return xs, ws, dev
@@ -461,7 +474,7 @@ def schur_second_integral(
     xs, ws = panel_rule(edges, _SCHUR_NODES)
     kern = kernel_on_x_grid(xs, t, params)
     direct = math.exp(-gamma * t / p) * float(_dot(np.exp(gamma * xs / p) * kern, ws))
-    return SchurSecondResult(bound=bound, direct=direct, hypothesis_ok=gamma <= p * params.beta + 1e-15)
+    return SchurSecondResult(bound, direct, weight_hypothesis(params, gamma, p))
 
 
 # -- rate fitting ----------------------------------------------------------------

@@ -26,7 +26,6 @@ from .operator import (
     OperatorParams,
     TestFunction,
     apply_operator,
-    apply_operator_grid,
     apply_szasz,
     load_sampled,
 )
@@ -64,20 +63,24 @@ def _parse_function(spec: str) -> TestFunction:
     )
 
 
+# each --norm spec: its NormSpec constructor and how many numbers it takes
+_NORMS = {
+    "sup": (analysis.NormSpec.sup_compact, 1),
+    "phi": (analysis.NormSpec.weighted_phi, 1),
+    "lp": (analysis.NormSpec.lp, 2),
+    "wlp": (analysis.NormSpec.weighted_lp, 3),
+}
+
+
 def _parse_norm(spec: str) -> analysis.NormSpec:
     kind, _, arg = spec.partition(":")
     parts = [float(v) for v in arg.split(",")] if arg else []
-    if kind == "sup" and len(parts) == 1:
-        return analysis.NormSpec.sup_compact(parts[0])
-    if kind == "phi" and len(parts) == 1:
-        return analysis.NormSpec.weighted_phi(parts[0])
-    if kind == "lp" and len(parts) == 2:
-        return analysis.NormSpec.lp(parts[0], parts[1])
-    if kind == "wlp" and len(parts) == 3:
-        return analysis.NormSpec.weighted_lp(parts[0], parts[1], parts[2])
-    raise ValueError(
-        f"unknown norm spec {spec!r}; expected sup:a, phi:Xmax, lp:p,R or wlp:p,gamma,Rmax"
-    )
+    make, arity = _NORMS.get(kind, (None, None))
+    if len(parts) != arity:
+        raise ValueError(
+            f"unknown norm spec {spec!r}; expected sup:a, phi:Xmax, lp:p,R or wlp:p,gamma,Rmax"
+        )
+    return make(*parts)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -240,27 +243,16 @@ def _run_apply(cfg: argparse.Namespace) -> Table:
 
 def _run_converge(cfg: argparse.Namespace) -> Table:
     norm, f = cfg.norm, cfg.f
-    if norm.kind == "sup_compact":
-        errors, ratios = analysis.compact_estimate_check(f, cfg.n_grid, cfg.alpha, cfg.beta, norm.a)
+    sup = norm.fn is analysis.operator_sup_error  # the one norm with an omega ratio
+    if sup:
+        errors, ratios = analysis.compact_estimate_check(f, cfg.n_grid, cfg.alpha, cfg.beta,
+                                                         *norm.args)
     else:
-        errors = []
-        for n in cfg.n_grid:
-            params = OperatorParams(n, cfg.alpha, cfg.beta)
-            if norm.kind == "lp":
-                errors.append(analysis.lp_error(f, params, norm.p, norm.r_cut))
-            elif norm.kind == "weighted_lp":
-                errors.append(
-                    analysis.weighted_lp_error(f, params, norm.p, norm.gamma, norm.r_max)[0]
-                )
-            else:  # weighted_phi
-                def diff(xs, params=params):
-                    return apply_operator_grid(f, xs, params) - np.asarray(f(xs), dtype=float)
-
-                errors.append(analysis.weighted_phi_norm(diff, norm.x_max))
+        errors = [norm.error(f, OperatorParams(n, cfg.alpha, cfg.beta)) for n in cfg.n_grid]
     slope = None
     if sum(e > 0 for e in errors) >= 3:  # what rate_slope needs
         slope = analysis.rate_slope(list(zip(cfg.n_grid, errors)))
-    if norm.kind == "sup_compact":
+    if sup:
         rows = [(n, e, q, slope) for n, e, q in zip(cfg.n_grid, errors, ratios)]
         return Table(["n", "error", "omega_ratio", "fitted_slope"], rows)
     rows = [(n, e, slope) for n, e in zip(cfg.n_grid, errors)]
@@ -290,7 +282,7 @@ def _run_eigen(cfg: argparse.Namespace) -> Table:
 def _run_schur(cfg: argparse.Namespace) -> Table:
     params = cfg.params
     rows = []
-    hyp = cfg.gamma <= cfg.p * params.beta + 1e-15
+    hyp = analysis.weight_hypothesis(params, cfg.gamma, cfg.p)
     first = analysis.schur_first_integral(params, cfg.gamma, cfg.p, cfg.x_grid)
     for x, val in zip(cfg.x_grid, first.tolist()):
         rows.append(("first_integral", x, val, hyp))

@@ -222,12 +222,12 @@ def apply_operator_grid(f: TestFunction, xs, params: OperatorParams) -> np.ndarr
 
 
 def kernel_on_x_grid(xs, t: float, params: OperatorParams) -> np.ndarray:
-    """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t."""
+    """K_n(x, t) on an x grid for fixed t > 0: the k-sum of gamma densities at t.
+    x follows the point rule; t is finite (``kernel_not_finite``), > 0 (``kernel_domain``)."""
     xs = _require_grid(xs)
-    _require(np.isfinite(xs), xs, "kernel_not_finite", "finite x")
+    _require_points(xs)
     _require(math.isfinite(t), t, "kernel_not_finite", "finite t")
     _require(t > 0, t, "kernel_domain", "t > 0")
-    _require(xs >= 0, xs, "kernel_domain", "x >= 0")
     n = params.n
     rate = params.rate
     al = params.alpha

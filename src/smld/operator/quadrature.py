@@ -195,6 +195,21 @@ def _panel_values(f, order, g, small, u, wt):
     return total, absolute
 
 
+def _panel_edges(base: list[float], width: float) -> np.ndarray:
+    """The opening panel edges, in one step: each segment [a, b] of ``base``
+    cut into m = ceil((b - a) / width) panels, at a + i (b - a) / m as
+    ``np.linspace`` places them, and ending where the next one starts."""
+    if len(base) == 2:  # no kink inside the window
+        a, b = base
+        return np.linspace(a, b, max(1, int(math.ceil((b - a) / width))) + 1)
+    ends = np.asarray(base)
+    starts, spans = ends[:-1], np.diff(ends)
+    m = np.maximum(1, np.ceil(spans / width)).astype(np.intp)
+    seg = np.repeat(np.arange(m.size), m)
+    i = np.arange(seg.size) - np.repeat(np.cumsum(m) - m, m)
+    return np.append(i * (spans / m)[seg] + starts[seg], ends[-1])
+
+
 def _halve(edges: np.ndarray) -> np.ndarray:
     mids = 0.5 * (edges[:-1] + edges[1:])
     out = np.empty(2 * len(edges) - 1)
@@ -235,16 +250,7 @@ def gamma_mean(f, shape, rate):
     u_hi = _window_hi(s_max, f.growth_a / rate, f.growth_k)  # tilt A / rate in u
 
     inner = sorted({k for k in (rate * t for t in f.kinks) if u_lo < k < u_hi})
-    base = [u_lo] + inner + [u_hi]
-
-    width = max(4.0 * math.sqrt(s_min), (u_hi - u_lo) / 24.0)
-    segments = [
-        np.linspace(a, b, max(1, int(math.ceil((b - a) / width))) + 1)
-        for a, b in zip(base[:-1], base[1:])
-    ]
-    edges = segments[0]
-    if inner:  # the segments share only their endpoints
-        edges = np.concatenate([edges, *(seg[1:] for seg in segments[1:])])
+    edges = _panel_edges([u_lo, *inner, u_hi], max(4.0 * math.sqrt(s_min), (u_hi - u_lo) / 24.0))
 
     # the Gauss-Jacobi front rule of weight u^b, as plain nodes and weights on [0, 1]
     front = None

@@ -392,11 +392,12 @@ def check_12_schur() -> list[CheckResult]:
 # -- 13: Mazhar-Totik specialization -----------------------------------------------------------
 
 
-def _mazhar_totik_reference(kind: str, x: float, n: float) -> float:
+def _mazhar_totik_reference(c0: Callable[[float, float], float], x: float, n: float) -> float:
     """Independent direct summation of the alpha = beta = 0 operator.
 
-    Closed-form coefficients (gamma integrals) and a plain Poisson weight
-    recurrence; shares no code with the operator path.
+    Its coefficients are check 14's closed forms ``c0(s, r)`` of
+    :func:`_c0_catalog` at s = k + 1, r = n, summed against a plain Poisson
+    weight recurrence; shares no code with the operator path.
     """
     if x == 0.0:
         weights = [1.0]
@@ -408,35 +409,19 @@ def _mazhar_totik_reference(kind: str, x: float, n: float) -> float:
             weights.append(weights[-1] * lam / (k + 1.0))
     total = 0.0
     for k, w in enumerate(weights):
-        if kind == "one":
-            coef = 1.0
-        elif kind == "t":
-            coef = (k + 1.0) / n
-        elif kind == "t2":
-            coef = (k + 1.0) * (k + 2.0) / n**2
-        elif kind == "exp_neg":
-            coef = (n / (n + 1.0)) ** (k + 1)
-        else:  # pragma: no cover
-            raise ValueError(kind)
-        total += w * coef
+        total += w * c0(k + 1.0, n)
     return total
 
 
 def check_13_mazhar_totik() -> list[CheckResult]:
-    functions = {
-        "one": TestFunction.monomial(0),
-        "t": TestFunction.monomial(1),
-        "t2": TestFunction.monomial(2),
-        "exp_neg": TestFunction.exp_scaled(-1.0),
-    }
+    catalog = _c0_catalog()[:4]  # 1, t, t^2 and e^(-t)
     worst = 0.0
     for n in (5.0, 20.0):
         params = OperatorParams(n, 0.0, 0.0)
-        for kind, f in functions.items():
+        for f, c0 in catalog:
             for x in (0.0, 1.0, 2.0):
                 ours = apply_operator(f, x, params)
-                ref = _mazhar_totik_reference(kind, x, n)
-                worst = max(worst, abs(ours - ref))
+                worst = max(worst, abs(ours - _mazhar_totik_reference(c0, x, n)))
     return [_result("13_mazhar_totik_regression", worst, 1e-9, "alpha = beta = 0")]
 
 

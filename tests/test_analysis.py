@@ -700,10 +700,11 @@ class TestRateSlope:
 
 class TestNormSpec:
     def test_valid_kinds(self):
-        NormSpec.sup_compact(2.0)
-        NormSpec.weighted_phi(30.0)
-        NormSpec.lp(2.0, 1.5)
-        NormSpec.weighted_lp(1.0, 0.5, 10.0)
+        # each constructor binds its norm function and the arguments after (f, params)
+        assert NormSpec.sup_compact(2.0) == NormSpec(operator_sup_error, (2.0,))
+        assert NormSpec.weighted_phi(30.0).args == (30.0,)
+        assert NormSpec.lp(2.0, 1.5) == NormSpec(lp_error, (2.0, 1.5))
+        assert NormSpec.weighted_lp(1.0, 0.5, 10.0).args == (1.0, 0.5, 10.0)
 
     @pytest.mark.parametrize(
         "kwargs, code",
@@ -720,19 +721,73 @@ class TestNormSpec:
         ],
     )
     def test_non_finite(self, kwargs, code):
+        # kind names the constructor, the other keys are its arguments
+        make = getattr(NormSpec, kwargs["kind"])
         with pytest.raises(ParameterError) as exc:
-            NormSpec(**kwargs)
+            make(**{k: v for k, v in kwargs.items() if k != "kind"})
         assert exc.value.code == code
 
     def test_invalid(self):
         with pytest.raises(ParameterError):
-            NormSpec("sup_compact", a=-1.0)
+            NormSpec.sup_compact(-1.0)
         with pytest.raises(ParameterError):
             NormSpec.lp(0.5, 1.0)
         with pytest.raises(ParameterError):
-            NormSpec("weighted_lp", p=1.0, gamma=-0.5, r_max=2.0)
-        with pytest.raises(ParameterError):
-            NormSpec("unknown")
+            NormSpec.weighted_lp(1.0, -0.5, 2.0)
+
+    _F, _P = TestFunction.abs_shift(1.0), OperatorParams(20.0, 0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "norm, direct",
+        [
+            (NormSpec.sup_compact(2.0), lambda f, p: operator_sup_error(f, p, 2.0)),
+            (NormSpec.weighted_phi(5.0), lambda f, p: weighted_phi_norm(
+                lambda xs: apply_operator_grid(f, xs, p) - np.asarray(f(xs), dtype=float), 5.0)),
+            (NormSpec.lp(2.0, 2.0), lambda f, p: lp_error(f, p, 2.0, 2.0)),
+            (NormSpec.weighted_lp(1.0, 0.5, 3.0), lambda f, p: weighted_lp_error(
+                f, p, 1.0, 0.5, 3.0)[0]),
+        ],
+        ids=["sup_compact", "weighted_phi", "lp", "weighted_lp"],
+    )
+    def test_error_is_the_norm_function(self, norm, direct):
+        # bit for bit: error(f, params) calls the analysis function, no copy of it
+        analysis._panel_error.cache_clear()
+        assert norm.error(self._F, self._P) == direct(self._F, self._P)
+
+    def test_equal_arguments_compare_and_hash_equal(self):
+        for make, args in ((NormSpec.sup_compact, (2.0,)), (NormSpec.weighted_phi, (5.0,)),
+                           (NormSpec.lp, (2.0, 2.0)), (NormSpec.weighted_lp, (1.0, 0.5, 3.0))):
+            a, b = make(*args), make(*args)
+            assert a == b and hash(a) == hash(b)
+        assert NormSpec.lp(2.0, 2.0) != NormSpec.weighted_lp(2.0, 0.0, 2.0)
+
+
+class TestMazharTotikReference:
+    # check 13's reference sums check 14's closed forms c_0(s, r) at s = k + 1, r = n
+    def test_row_13_keeps_its_value(self):
+        (row,) = verification.check_13_mazhar_totik()
+        assert row.measured == 9.769962616701378e-15
+
+    def test_reference_sums_the_catalog(self):
+        # M t(x) = x + 1/n at alpha = beta = 0
+        c0 = verification._c0_catalog()[1][1]
+        assert verification._mazhar_totik_reference(c0, 2.0, 5.0) == pytest.approx(2.2, rel=1e-14)
+
+
+class TestWeightHypothesis:
+    # gamma <= p beta up to 1e-15: the flag of weighted_lp_error, of the
+    # Schur x-integral and of the CLI's first-integral rows
+    @pytest.mark.parametrize("p, beta", [(1.0, 0.5), (2.0, 1.0), (3.0, 0.0)])
+    def test_boundary(self, p, beta):
+        params = OperatorParams(10.0, 0.0, beta)
+        assert analysis.weight_hypothesis(params, p * beta, p)
+        assert not analysis.weight_hypothesis(params, p * beta + 1e-14, p)
+
+    def test_flags_read_it(self):
+        params, f = OperatorParams(10.0, 0.0, 1.0), TestFunction.sin_scaled(2.0)
+        for gamma, ok in ((2.0, True), (2.0 + 1e-14, False)):
+            assert weighted_lp_error(f, params, 2.0, gamma, 2.0)[1] is ok
+            assert schur_second_integral(params, gamma, 2.0, 1.0).hypothesis_ok is ok
 
 
 _SIN, _P10 = TestFunction.sin_scaled(2.0), OperatorParams(10.0, 0.0, 1.0)
@@ -741,7 +796,7 @@ _SIN, _P10 = TestFunction.sin_scaled(2.0), OperatorParams(10.0, 0.0, 1.0)
 @pytest.mark.parametrize(
     "fn, args, keyword",
     [
-        (NormSpec, ("sup_compact", 2.0), "grid_points"),
+        (NormSpec, (operator_sup_error, (2.0,)), "grid_points"),
         (compact_estimate_check, (_SIN, (10.0,), 0.0, 1.0, 2.0), "grid_points"),
         (weighted_phi_norm, (np.abs, 2.0), "grid_points"),
         (lp_error, (_SIN, _P10, 1.0, 2.0), "panels"),

@@ -6,7 +6,9 @@ and the interval's right end) each have one copy.  One table drives every
 public call that applies them, and the other domain checks of the operator
 layer: a bad value must raise that call's code, never a bare ValueError,
 OverflowError or TypeError, and never return a number.  A source scan keeps
-the point, grid and order rules in ``errors.py``.
+the point, grid and order rules in ``errors.py``, the tolerance of the
+weight hypothesis gamma <= p beta in one place, and the norm kinds out of
+the CLI.
 """
 
 import contextlib
@@ -21,6 +23,7 @@ import pytest
 import smld
 from smld.analysis import (
     NormSpec,
+    korovkin_weighted_check,
     lp_error,
     modulus_of_continuity,
     operator_sup_error,
@@ -69,8 +72,8 @@ def _parse(*argv):
     raise ParameterError(re.search(r"smld: error: (\w+): ", err.getvalue()).group(1), "")
 
 
-def _norm(**fields):
-    return lambda v: NormSpec(**{k: v if f is None else f for k, f in fields.items()})
+def _norm(make, **fields):
+    return lambda v: make(**{k: v if f is None else f for k, f in fields.items()})
 
 
 _X = {-1.0: "x_negative", nan: "x_not_finite", inf: "x_not_finite", -inf: "x_not_finite"}
@@ -141,23 +144,25 @@ _TABLE = [
     ("polynomial", TestFunction.polynomial, ([],), "polynomial_empty"),
     ("sampled.values", lambda v: TestFunction.sampled([0.0, 1.0], v), ([0.0],), "sampled_shape"),
     ("kernel_on_x_grid.t", lambda v: kernel_on_x_grid([1.0], v, P), (0.0,), "kernel_domain"),
-    ("kernel_on_x_grid.x", lambda v: kernel_on_x_grid([v], 1.0, P), (-1.0,), "kernel_domain"),
+    ("kernel_on_x_grid.x", lambda v: kernel_on_x_grid([v], 1.0, P), _X, None),
     ("adaptive_K", lambda v: adaptive_K(OperatorParams(10.0, 0.0, v)), (9.0,), "k_max_exceeded"),
+    # (n - beta)^2 past the float range, checked before it is squared
+    ("korovkin_weighted_check", lambda v: korovkin_weighted_check(OperatorParams(v)),
+     (1e155, 1e160), "korovkin_rate"),
     # -- the norm parameters ---------------------------------------------------
-    ("NormSpec.lp.p", _norm(kind="lp", p=None, r_cut=2.0), (0.5, nan, inf), "norm_p"),
-    ("NormSpec.weighted_lp.p", _norm(kind="weighted_lp", p=None, gamma=0.0, r_max=2.0),
+    ("NormSpec.lp.p", _norm(NormSpec.lp, p=None, r_cut=2.0), (0.5, nan, inf), "norm_p"),
+    ("NormSpec.weighted_lp.p", _norm(NormSpec.weighted_lp, p=None, gamma=0.0, r_max=2.0),
      (0.5, nan, inf), "norm_p"),
-    ("NormSpec.weighted_lp.gamma", _norm(kind="weighted_lp", p=1.0, gamma=None, r_max=2.0),
+    ("NormSpec.weighted_lp.gamma", _norm(NormSpec.weighted_lp, p=1.0, gamma=None, r_max=2.0),
      (-1.0, nan, inf), "norm_gamma"),
-    ("NormSpec.sup_compact.a", _norm(kind="sup_compact", a=None), (0.0, nan, inf), "norm_interval"),
-    ("NormSpec.weighted_phi.x_max", _norm(kind="weighted_phi", x_max=None), (0.0, nan, inf),
+    ("NormSpec.sup_compact.a", _norm(NormSpec.sup_compact, a=None), (0.0, nan, inf),
      "norm_interval"),
-    ("NormSpec.lp.r_cut", _norm(kind="lp", p=1.0, r_cut=None), (0.0, nan, inf), "norm_interval"),
-    ("NormSpec.weighted_lp.r_max", _norm(kind="weighted_lp", p=1.0, gamma=0.0, r_max=None),
+    ("NormSpec.weighted_phi.x_max", _norm(NormSpec.weighted_phi, x_max=None), (0.0, nan, inf),
+     "norm_interval"),
+    ("NormSpec.lp.r_cut", _norm(NormSpec.lp, p=1.0, r_cut=None), (0.0, nan, inf),
+     "norm_interval"),
+    ("NormSpec.weighted_lp.r_max", _norm(NormSpec.weighted_lp, p=1.0, gamma=0.0, r_max=None),
      (0.0, nan, inf), "norm_interval"),
-    ("NormSpec.unset", lambda v: NormSpec(v), ("sup_compact", "weighted_phi"), "norm_interval"),
-    ("NormSpec.unset_p", lambda v: NormSpec(v, r_cut=2.0, r_max=2.0), ("lp", "weighted_lp"),
-     "norm_p"),
     ("modulus_of_continuity", lambda v: modulus_of_continuity(F, 0.1, v), (0.0, nan, inf),
      "norm_interval"),
     ("operator_sup_error", lambda v: operator_sup_error(F, P, v), (0.0, nan, inf),
@@ -205,12 +210,17 @@ _ONE_PLACE = ("!= int(", '"x_not_finite"', '"x_negative"', '"x_grid_shape"', "de
 
 
 def test_each_rule_lives_in_errors():
+    sources = {path: path.read_text() for path in sorted(_SRC.rglob("*.py"))}
     found = [
         f"{path.relative_to(_SRC)}: {needle}"
-        for path in sorted(_SRC.rglob("*.py"))
+        for path, text in sources.items()
         if path != _SRC / "errors.py"
         for needle in _ONE_PLACE
-        if needle in path.read_text()
+        if needle in text
     ]
-    assert len(list(_SRC.rglob("*.py"))) >= 10
+    assert len(sources) >= 10
     assert found == []
+    # the weight hypothesis gamma <= p beta has one tolerance, and the CLI
+    # does not switch on a norm kind
+    assert sum(text.count("+ 1e-15") for text in sources.values()) == 1
+    assert ".kind" not in sources[_SRC / "cli.py"]

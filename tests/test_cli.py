@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from smld.analysis import _panel_error, rate_slope, weighted_lp_error
+from smld.analysis import NormSpec, _panel_error, rate_slope, weighted_lp_error
 from smld.cli import _HANDLERS, Table, emit, main, parse_config
 from smld.operator import OperatorParams, TestFunction, apply_operator
 from smld.spectral import _K_CAP
@@ -102,8 +102,7 @@ class TestParseConfig:
         cfg = parse_config(
             ["converge", "--f", "abs:1", "--norm", "lp:2,2", "--n-grid", "10,40"]
         )
-        assert cfg.norm.kind == "lp"
-        assert cfg.norm.p == 2.0
+        assert cfg.norm == NormSpec.lp(2.0, 2.0)
 
     def test_parser_keeps_no_state(self):
         # one parser serves every call; no flag of one call reaches the next

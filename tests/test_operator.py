@@ -531,6 +531,18 @@ class TestManyKnots:
         exact = mp_sampled_mean(grid.tolist(), values.tolist(), k + alpha + 1.0, params.rate)
         assert coefficient(f, k, params) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("inner", [0, 1, 5, 200, 10_000])
+    def test_panel_edges_match_per_segment_linspace(self, inner):
+        # the opening edges are built in one step; the reference cuts each
+        # segment with its own np.linspace and joins them at shared ends
+        rng = np.random.default_rng(inner)
+        kinks = np.sort(rng.uniform(3.0, 250.0, inner)).tolist()
+        base, width = [0.75] + kinks + [260.0], 2.5
+        segments = [np.linspace(a, b, max(1, math.ceil((b - a) / width)) + 1)
+                    for a, b in zip(base[:-1], base[1:])]
+        ref = np.concatenate([segments[0], *(s[1:] for s in segments[1:])])
+        assert np.array_equal(quadrature._panel_edges(base, width), ref)
+
     def test_undeclared_jump_does_not_converge(self):
         # a jump that f does not declare as a kink stays inside a panel at
         # every halving, so the batch runs out of rounds
@@ -1069,12 +1081,13 @@ class TestKernel:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_x_or_t(self, bad):
+        # x follows the point rule of every function that takes points
         params = OperatorParams(10.0)
-        for call in (lambda: kernel_on_x_grid([1.0, bad], 1.0, params),
-                     lambda: kernel_on_x_grid([1.0], bad, params)):
+        for call, code in ((lambda: kernel_on_x_grid([1.0, bad], 1.0, params), "x_not_finite"),
+                           (lambda: kernel_on_x_grid([1.0], bad, params), "kernel_not_finite")):
             with pytest.raises(ParameterError) as err:
                 call()
-            assert err.value.code == "kernel_not_finite"
+            assert err.value.code == code
 
     def test_grid_matches_scalar(self):
         # a block's shared k window gives each row its one-point value
