@@ -193,12 +193,23 @@ def modulus_of_continuity(f, delta: float, a: float) -> float:
     # band starts at column 0, so an all-zero first block still reports the
     # pair (0, 0) of the full scan
     pad = a / (_GRID_POINTS - 1)
+    starts = np.arange(0, len(grid), 128)
+    ends = np.minimum(starts + 128, len(grid))
+    los = np.searchsorted(grid, grid[starts] - delta - pad)
+    his = np.searchsorted(grid, grid[ends - 1] + delta + pad)
+    # |t - x|, then |f(t) - f(x)|, in one buffer that every block reuses
+    size = int(np.max((ends - starts) * (his - los)))
+    work, far = np.empty(size), np.empty(size, dtype=bool)
     best, i, j = -1.0, 0, 0
-    for r in range(0, len(grid), 128):
-        rows = grid[r : r + 128]
-        lo, hi = np.searchsorted(grid, (rows[0] - delta - pad, rows[-1] + delta + pad))
-        close = np.abs(rows[:, None] - grid[None, lo:hi]) <= delta
-        diffs = np.where(close, np.abs(vals[r : r + 128, None] - vals[None, lo:hi]), 0.0)
+    for r, end, lo, hi in zip(starts.tolist(), ends.tolist(), los.tolist(), his.tolist()):
+        shape = (end - r, hi - lo)
+        diffs = work[: shape[0] * shape[1]].reshape(shape)
+        beyond = far[: diffs.size].reshape(shape)
+        np.subtract(grid[r:end, None], grid[None, lo:hi], out=diffs)
+        np.greater(np.abs(diffs, out=diffs), delta, out=beyond)
+        np.subtract(vals[r:end, None], vals[None, lo:hi], out=diffs)
+        np.abs(diffs, out=diffs)
+        np.copyto(diffs, 0.0, where=beyond)
         at = int(np.argmax(diffs))
         if diffs.flat[at] > best:
             best = float(diffs.flat[at])
@@ -249,8 +260,8 @@ def compact_estimate_check(
     return errors, ratios
 
 
-def weighted_phi_norm(g: Callable, x_max: float) -> float:
-    """sup over [0, x_max] of |g(x)| / (1 + x^2).
+def weighted_phi_norm(g: Callable, x_max: float, kinks: Sequence[float] = ()) -> float:
+    """sup over [0, x_max] of |g(x)| / (1 + x^2); the ``kinks`` of g are grid points.
 
     The tail beyond x_max is the caller's responsibility: for the Korovkin
     differences the closed forms make the tail explicit, for general g the
@@ -261,28 +272,37 @@ def weighted_phi_norm(g: Callable, x_max: float) -> float:
     def ratio(xs):
         return np.asarray(g(xs), dtype=float) / (1.0 + xs**2)
 
-    return sup_abs_on_interval(ratio, 0.0, x_max)
+    return sup_abs_on_interval(ratio, 0.0, x_max, kinks)
 
 
 def _phi_error(f: TestFunction, params: OperatorParams, x_max: float) -> float:
-    """sup over [0, x_max] of |M f - f| / (1 + x^2), cutoff not certified."""
-    return weighted_phi_norm(partial(_deviation, f, params), x_max)
+    """sup over [0, x_max] of |M f - f| / (1 + x^2), cutoff not certified;
+    f's kinks are grid points, as in ``operator_sup_error``."""
+    return weighted_phi_norm(partial(_deviation, f, params), x_max, f.kinks)
 
 
 # -- Korovkin test functions: exact weighted norms ----------------------------
+
+
+def _stationary_root(d: float, b: float) -> float:
+    """(d + sqrt(d^2 + b^2)) / b, where (a x^2 + b x + c) / (1 + x^2) is
+    stationary for d = a - c; d^2 + b^2 must be a float (``korovkin_rate``)."""
+    square = d * d + b * b
+    _require(square < math.inf, d, "korovkin_rate", f"(a - c)^2 + b^2 finite, b = {b}")
+    return (d + math.sqrt(square)) / b
 
 
 def _sup_linear_ratio(b: float, c: float) -> float:
     """sup over x >= 0 of (b x + c) / (1 + x^2) for b, c >= 0."""
     if b == 0.0:
         return c
-    x = (-c + math.sqrt(c * c + b * b)) / b
+    x = _stationary_root(-c, b)
     return (b * x + c) / (1.0 + x * x)
 
 
 def _sup_quadratic_ratio(a: float, b: float, c: float) -> float:
     """sup over x >= 0 of (a x^2 + b x + c) / (1 + x^2) for a, c >= 0 and b > 0."""
-    x = ((a - c) + math.sqrt((a - c) ** 2 + b * b)) / b
+    x = _stationary_root(a - c, b)
     return max(a, c, (a * x * x + b * x + c) / (1.0 + x * x))
 
 
@@ -293,7 +313,8 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
     difference is identically 0; for e_1 and e_2 the suprema of rational
     functions are located by calculus.  Requires beta >= 0 (the difference
     coefficients are then single-signed, which the closed forms rely on),
-    and (n - beta)^2 within the float range (``korovkin_rate``).
+    and (n - beta)^2 and the squares under each stationary point's root
+    within the float range (``korovkin_rate``).
     """
     if params.beta < 0:
         raise ParameterError(

@@ -265,13 +265,12 @@ def _run_eigen(cfg: argparse.Namespace) -> Table:
         p_mat = spectral.build_P(params, cfg.k)
     else:
         p_mat = spectral.build_P_adaptive(params)
-    upper_deficit = float(p_mat.row_deficits[: p_mat.K // 2 + 1].max())
+    upper_deficit, checks = spectral.upper_row_check(p_mat)
     rows = []
-    for which in ("constant", "exponential"):
-        vec = spectral.eigen_vector_check(p_mat, which)
-        op = spectral.eigen_operator_check(params, which, cfg.x_grid)
+    for vec in checks:
+        op = spectral.eigen_operator_check(params, vec.which, cfg.x_grid)
         rows.append(
-            (which, vec.lam, vec.vector_residual, op.operator_residual, p_mat.K, upper_deficit)
+            (vec.which, vec.lam, vec.vector_residual, op.operator_residual, p_mat.K, upper_deficit)
         )
     return Table(
         ["which", "lambda", "vector_residual", "operator_residual", "K", "max_upper_deficit"],

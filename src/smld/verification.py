@@ -40,9 +40,9 @@ from .special import reg_lower_gamma
 from .spectral import (
     build_P_adaptive,
     eigen_operator_check,
-    eigen_vector_check,
     iterate_decay,
     lambda2,
+    upper_row_check,
 )
 
 __all__ = ["CheckResult", "run_all", "ALL_CHECKS", "G_N", "G_ALPHA", "G_BETA", "G_X"]
@@ -250,12 +250,9 @@ def check_07_eigenpairs() -> list[CheckResult]:
     worst_deficit = 0.0
     worst_vec = 0.0
     for params in _grid_params():
-        p_mat = build_P_adaptive(params)
-        upper = p_mat.row_deficits[: p_mat.K // 2 + 1]
-        worst_deficit = max(worst_deficit, float(upper.max()))
-        for which in ("constant", "exponential"):
-            chk = eigen_vector_check(p_mat, which)
-            worst_vec = max(worst_vec, chk.vector_residual)
+        deficit, checks = upper_row_check(build_P_adaptive(params))
+        worst_deficit = max(worst_deficit, deficit)
+        worst_vec = max(worst_vec, *(chk.vector_residual for chk in checks))
     return [
         op_residual,
         _result("07b_row_deficits", worst_deficit, 1e-12, "upper rows at adaptive K"),

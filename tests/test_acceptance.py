@@ -15,9 +15,11 @@ import csv
 import importlib
 import io
 import json
+import os
 import platform
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -28,11 +30,24 @@ TIMEOUT = 900
 _DATA = Path(__file__).resolve().parent / "data"
 
 
+def _reap(proc: subprocess.Popen, deadline: float) -> tuple[int, float]:
+    """Wait for ``proc`` by ``os.wait4``: its exit code and its peak RSS in MB."""
+    while True:
+        pid, status, usage = os.wait4(proc.pid, os.WNOHANG)
+        if pid:
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            return proc.returncode, usage.ru_maxrss / 1024.0
+        if time.monotonic() > deadline:
+            raise subprocess.TimeoutExpired(proc.args, TIMEOUT)
+        time.sleep(0.05)
+
+
 @pytest.fixture(scope="module")
 def verify_runs(tmp_path_factory):
     # the two runs are independent processes, so they run side by side
     outdir = tmp_path_factory.mktemp("verify")
     outs = [outdir / f"{tag}.csv" for tag in ("first", "second")]
+    deadline = time.monotonic() + TIMEOUT
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "smld.cli", "verify-all", "--output", str(out)],
@@ -42,10 +57,13 @@ def verify_runs(tmp_path_factory):
         for out in outs
     ]
     try:
-        runs = [(proc.wait(timeout=TIMEOUT), out.read_bytes()) for proc, out in zip(procs, outs)]
+        reaped = [_reap(proc, deadline) for proc in procs]
     finally:
         for proc in procs:  # only a run still going after a timeout is killed
-            proc.kill()
+            if proc.returncode is None:
+                proc.kill()
+                proc.wait()
+    runs = [(code, out.read_bytes()) for (code, _), out in zip(reaped, outs)]
     rows = {}
     reader = csv.DictReader(io.StringIO(runs[0][1].decode()))
     for row in reader:
@@ -55,7 +73,7 @@ def verify_runs(tmp_path_factory):
             "passed": row["passed"] == "true",
             "detail": row["detail"],
         }
-    return {"runs": runs, "rows": rows}
+    return {"runs": runs, "rows": rows, "peak_rss_mb": [peak for _, peak in reaped]}
 
 
 def _assert_checks(verify_runs, criterion: str, names: list[str]):
@@ -240,6 +258,14 @@ def _report_key() -> dict:
         "cpu_features": sorted(name for name, on in __cpu_features__.items() if on),
         "libc": list(platform.libc_ver()),
     }
+
+
+def test_verify_all_peak_rss(verify_runs):
+    # P is streamed row by row: no (K+1)^2 block lifts a run's peak (a
+    # dense K = 5,764 block alone took 266 MB)
+    peaks = verify_runs["peak_rss_mb"]
+    print(f"[memory] verify-all peak RSS per run: {', '.join(f'{p:.1f} MB' for p in peaks)}")
+    assert max(peaks) <= 150.0
 
 
 def test_criterion_15_golden_report(verify_runs):

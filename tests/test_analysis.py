@@ -298,6 +298,21 @@ class TestWeightedPhiNorm:
             weighted_phi_norm(lambda x: np.asarray(x, dtype=float), x_max)
         assert err.value.code == "norm_interval"
 
+    def test_kinks_are_grid_points(self):
+        # a cusp at 0.12345, which lies between two points of the grid of [0, 1]
+        g = lambda x: np.exp(-50.0 * np.abs(np.asarray(x, dtype=float) - 0.12345))
+        assert weighted_phi_norm(g, 1.0, (0.12345,)) == 1.0 / (1.0 + 0.12345**2)
+
+    def test_phi_error_sees_the_kink(self):
+        # M f - f peaks at the kink of |t - 1.37|, which is no point of the
+        # 2001-point grid of [0, 30]: without it the norm read 0.1805421
+        f = TestFunction.abs_shift(1.37)
+        params = OperatorParams(10.0, 0.5, 1.0)
+        at_kink = abs(analysis._deviation(f, params, np.array([1.37]))[0]) / (1.0 + 1.37**2)
+        value = NormSpec.weighted_phi(30.0).error(f, params)
+        assert value >= at_kink
+        assert value == pytest.approx(0.1807498, abs=1e-7)
+
 
 class TestKorovkin:
     def test_e0_zero(self):

@@ -139,6 +139,9 @@ _TABLE = [
      "function_not_finite"),
     ("iterate_decay.r", lambda v: iterate_decay(P, v, [1.0]), _ORDER, "iterate_steps"),
     ("build_P", lambda v: build_P(P, v), (0, 2.5, nan, inf, _K_CAP + 1), "matrix_order"),
+    ("TruncatedP.row", lambda v: build_P(P, 8).row(v), (-1, 2.5, nan, inf, 9), "matrix_row"),
+    ("TruncatedP.times", lambda v: build_P(P, 8).times(np.ones(v)), ((8,), (2, 10), (1, 1, 9)),
+     "matrix_vector"),
     # -- the other function and kernel domains ----------------------------------
     ("abs_shift", TestFunction.abs_shift, (-1.0,), "abs_shift_negative"),
     ("polynomial", TestFunction.polynomial, ([],), "polynomial_empty"),
@@ -149,6 +152,10 @@ _TABLE = [
     # (n - beta)^2 past the float range, checked before it is squared
     ("korovkin_weighted_check", lambda v: korovkin_weighted_check(OperatorParams(v)),
      (1e155, 1e160), "korovkin_rate"),
+    # ... and the squares under the roots of the two stationary points
+    ("korovkin_weighted_check.alpha",
+     lambda v: korovkin_weighted_check(OperatorParams(10.0, v, 1.0)), (1e100, 1e200),
+     "korovkin_rate"),
     # -- the norm parameters ---------------------------------------------------
     ("NormSpec.lp.p", _norm(NormSpec.lp, p=None, r_cut=2.0), (0.5, nan, inf), "norm_p"),
     ("NormSpec.weighted_lp.p", _norm(NormSpec.weighted_lp, p=None, gamma=0.0, r_max=2.0),

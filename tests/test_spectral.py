@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from smld.errors import ParameterError
 from smld.operator import OperatorParams, TestFunction, apply_operator
 from smld.spectral import (
+    _BAND_TOL,
     _K_CAP,
+    _log_nb_pmf,
     adaptive_K,
     build_P,
     build_P_adaptive,
@@ -15,23 +18,29 @@ from smld.spectral import (
     iterate_decay,
     lambda2,
     row_deficit_tail,
+    upper_row_check,
 )
 from smld.operator.core import _poisson_sum
 
 import mpmath as mp
 
 
+def _row_deficits(p_mat):
+    # 1 - sum_j P[k, j] for every row, each row summed on its own
+    return 1.0 - np.array([p_mat.row(k).sum() for k in range(p_mat.K + 1)])
+
+
 class TestBuildP:
     @pytest.mark.parametrize("K", [0, _K_CAP + 1])
     def test_order_out_of_range(self, K):
-        # refused before the (K+1) x (K+1) block is allocated
+        # refused before any row data is computed
         with pytest.raises(ParameterError) as err:
             build_P(OperatorParams(10.0), K)
         assert err.value.code == "matrix_order"
 
     def test_first_entry(self):
         p_mat = build_P(OperatorParams(2.0, 0.0, 0.0), 8)
-        assert p_mat.entries[0, 0] == pytest.approx(0.5, rel=1e-14)
+        assert p_mat.row(0)[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_entry_against_integral_oracle(self):
         # defining integral evaluated with mpmath
@@ -47,25 +56,26 @@ class TestBuildP:
             / mp.factorial(j)
             * integ
         )
-        assert p_mat.entries[k, j] == pytest.approx(oracle, rel=1e-13)
+        assert p_mat.row(k)[j] == pytest.approx(oracle, rel=1e-13)
 
     def test_entries_nonnegative(self):
         p_mat = build_P(OperatorParams(10.0, -0.5, 2.0), 64)
-        assert np.all(p_mat.entries >= 0.0)
+        for k in range(p_mat.K + 1):
+            assert np.all(p_mat.row(k) >= 0.0)
 
     def test_deficits_shrink_with_K(self):
         params = OperatorParams(10.0, 0.0, 2.0)
-        small = build_P(params, 64)
-        large = build_P(params, 128)
+        small = _row_deficits(build_P(params, 64))
+        large = _row_deficits(build_P(params, 128))
         for k in (0, 10, 40):
-            assert large.row_deficits[k] <= small.row_deficits[k] + 1e-15
+            assert large[k] <= small[k] + 1e-15
 
     def test_deficit_matches_analytic_tail(self):
         params = OperatorParams(10.0, 0.0, 2.0)
         K = 96
-        p_mat = build_P(params, K)
+        deficits = _row_deficits(build_P(params, K))
         for k in (20, 48):
-            assert abs(p_mat.row_deficits[k] - row_deficit_tail(params, k, K)) <= 1e-12
+            assert abs(deficits[k] - row_deficit_tail(params, k, K)) <= 1e-12
 
     def test_adaptive_deficit_target(self):
         params = OperatorParams(10.0, 0.5, 2.0)
@@ -73,11 +83,75 @@ class TestBuildP:
         assert row_deficit_tail(params, K // 2, K) <= 1e-12
 
 
+class TestRowBands:
+    # every row is rebuilt over its band; the mass outside it is certified
+    @pytest.mark.parametrize(
+        "n, al, b, K",
+        [(10.0, 0.0, 2.0, 512), (5.0, -0.5, 4.5, 300), (200.0, -0.25, 0.5, 512), (10.0, -0.5, 2.0, 64)],
+    )
+    def test_band_holds_all_but_its_tolerance(self, n, al, b, K):
+        params = OperatorParams(n, al, b)
+        p_mat = build_P(params, K)
+        q1, q2 = (n - b) / (2.0 * n - b), n / (2.0 * n - b)
+        cols = np.arange(K + 1.0)
+        for k in range(0, K + 1, 7):
+            exact = np.exp(_log_nb_pmf(k + al + 1.0, q1, q2, cols))
+            lo, hi = p_mat.lo[k], p_mat.hi[k]
+            assert 0 <= lo <= p_mat.modes[k] <= hi <= K
+            assert exact[:lo].sum() <= _BAND_TOL and exact[hi + 1 :].sum() <= _BAND_TOL
+            row = p_mat.row(k)
+            assert np.all(row[:lo] == 0.0) and np.all(row[hi + 1 :] == 0.0)
+            np.testing.assert_allclose(row[lo : hi + 1], exact[lo : hi + 1], rtol=1e-12)
+
+    def test_bands_are_narrower_than_rows(self):
+        p_mat = build_P(OperatorParams(10.0, 0.0, 2.0), 512)
+        assert (p_mat.hi - p_mat.lo + 1).sum() < 0.65 * (p_mat.K + 1) ** 2
+
+    def test_stacked_product_sums_each_row_alone(self):
+        # a stack of vectors gives each vector's product bit for bit
+        p_mat = build_P(OperatorParams(10.0, 0.5, 2.0), 200)
+        rng = np.random.default_rng(3)
+        vs = rng.uniform(-1.0, 1.0, size=(3, p_mat.K + 1))
+        stacked = p_mat.times(vs)
+        for v, pv in zip(vs, stacked):
+            assert np.array_equal(p_mat.times(v), pv)
+
+    def test_product_matches_rows(self):
+        p_mat = build_P(OperatorParams(8.0, 1.0, 1.0), 96)
+        v = np.cos(np.arange(p_mat.K + 1.0))
+        dense = np.array([p_mat.row(k) for k in range(p_mat.K + 1)])
+        np.testing.assert_allclose(p_mat.times(v), dense @ v, rtol=0.0, atol=1e-15)
+
+    def test_upper_pass_streams_the_rows(self):
+        # K = 5,764: a dense block would take 266 MB, the row pass a few buffers
+        params = OperatorParams(5.0, 0.0, 2.0)
+        assert adaptive_K(params) == 5764  # loads scipy before the trace starts
+        tracemalloc.start()
+        try:
+            p_mat = build_P_adaptive(params)
+            deficit, checks = upper_row_check(p_mat)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert 0.0 <= deficit <= 1e-12
+        assert [c.which for c in checks] == ["constant", "exponential"]
+        assert max(c.vector_residual for c in checks) <= 1e-10
+
+    def test_upper_pass_matches_single_checks(self):
+        p_mat = build_P(OperatorParams(10.0, 1.0, 2.0), 160)
+        deficit, checks = upper_row_check(p_mat)
+        for chk in checks:
+            assert eigen_vector_check(p_mat, chk.which) == chk
+        upper = _row_deficits(p_mat)[: p_mat.K // 2 + 1]
+        assert deficit == pytest.approx(max(float(upper.max()), 0.0), abs=1e-15)
+
+
 class TestEigenVectors:
     def test_constant_residual_is_deficit(self):
         p_mat = build_P(OperatorParams(10.0, 0.0, 2.0), 128)
         chk = eigen_vector_check(p_mat, "constant")
-        upper = p_mat.row_deficits[: p_mat.K // 2 + 1]
+        upper = _row_deficits(p_mat)[: p_mat.K // 2 + 1]
         assert chk.lam == 1.0
         assert chk.vector_residual <= 10.0 * max(float(upper.max()), 1e-16)
 
@@ -202,7 +276,7 @@ class TestSemigroupIdentity:
         f = TestFunction.from_callable(
             lambda t: series(v[:64], t), growth_a=0.0, growth_k=1.0, label="poisson-series"
         )
-        pv = p_mat.entries @ v
+        pv = p_mat.times(v)
         for x in (0.0, 0.5, 1.5):
             lhs = apply_operator(f, x, params)
             rhs = float(series(pv, x)[0])
