@@ -202,10 +202,10 @@ def _run_moments(cfg: argparse.Namespace) -> Table:
     rows = []
     for r in range(cfg.max_r + 1):
         closed = moments.raw_moment_closed(r, cfg.x, cfg.params)
-        explicit = moments.raw_moment_explicit(r, cfg.x, cfg.params) if r <= 4 else None
+        explicit = moments.raw_moment_explicit(r, cfg.x, cfg.params)
         quad = apply_operator(TestFunction.monomial(r), cfg.x, cfg.params)
-        present = [v for v in (closed, recurrence[r], explicit, quad) if v is not None]
-        rows.append((r, cfg.x, closed, recurrence[r], explicit, quad, _cross_residual(present)))
+        residual = _cross_residual([closed, recurrence[r], explicit, quad])
+        rows.append((r, cfg.x, closed, recurrence[r], explicit, quad, residual))
     return Table(["r", "x", "closed", "recurrence", "explicit", "quadrature", "max_residual"],
                  rows)
 

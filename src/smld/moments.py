@@ -10,8 +10,8 @@ others:
   derived from the contiguous relation of 1F1 (DLMF 13.3.1); forward
   iteration is mildly stable because the subtracted term is at most
   r/(alpha+2r+1) of the leading one,
-* explicit degree-r polynomials in nx for r <= 4, whose coefficients
-  follow the pattern binom(r, j) (alpha+j+1)_{r-j},
+* the explicit degree-r polynomial in nx, whose coefficients are
+  binom(r, j) (alpha+j+1)_{r-j}, for every order r,
 * the binomial expansion of central moments, summed exactly: the same
   recurrence runs on ``fractions.Fraction`` copies of the (binary) inputs,
   so the r-1 leading orders the expansion cancels cost no digits, and the
@@ -76,34 +76,16 @@ def raw_moments_recurrence(r_max: int, x: float, params: OperatorParams) -> list
 
 
 def raw_moment_explicit(r: int, x: float, params: OperatorParams) -> float:
-    """Explicit polynomial-in-nx raw moments, available for r <= 4."""
+    """mu_r = sum_j binom(r, j) (alpha+j+1)_{r-j} (nx)^j / (n-beta)^r, the
+    explicit polynomial in nx, summed from j = r down."""
     r = _require_order(r, "moment_order")
     _require_points(x)
-    if r > 4:
-        raise UnsupportedOrderError(f"explicit raw moments exist for r <= 4, got {r}")
     al = params.alpha
     z = params.n * x
-    rate = params.rate
-    if r == 0:
-        return 1.0
-    if r == 1:
-        return (z + al + 1.0) / rate
-    if r == 2:
-        return (z**2 + (2.0 * al + 4.0) * z + (al + 1.0) * (al + 2.0)) / rate**2
-    if r == 3:
-        return (
-            z**3
-            + 3.0 * (al + 3.0) * z**2
-            + 3.0 * (al + 2.0) * (al + 3.0) * z
-            + (al + 1.0) * (al + 2.0) * (al + 3.0)
-        ) / rate**3
-    return (
-        z**4
-        + 4.0 * (al + 4.0) * z**3
-        + 6.0 * (al + 3.0) * (al + 4.0) * z**2
-        + 4.0 * (al + 2.0) * (al + 3.0) * (al + 4.0) * z
-        + (al + 1.0) * (al + 2.0) * (al + 3.0) * (al + 4.0)
-    ) / rate**4
+    total = 0.0
+    for j in range(r, -1, -1):
+        total += math.comb(r, j) * pochhammer(al + j + 1.0, r - j) * z**j
+    return total / params.rate**r
 
 
 def diff_recurrence_residual(
@@ -216,10 +198,11 @@ def _two_term_value(r: int, x: float, params: OperatorParams) -> float:
     (check 06c's term), and for r = 4 it grows like n.
     """
     a = params.n / params.rate
-    s0 = (a - 1.0) ** r
-    s1 = (params.alpha + 1.0) * r * a * (a - 1.0) ** (r - 1)
+    a1 = params.beta / params.rate  # A - 1, without the cancellation of n/rate - 1
+    s0 = a1**r
+    s1 = (params.alpha + 1.0) * r * a * a1 ** (r - 1)
     if r >= 2:
-        s1 += r * (r - 1) * a**2 * (a - 1.0) ** (r - 2)
+        s1 += r * (r - 1) * a**2 * a1 ** (r - 2)
     return x**r * s0 + x ** (r - 1) * s1 / params.n
 
 

@@ -38,6 +38,12 @@ def _pow(base: float, exponent: float) -> float:
         return math.inf
 
 
+def _monomial_k(r: int) -> float:
+    """K of t^r <= K e^t: sup t^r e^(-t) = (r/e)^r, at t = r, floored at 1
+    (inf where it overflows)."""
+    return max(1.0, _pow(r / math.e, r))
+
+
 def _require_finite(kind: str, values: tuple) -> None:
     if not all(math.isfinite(v) for v in values):
         raise ParameterError(
@@ -115,8 +121,7 @@ class TestFunction:
         r = _require_order(r, "monomial_order")
         if r == 0:
             return cls(np.ones_like, (), 0.0, 1.0, label="1")
-        k = max(1.0, _pow(r / math.e, r))
-        return cls(_power, (r,), 1.0, k, label=f"t^{r}")
+        return cls(_power, (r,), 1.0, _monomial_k(r), label=f"t^{r}")
 
     @classmethod
     def polynomial(cls, coeffs: Sequence[float]) -> "TestFunction":
@@ -129,7 +134,7 @@ class TestFunction:
             return cls(polyval, (coeffs,), 0.0, max(1.0, abs(coeffs[0])), label=f"poly{coeffs}")
         # a zero coefficient adds no growth, even where (j/e)^j overflows; the
         # zero polynomial keeps K = 1, as a constant does
-        k = sum(abs(c) * max(1.0, _pow(j / math.e, j)) for j, c in enumerate(coeffs) if c) or 1.0
+        k = sum(abs(c) * _monomial_k(j) for j, c in enumerate(coeffs) if c) or 1.0
         return cls(polyval, (coeffs,), 1.0, k, label=f"poly{coeffs}")
 
     @classmethod
@@ -184,7 +189,7 @@ class TestFunction:
         """
         _require_finite("centered_power", (x, r))
         _require_order(r, "centered_power_order")
-        k = _pow(2.0, r) * (max(1.0, _pow(r / math.e, r)) + _pow(abs(x), r))
+        k = _pow(2.0, r) * (_monomial_k(r) + _pow(abs(x), r))
         return cls(_centered_power, (x, r), 1.0, k, label=f"(t-{x})^{r}")
 
     # -- evaluation ----------------------------------------------------------

@@ -61,8 +61,10 @@ __all__ = [
 
 _WHICH = ("constant", "exponential")
 
-# adaptive_K: the upper-row deficit it targets and the first K it tries; the
-# largest K that it tries and that build_P accepts
+# adaptive_K: the upper-row deficit it targets and the first K it tries.
+# _K_CAP stops that ladder, which no K ends for n <= 2 beta, and bounds the
+# O(K) time of each row that build_P streams at a given K; P is never
+# stored, so the cap does not bound memory
 _DEFICIT_TOL = 1e-12
 _K_START = 512
 _K_CAP = 40_000
@@ -247,7 +249,9 @@ def adaptive_K(params: OperatorParams) -> int:
     """Smallest tried K whose worst upper row (k = K//2) has deficit <= 1e-12.
 
     Deficits grow with the row index, so checking the last row of the
-    upper half suffices.  Uses the analytic tail, no matrix build.
+    upper half suffices.  Uses the analytic tail, no matrix build.  Row K//2
+    has mean (K/2 + alpha + 1) n/(n - beta), which is >= K for n <= 2 beta:
+    then no K certifies the upper rows, and the ladder stops at the cap.
     """
     K = _K_START
     while True:
@@ -255,7 +259,10 @@ def adaptive_K(params: OperatorParams) -> int:
             return K
         K = int(K * 1.4) + 16
         if K > _K_CAP:
-            raise TruncationError(f"adaptive K exceeded cap = {_K_CAP}")
+            raise TruncationError(
+                f"adaptive K exceeded cap = {_K_CAP}: row K/2 still loses more than "
+                f"{_DEFICIT_TOL:g} past column K (for n <= 2 beta its mean is >= K)"
+            )
 
 
 def build_P_adaptive(params: OperatorParams) -> TruncatedP:

@@ -585,6 +585,50 @@ class TestSchur:
         c = 1.0 / (1.0 - 2.0 / 10.0)
         assert res.bound == pytest.approx(c * schur_E(params, c * 1.0), rel=1e-14)
 
+    @staticmethod
+    def _second_integral_exact(params, gamma, p, t):
+        """The conjugated x-integral in closed form.  Term by term,
+        int_0^inf e^(cx) psi_{n,k}(x) dx = q^(k+1) / n with c = gamma/p and
+        q = n/(n - c), and the k-sum is the identity of the README's 12c note,
+        P(alpha, lam) = P(alpha+1, lam) + lam^alpha e^(-lam) / Gamma(alpha+1)
+        at lam = (n - beta) t q."""
+        n, al, b = params.n, params.alpha, params.beta
+        c = gamma / p
+        q = n / (n - c)
+        lam = (n - b) * t * q
+        tail = math.exp(al * math.log(lam) - lam - math.lgamma(al + 1.0))
+        front = (n - b) / n * q ** (1.0 - al) * math.exp(t * c * (c - b) / (n - c))
+        return front * (reg_lower_gamma(al + 1.0, lam) + tail)
+
+    def test_second_integral_matches_closed_form_on_check_12c(self):
+        # the x cut of the panel quadrature is a heuristic; on every one of
+        # 12c's 72 evaluations it must agree with the closed form, and the
+        # closed form must reproduce 12c's measured defect
+        worst = -math.inf
+        for n in (5.0, 10.0, 50.0):
+            for al in (-0.5, -0.25, 0.0):
+                for b in (1.0, 2.0):
+                    params = OperatorParams(n, al, b)
+                    for p, gamma in ((1.0, b), (2.0, b)):
+                        for t in (1.0, 4.0):
+                            res = schur_second_integral(params, gamma, p, t)
+                            exact = self._second_integral_exact(params, gamma, p, t)
+                            assert res.direct == pytest.approx(exact, rel=1e-11)
+                            worst = max(worst, exact - res.bound)
+        assert worst == pytest.approx(1.0673876510504483, rel=1e-11)
+
+    @pytest.mark.parametrize("n", [5.0, 10.0, 50.0])
+    @pytest.mark.parametrize("al", [-0.9, -0.5, 0.0, 0.7, 3.0])
+    def test_second_integral_matches_closed_form_sweep(self, n, al):
+        # the integral reads gamma and p only through gamma/p, so p = 1
+        for b in (-1.0, 0.0, 0.5, 2.0):
+            params = OperatorParams(n, al, b)
+            for c in sorted({0.0, abs(b) / 2, abs(b)}):
+                for t in (0.05, 1.0, 7.0):
+                    res = schur_second_integral(params, c, 1.0, t)
+                    exact = self._second_integral_exact(params, c, 1.0, t)
+                    assert res.direct == pytest.approx(exact, rel=1e-11)
+
     def test_second_integral_t_domain(self):
         with pytest.raises(ParameterError):
             schur_second_integral(OperatorParams(10.0, 0.0, 1.0), 1.0, 1.0, 0.0)

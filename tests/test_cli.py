@@ -314,6 +314,18 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == "" and "smld: matrix_order:" in captured.err
 
+    def test_eigen_adaptive_cap_exit_3(self, capsys):
+        # for n <= 2 beta row K/2 has mean (K/2 + alpha + 1) n/(n - beta) >= K,
+        # so the adaptive ladder can only stop at the cap
+        code = main(["eigen", "--n", "3", "--beta", "2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"smld: k_max_exceeded: adaptive K exceeded cap = {_K_CAP}: row K/2 still loses "
+            "more than 1e-12 past column K (for n <= 2 beta its mean is >= K)\n"
+        )
+
     @pytest.mark.parametrize(
         "flags",
         [["--alpha", "0.5", "--p", "inf", "--gamma", "1"], ["--beta", "1", "--p", "0.5"],

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -58,8 +59,7 @@ class TestRawMoments:
             oracle = mp_raw_moment(r, params.n, params.alpha, params.beta, x)
             assert raw_moment_closed(r, x, params) == pytest.approx(oracle, rel=1e-12)
             assert rec[r] == pytest.approx(oracle, rel=1e-11)
-            if r <= 4:
-                assert raw_moment_explicit(r, x, params) == pytest.approx(oracle, rel=1e-12)
+            assert raw_moment_explicit(r, x, params) == pytest.approx(oracle, rel=1e-12)
 
     def test_recurrence_matches_closed_deep(self):
         params = OperatorParams(10.0, 2.0, 0.5)
@@ -68,9 +68,14 @@ class TestRawMoments:
             closed = raw_moment_closed(r, 1.0, params)
             assert abs(closed - rec[r]) / max(abs(closed), 1.0) <= 1e-11
 
-    def test_unsupported_order(self):
-        with pytest.raises(UnsupportedOrderError):
-            raw_moment_explicit(5, 1.0, P_DEFAULT)
+    def test_explicit_beyond_order_four(self):
+        # one sum serves every order; it used to stop at r = 4
+        for params in (P_DEFAULT, OperatorParams(10.0, 2.0, 0.5), OperatorParams(7.0, -0.5, 1.0)):
+            for x in (0.0, 0.3, 2.0):
+                for r in range(5, 9):
+                    closed = raw_moment_closed(r, x, params)
+                    explicit = raw_moment_explicit(r, x, params)
+                    assert abs(explicit - closed) <= 1e-12 * max(abs(closed), 1.0)
 
     def test_invalid_order(self):
         with pytest.raises(ParameterError):
@@ -253,6 +258,29 @@ class TestAsymptotics:
         for n, row in zip((1e4, 1e5), asymptotic_ratio_table(4, 1.0, 0.0, 1.0, [1e4, 1e5])):
             assert row.exact / row.two_term / n == pytest.approx(1.0, rel=2e-3)
 
+    @staticmethod
+    def _two_term_exact(r, x, n, alpha, beta):
+        n, alpha, beta, x = (Fraction(v) for v in (n, alpha, beta, x))
+        a = n / (n - beta)
+        s1 = (alpha + 1) * r * a * (a - 1) ** (r - 1)
+        if r >= 2:
+            s1 += r * (r - 1) * a**2 * (a - 1) ** (r - 2)
+        return x**r * (a - 1) ** r + x ** (r - 1) * s1 / n
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("beta", [-1.0, 0.5, 1.0, 2.0])
+    def test_two_term_to_the_last_digits(self, r, beta):
+        # A - 1 = n/(n - beta) - 1 computed as a difference lost up to 5e-10
+        # relative at n = 1e7 (r = 3, beta = 1: 6.000002203024058e-14 against
+        # the exact 6.00000220000048e-14)
+        ns = [m * 10.0**k for k in range(1, 8) for m in (1.0, 3.0)]
+        for alpha in (-0.5, 0.0, 1.5):
+            for x in (0.5, 1.0, 3.0):
+                for row in asymptotic_ratio_table(r, x, alpha, beta, ns):
+                    exact = self._two_term_exact(r, x, row.n, alpha, beta)
+                    if exact:
+                        assert abs(Fraction(row.two_term) - exact) <= 2e-15 * abs(exact)
+
 
 class TestSecondMomentEnvelope:
     def test_constant_fitted_once_covers_larger_n(self):
@@ -289,8 +317,8 @@ class TestMomentReport:
         assert row["explicit"] != ""
         assert float(row["max_residual"]) <= 1e-11
 
-    def test_no_explicit_above_four(self, capsys):
+    def test_explicit_at_every_order(self, capsys):
         rows = self._rows("0.5", capsys)
         for row in rows[5:]:
-            assert row["explicit"] == ""
+            assert row["explicit"] != ""
             assert float(row["max_residual"]) <= 1e-9

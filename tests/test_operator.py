@@ -196,6 +196,42 @@ class TestTestFunction:
         t = np.linspace(0.0, 100.0, 2001)
         assert np.all(np.abs(f(t)) <= f.growth_k * np.exp(f.growth_a * t) * (1 + 1e-12))
 
+    @staticmethod
+    def _envelope_cases():
+        """(f, the points where its envelope is tightest) for every constructor
+        over a sweep of its parameters, each f finite on [0, 700].
+        ``from_callable`` is left out: its K is the caller's."""
+        for r in [*range(31), 60, 100]:
+            yield TestFunction.monomial(r), (float(r),)
+        for coeffs in [(-1.5,), (1.0, -2.0, 0.5), (0.0, 0.0, 0.0, 3.0),
+                       (2.0, 0.0, -1.0, 0.0, 0.25), (0.1,) * 12]:
+            yield TestFunction.polynomial(coeffs), tuple(float(j) for j in range(len(coeffs)))
+        for c in (-3.0, -0.5, 0.0, 0.5, 1.0):
+            yield TestFunction.exp_scaled(c), (0.0,)
+        for c in (0.0, 0.5, 1.37, 10.0):
+            yield TestFunction.abs_shift(c), (0.0, c)
+        yield TestFunction.sqrt(), (0.5,)
+        for c in (0.5, 3.0, 40.0):
+            yield TestFunction.sin_scaled(c), (math.pi / (2.0 * c),)
+        for grid, values in [((0.0, 1.0, 2.0), (0.0, 1.0, 0.5)),
+                             ((0.0, 0.3, 5.0, 9.0), (-2.0, 4.0, -7.0, 1.0))]:
+            yield TestFunction.sampled(grid, values), grid
+        for x in (-5.0, -1.0, -0.5, 0.0, 0.7, 3.0):
+            for r in range(9):
+                yield TestFunction.centered_power(x, r), (0.0, float(r), abs(x) + r)
+
+    def test_every_envelope_holds(self):
+        # log |f(t)| <= log K + A t on a dense grid of [0, 700] and at each
+        # tight point; (-1, 3) would fail with the former centered_power
+        # constant 2^r (max(1, (r/e)^r) + x^r): K = 2.75 and 8 > K e at t = 1
+        grid = np.linspace(0.0, 700.0, 70001)
+        for f, tight in self._envelope_cases():
+            t = np.concatenate([grid, tight])
+            with np.errstate(divide="ignore"):
+                lhs = np.log(np.abs(f(t)))
+            rhs = math.log(f.growth_k) + f.growth_a * t
+            assert np.all(lhs <= rhs + 1e-12 * (1.0 + np.abs(rhs))), f.label
+
     @pytest.mark.parametrize(
         "make, kinks, power, expected",
         [
