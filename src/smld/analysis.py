@@ -292,16 +292,10 @@ def _stationary_root(d: float, b: float) -> float:
     return (d + math.sqrt(square)) / b
 
 
-def _sup_linear_ratio(b: float, c: float) -> float:
-    """sup over x >= 0 of (b x + c) / (1 + x^2) for b, c >= 0."""
-    if b == 0.0:
-        return c
-    x = _stationary_root(-c, b)
-    return (b * x + c) / (1.0 + x * x)
-
-
 def _sup_quadratic_ratio(a: float, b: float, c: float) -> float:
-    """sup over x >= 0 of (a x^2 + b x + c) / (1 + x^2) for a, c >= 0 and b > 0."""
+    """sup over x >= 0 of (a x^2 + b x + c) / (1 + x^2) for a, b, c >= 0."""
+    if b == 0.0:
+        return max(a, c)
     x = _stationary_root(a - c, b)
     return max(a, c, (a * x * x + b * x + c) / (1.0 + x * x))
 
@@ -323,7 +317,7 @@ def korovkin_weighted_check(params: OperatorParams) -> tuple[float, float, float
     n, al, b = params.n, params.alpha, params.beta
     rate = params.rate
     _require(rate * rate < math.inf, rate, "korovkin_rate", "(n - beta)^2 finite")
-    e1 = _sup_linear_ratio(b, al + 1.0) / rate
+    e1 = _sup_quadratic_ratio(0.0, b, al + 1.0) / rate
     a2 = b * (2.0 * n - b) / rate**2
     b2 = (2.0 * al + 4.0) * n / rate**2
     c2 = (al + 1.0) * (al + 2.0) / rate**2

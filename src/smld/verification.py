@@ -231,11 +231,10 @@ def _eigen_operator_rows() -> list[CheckResult]:
             worst_op = max(worst_op, chk.operator_residual)
         lam = lambda2(params)
         phi = TestFunction.exp_scaled(-params.beta)
-        ratio0 = apply_operator(phi, 0.0, params)
-        worst_lam = max(worst_lam, abs(ratio0 - lam))
         ratios = [
             apply_operator(phi, float(x), params) * math.exp(params.beta * float(x)) for x in xs
         ]
+        worst_lam = max(worst_lam, abs(ratios[0] - lam))  # xs[0] = 0
         worst_flat = max(worst_flat, max(abs(r - lam) for r in ratios))
     return [
         _result("07a_eigen_operator_residual", worst_op, 1e-8, "phi_1, phi_2 on x in [0,5]"),

@@ -139,7 +139,6 @@ _TABLE = [
      "function_not_finite"),
     ("iterate_decay.r", lambda v: iterate_decay(P, v, [1.0]), _ORDER, "iterate_steps"),
     ("build_P", lambda v: build_P(P, v), (0, 2.5, nan, inf, _K_CAP + 1), "matrix_order"),
-    ("TruncatedP.row", lambda v: build_P(P, 8).row(v), (-1, 2.5, nan, inf, 9), "matrix_row"),
     ("TruncatedP.times", lambda v: build_P(P, 8).times(np.ones(v)), ((8,), (2, 10), (1, 1, 9)),
      "matrix_vector"),
     # -- the other function and kernel domains ----------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from smld.errors import ParameterError
 from smld.operator import OperatorParams, TestFunction, apply_operator
+from smld import spectral
 from smld.spectral import (
     _BAND_TOL,
     _K_CAP,
@@ -14,7 +15,6 @@ from smld.spectral import (
     build_P,
     build_P_adaptive,
     eigen_operator_check,
-    eigen_vector_check,
     iterate_decay,
     lambda2,
     row_deficit_tail,
@@ -25,9 +25,28 @@ from smld.operator.core import _poisson_sum
 import mpmath as mp
 
 
+def _rows(p_mat):
+    # the built rows k <= K/2 on the columns 0..K, as P times the unit vectors
+    return p_mat.times(np.eye(p_mat.K + 1)).T
+
+
 def _row_deficits(p_mat):
-    # 1 - sum_j P[k, j] for every row, each row summed on its own
-    return 1.0 - np.array([p_mat.row(k).sum() for k in range(p_mat.K + 1)])
+    # 1 - sum_j P[k, j] for every built row, each row summed on its own
+    return 1.0 - np.array([row.sum() for row in _rows(p_mat)])
+
+
+@pytest.fixture
+def built(monkeypatch):
+    # one entry per row that a product rebuilds, by a spy on the row kernel
+    rows = []
+    nb_row = spectral._nb_row
+
+    def spy(*args):
+        rows.append(args[2])  # the row's mode
+        nb_row(*args)
+
+    monkeypatch.setattr(spectral, "_nb_row", spy)
+    return rows
 
 
 class TestBuildP:
@@ -40,7 +59,7 @@ class TestBuildP:
 
     def test_first_entry(self):
         p_mat = build_P(OperatorParams(2.0, 0.0, 0.0), 8)
-        assert p_mat.row(0)[0] == pytest.approx(0.5, rel=1e-14)
+        assert _rows(p_mat)[0, 0] == pytest.approx(0.5, rel=1e-14)
 
     def test_entry_against_integral_oracle(self):
         # defining integral evaluated with mpmath
@@ -56,18 +75,17 @@ class TestBuildP:
             / mp.factorial(j)
             * integ
         )
-        assert p_mat.row(k)[j] == pytest.approx(oracle, rel=1e-13)
+        assert _rows(p_mat)[k, j] == pytest.approx(oracle, rel=1e-13)
 
     def test_entries_nonnegative(self):
         p_mat = build_P(OperatorParams(10.0, -0.5, 2.0), 64)
-        for k in range(p_mat.K + 1):
-            assert np.all(p_mat.row(k) >= 0.0)
+        assert np.all(_rows(p_mat) >= 0.0)
 
     def test_deficits_shrink_with_K(self):
         params = OperatorParams(10.0, 0.0, 2.0)
         small = _row_deficits(build_P(params, 64))
         large = _row_deficits(build_P(params, 128))
-        for k in (0, 10, 40):
+        for k in (0, 10, 32):
             assert large[k] <= small[k] + 1e-15
 
     def test_deficit_matches_analytic_tail(self):
@@ -94,18 +112,19 @@ class TestRowBands:
         p_mat = build_P(params, K)
         q1, q2 = (n - b) / (2.0 * n - b), n / (2.0 * n - b)
         cols = np.arange(K + 1.0)
-        for k in range(0, K + 1, 7):
+        rows = _rows(p_mat)
+        for k in range(0, K // 2 + 1, 7):
             exact = np.exp(_log_nb_pmf(k + al + 1.0, q1, q2, cols))
             lo, hi = p_mat.lo[k], p_mat.hi[k]
             assert 0 <= lo <= p_mat.modes[k] <= hi <= K
             assert exact[:lo].sum() <= _BAND_TOL and exact[hi + 1 :].sum() <= _BAND_TOL
-            row = p_mat.row(k)
+            row = rows[k]
             assert np.all(row[:lo] == 0.0) and np.all(row[hi + 1 :] == 0.0)
             np.testing.assert_allclose(row[lo : hi + 1], exact[lo : hi + 1], rtol=1e-12)
 
     def test_bands_are_narrower_than_rows(self):
         p_mat = build_P(OperatorParams(10.0, 0.0, 2.0), 512)
-        assert (p_mat.hi - p_mat.lo + 1).sum() < 0.65 * (p_mat.K + 1) ** 2
+        assert (p_mat.hi - p_mat.lo + 1).sum() < 0.65 * (p_mat.K // 2 + 1) * (p_mat.K + 1)
 
     def test_stacked_product_sums_each_row_alone(self):
         # a stack of vectors gives each vector's product bit for bit
@@ -119,8 +138,15 @@ class TestRowBands:
     def test_product_matches_rows(self):
         p_mat = build_P(OperatorParams(8.0, 1.0, 1.0), 96)
         v = np.cos(np.arange(p_mat.K + 1.0))
-        dense = np.array([p_mat.row(k) for k in range(p_mat.K + 1)])
-        np.testing.assert_allclose(p_mat.times(v), dense @ v, rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(p_mat.times(v), _rows(p_mat) @ v, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("K", [8, 9, 512])
+    def test_product_builds_only_the_upper_rows(self, K, built):
+        # rows K/2 < k <= K are never built; a product has K // 2 + 1 entries
+        p_mat = build_P(OperatorParams(10.0, 0.5, 2.0), K)
+        assert p_mat.modes.size == K // 2 + 1
+        assert p_mat.times(np.ones(K + 1)).shape == (K // 2 + 1,)
+        assert len(built) == K // 2 + 1
 
     def test_upper_pass_streams_the_rows(self):
         # K = 5,764: a dense block would take 266 MB, the row pass a few buffers
@@ -139,20 +165,26 @@ class TestRowBands:
         assert max(c.vector_residual for c in checks) <= 1e-10
 
     def test_upper_pass_matches_single_checks(self):
-        p_mat = build_P(OperatorParams(10.0, 1.0, 2.0), 160)
-        deficit, checks = upper_row_check(p_mat)
-        for chk in checks:
-            assert eigen_vector_check(p_mat, chk.which) == chk
-        upper = _row_deficits(p_mat)[: p_mat.K // 2 + 1]
-        assert deficit == pytest.approx(max(float(upper.max()), 0.0), abs=1e-15)
+        # each of the three figures against its own sum over the dense rows
+        params = OperatorParams(10.0, 1.0, 2.0)
+        p_mat = build_P(params, 160)
+        deficit, (const, expo) = upper_row_check(p_mat)
+        rows = _rows(p_mat)
+        v = (1.0 - params.beta / params.n) ** np.arange(p_mat.K + 1.0)
+        assert expo.vector_residual == pytest.approx(
+            float(np.max(np.abs(rows @ v - expo.lam * v[: rows.shape[0]]))), abs=1e-15
+        )
+        deficits = _row_deficits(p_mat)
+        assert const.vector_residual == pytest.approx(float(np.abs(deficits).max()), abs=1e-15)
+        assert deficit == pytest.approx(max(float(deficits.max()), 0.0), abs=1e-15)
 
 
 class TestEigenVectors:
     def test_constant_residual_is_deficit(self):
         p_mat = build_P(OperatorParams(10.0, 0.0, 2.0), 128)
-        chk = eigen_vector_check(p_mat, "constant")
-        upper = _row_deficits(p_mat)[: p_mat.K // 2 + 1]
-        assert chk.lam == 1.0
+        chk = upper_row_check(p_mat)[1][0]
+        upper = _row_deficits(p_mat)
+        assert chk.which == "constant" and chk.lam == 1.0
         assert chk.vector_residual <= 10.0 * max(float(upper.max()), 1e-16)
 
     def test_lambda2_values(self):
@@ -167,19 +199,21 @@ class TestEigenVectors:
 
     def test_exponential_residual(self):
         p_mat = build_P_adaptive(OperatorParams(10.0, 1.0, 2.0))
-        chk = eigen_vector_check(p_mat, "exponential")
+        chk = upper_row_check(p_mat)[1][1]
+        assert chk.which == "exponential"
         assert chk.lam == pytest.approx(0.64, rel=1e-15)
         assert chk.vector_residual <= 1e-10
 
     def test_beta_range(self):
         p_mat = build_P(OperatorParams(10.0, 0.0, -1.0), 32)
-        with pytest.raises(ParameterError):
-            eigen_vector_check(p_mat, "exponential")
+        with pytest.raises(ParameterError) as err:
+            upper_row_check(p_mat)
+        assert err.value.code == "exponential_eigen_beta"
 
     def test_unknown_which(self):
-        p_mat = build_P(OperatorParams(10.0, 0.0, 1.0), 16)
-        with pytest.raises(ParameterError):
-            eigen_vector_check(p_mat, "principal")
+        with pytest.raises(ParameterError) as err:
+            eigen_operator_check(OperatorParams(10.0, 0.0, 1.0), "principal", [1.0])
+        assert err.value.code == "eigen_which"
 
 
 class TestEigenOperator:
@@ -241,6 +275,35 @@ class TestIterateDecay:
         report = iterate_decay(params, 0, [0.0, 1.0])
         assert report.amplitude_ratios == ()
         assert report.max_deviations[0] <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_matches_dense_reference(self, alpha):
+        # check 08's sets against all K + 1 rows of P from the pmf itself:
+        # the rows K/2 < k <= K, which the product skips, change no digit
+        # that matters (measured: 6.7e-16 on the deviations, 5.6e-16 on the
+        # ratios)
+        params = OperatorParams(10.0, alpha, 2.0)
+        xs = np.linspace(0.0, 5.0, 11)
+        report = iterate_decay(params, 4, xs)
+        n, b, K = params.n, params.beta, adaptive_K(params)
+        q1, q2 = (n - b) / (2.0 * n - b), n / (2.0 * n - b)
+        cols = np.arange(K + 1.0)
+        dense = np.exp(_log_nb_pmf(cols[:, None] + alpha + 1.0, q1, q2, cols[None, :]))
+        v = (1.0 - b / n) ** cols
+        deviations, amplitudes = [], []
+        for m in range(5):
+            lifted = _poisson_sum(n, xs, v, 0)
+            deviations.append(np.max(np.abs(lifted - report.lam**m * np.exp(-b * xs))))
+            amplitudes.append(np.max(np.abs(lifted)))
+            v = dense @ v
+        ratios = [amplitudes[m + 1] / amplitudes[m] for m in range(4)]
+        np.testing.assert_allclose(report.max_deviations, deviations, rtol=0.0, atol=2e-15)
+        np.testing.assert_allclose(report.amplitude_ratios, ratios, rtol=0.0, atol=2e-15)
+
+    def test_products_build_only_the_upper_rows(self, built):
+        params = OperatorParams(10.0, 0.0, 2.0)
+        iterate_decay(params, 4, [0.0, 1.0])
+        assert len(built) == 4 * (adaptive_K(params) // 2 + 1)
 
     def test_beta_precondition(self):
         with pytest.raises(ParameterError) as err:
