@@ -41,7 +41,7 @@ from .errors import (
     _require_points,
 )
 from .operator import OperatorParams, TestFunction, apply_operator_grid
-from .operator.core import _poisson_sum
+from .operator.core import _k_window, _poisson_sum
 from .special import _dot, _first, _scipy_special, log_poisson_weights
 
 __all__ = [
@@ -296,20 +296,39 @@ def eigen_operator_check(params: OperatorParams, which: str, x_grid) -> EigenChe
     return EigenCheck(which, lam, operator_residual=residual)
 
 
+def _iterate_K(params: OperatorParams, r: int, x_max: float) -> int:
+    """The K for r products with the upper rows k <= K/2 and a lift on
+    [0, x_max]: ``adaptive_K`` at least, and 2 min(J, c), so that zeroing
+    each iterate past row K/2 moves the lift by at most (r + 1) ``_BAND_TOL``.
+
+    Past row c the iterate lam^m z^j is below z^c <= _BAND_TOL, and P's rows
+    sum to at most 1, so that cut moves no row by more.  J is the last row
+    the lift reads (``_k_window``), traced back r - 1 steps, each to the
+    column past which that row holds _BAND_TOL of mass (``row_deficit_tail``,
+    which grows with the row index): every row read is then a built one.
+    """
+    c = math.log(_BAND_TOL) / math.log1p(-params.beta / params.n)  # z^c = _BAND_TOL
+    j = _k_window(0.0, min(params.n * x_max, c), math.log(_BAND_TOL))[1]
+    for _ in range(r - 1):
+        if j >= c or 2 * j > _K_CAP:
+            break
+        j = _first(lambda col: row_deficit_tail(params, j, col) <= _BAND_TOL, j, 1)
+    K = max(adaptive_K(params), 2 * math.ceil(min(j, c)))
+    if K > _K_CAP:
+        raise TruncationError(
+            f"iterate K = {K} exceeds cap = {_K_CAP}: the rows the lift reads after "
+            f"{r} steps, or those where (1 - beta/n)^j > {_BAND_TOL:g}, pass row K/2"
+        )
+    return K
+
+
 def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     """Push the geometric eigenvector through P r times and lift each iterate.
 
     The m-th lift must track lam^m e^(-beta x); successive sup-amplitudes
-    over the grid must contract by exactly lam.  P is the adaptive
-    truncation, whose upper rows k <= K/2 lose at most 1e-12 of their mass;
-    only they are built, so each iterate is zero on the rows K/2 < k <= K.
-    That cut reaches the lift only where the grid's Poisson weights sit on
-    rows it has spread to: for check 08's sets (n = 10, beta = 2, x <= 5,
-    r <= 4) the report matches a dense product over all K + 1 rows to
-    1e-15, while for small beta/n, large x or many steps the deviations
-    grow (n = 50, alpha = 0.5, beta = 1, x <= 5, r = 8: 3.1e-3, against
-    1.7e-7 over all rows).  The amplitude ratios stayed within 1.4e-15 of
-    the all-rows ones in every case measured.
+    over the grid must contract by exactly lam.  P is built at the K of
+    ``_iterate_K``: every row the lift reads after r steps is a certified
+    upper row k <= K/2, or the iterate is below 1e-20 past row K/2.
     r is a whole number >= 0 and the grid a non-empty 1-D array of finite x >= 0.
     """
     if params.beta <= 0:
@@ -319,7 +338,7 @@ def iterate_decay(params: OperatorParams, r: int, x_grid) -> IterateDecayReport:
     r = _require_order(r, "iterate_steps")
     xs = _require_grid(x_grid, nonempty=True)
     _require_points(xs)
-    p_mat = build_P_adaptive(params)
+    p_mat = build_P(params, _iterate_K(params, r, float(xs.max())))
     _, z, lam = _eigen_pair(params, "exponential")
     v = z ** np.arange(p_mat.K + 1.0)
     deviations = []

@@ -4,12 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smld.errors import ParameterError
+from smld.errors import ParameterError, TruncationError
 from smld.operator import OperatorParams, TestFunction, apply_operator
 from smld import spectral
 from smld.spectral import (
     _BAND_TOL,
     _K_CAP,
+    _iterate_K,
     _log_nb_pmf,
     adaptive_K,
     build_P,
@@ -276,29 +277,64 @@ class TestIterateDecay:
         assert report.amplitude_ratios == ()
         assert report.max_deviations[0] <= 1e-12
 
-    @pytest.mark.parametrize("alpha", [0.0, 1.0])
-    def test_matches_dense_reference(self, alpha):
-        # check 08's sets against all K + 1 rows of P from the pmf itself:
-        # the rows K/2 < k <= K, which the product skips, change no digit
-        # that matters (measured: 6.7e-16 on the deviations, 5.6e-16 on the
-        # ratios)
-        params = OperatorParams(10.0, alpha, 2.0)
+    @pytest.mark.parametrize(
+        "n, alpha, beta, r",
+        [(10.0, 0.0, 2.0, 4), (10.0, 1.0, 2.0, 4), (50.0, 0.5, 1.0, 2), (10.0, 0.5, 1.0, 3)],
+    )
+    def test_matches_dense_reference(self, n, alpha, beta, r):
+        # check 08's two sets and two others against all K + 1 rows of P from
+        # the pmf itself, at the K that iterate_decay takes: the rows
+        # K/2 < k <= K, which the product skips, change no digit that matters
+        # (measured: at most 1.4e-15 on the deviations, 8.9e-16 on the ratios)
+        params = OperatorParams(n, alpha, beta)
         xs = np.linspace(0.0, 5.0, 11)
-        report = iterate_decay(params, 4, xs)
-        n, b, K = params.n, params.beta, adaptive_K(params)
-        q1, q2 = (n - b) / (2.0 * n - b), n / (2.0 * n - b)
+        report = iterate_decay(params, r, xs)
+        K = _iterate_K(params, r, 5.0)
+        q1, q2 = (n - beta) / (2.0 * n - beta), n / (2.0 * n - beta)
         cols = np.arange(K + 1.0)
-        dense = np.exp(_log_nb_pmf(cols[:, None] + alpha + 1.0, q1, q2, cols[None, :]))
-        v = (1.0 - b / n) ** cols
+        dense = np.vstack([
+            np.exp(_log_nb_pmf(cols[a : a + 256, None] + alpha + 1.0, q1, q2, cols[None, :]))
+            for a in range(0, K + 1, 256)
+        ])
+        v = (1.0 - beta / n) ** cols
         deviations, amplitudes = [], []
-        for m in range(5):
+        for m in range(r + 1):
             lifted = _poisson_sum(n, xs, v, 0)
-            deviations.append(np.max(np.abs(lifted - report.lam**m * np.exp(-b * xs))))
+            deviations.append(np.max(np.abs(lifted - report.lam**m * np.exp(-beta * xs))))
             amplitudes.append(np.max(np.abs(lifted)))
             v = dense @ v
-        ratios = [amplitudes[m + 1] / amplitudes[m] for m in range(4)]
+        ratios = [amplitudes[m + 1] / amplitudes[m] for m in range(r)]
         np.testing.assert_allclose(report.max_deviations, deviations, rtol=0.0, atol=2e-15)
         np.testing.assert_allclose(report.amplitude_ratios, ratios, rtol=0.0, atol=2e-15)
+
+    @pytest.mark.parametrize(
+        "n, alpha, beta, r, x_max",
+        [(50.0, 0.5, 1.0, 8, 5.0), (10.0, 0.0, 0.05, 4, 20.0), (10.0, 0.0, 0.001, 4, 5.0)],
+    )
+    def test_small_beta_over_n_tracks_the_eigenvalue(self, n, alpha, beta, r, x_max):
+        # for the infinite P every lift is lam^m e^(-beta x) exactly, so the
+        # deviations are rounding (measured: at most 5.1e-15); with K at
+        # adaptive_K, cutting each iterate past row K/2 gave 3.1e-3 and 3.0e-2
+        # on the first two sets
+        report = iterate_decay(OperatorParams(n, alpha, beta), r, np.linspace(0.0, x_max, 41))
+        assert max(report.max_deviations) <= 1e-14
+
+    def test_iterate_K_covers_the_rows_the_lift_reads(self):
+        # (50, 0.5, 1) on x <= 5: the lift reads the rows <= 419, and K/2 is
+        # the first row past which row 419 holds at most the band tolerance,
+        # so the second step reads only rows that the first one built
+        params = OperatorParams(50.0, 0.5, 1.0)
+        half = _iterate_K(params, 2, 5.0) // 2
+        assert row_deficit_tail(params, 419, half) <= _BAND_TOL
+        assert row_deficit_tail(params, 419, half - 1) > _BAND_TOL
+        # (10, 0, 2): 0.8^j falls below the band tolerance by row 207, so
+        # neither many steps nor a wide grid take K past adaptive_K
+        params = OperatorParams(10.0, 0.0, 2.0)
+        assert _iterate_K(params, 40, 500.0) == adaptive_K(params)
+
+    def test_iterate_K_past_the_cap_raises(self):
+        with pytest.raises(TruncationError):
+            iterate_decay(OperatorParams(10.0, 0.0, 1e-4), 2, [0.0, 2000.0])
 
     def test_products_build_only_the_upper_rows(self, built):
         params = OperatorParams(10.0, 0.0, 2.0)
